@@ -10,6 +10,7 @@ modulo null sets.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,12 +87,32 @@ class Box:
             raise DimensionMismatch("point dimension mismatch")
         if x.pi_coords is not None:
             return all(a <= c < b for a, b, c in zip(self.lo, self.hi, x.pi_coords))
-        import math
-
         return all(
             float(a) * math.pi <= c < float(b) * math.pi
             for a, b, c in zip(self.lo, self.hi, x.coords)
         )
+
+    def dilate(self, A: DilationMatrix, j: int) -> "Box":
+        """Image under B^j, B the frequency matrix: the one routine that maps a box.
+
+        Exact only for diagonal B (or n == 1), under which boxes map to
+        boxes.  Negative entries flip orientation; the half-open image
+        differs from the true one by a null set, which is all that the
+        measure-level checks need.
+        """
+        if A.n != self.dim:
+            raise DimensionMismatch("matrix dimension mismatch")
+        if not A.is_diagonal:
+            raise NonDiagonalDilation(
+                "exact dilation needs a diagonal matrix; use the sampled path"
+            )
+        p, d = A.power(j)
+        lo, hi = [], []
+        for k, (a, b) in enumerate(zip(self.lo, self.hi)):
+            s = Fraction(p[k][k], d)
+            lo.append(min(s * a, s * b))
+            hi.append(max(s * a, s * b))
+        return Box(tuple(lo), tuple(hi))
 
     def translate(self, shift: Sequence[Fraction]) -> "Box":
         return Box(
@@ -221,28 +242,8 @@ class BoxSet:
         return BoxSet(self.dim, tuple(b.translate(shift) for b in self.boxes))
 
     def dilate(self, A: DilationMatrix, j: int) -> "BoxSet":
-        """Image of the set under the j-th power of the frequency matrix.
-
-        Exact only when the frequency matrix (the transpose) is diagonal
-        or n == 1; the box family is closed under those maps.  Negative
-        diagonal entries flip interval orientation; the half-open image
-        differs from the true image by a null set, which is all the
-        measure-level checks need.
-        """
-        if A.n != self.dim:
-            raise DimensionMismatch("matrix dimension mismatch")
-        if not A.is_diagonal:
-            raise NonDiagonalDilation(
-                "exact dilation needs a diagonal matrix; use the sampled path"
-            )
-        diag = [Fraction(d) ** j for d in A.diagonal]
-        out = []
-        for b in self.boxes:
-            pairs = [
-                (min(d * a, d * c), max(d * a, d * c))
-                for d, a, c in zip(diag, b.lo, b.hi)
-            ]
-            out.append(Box(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)))
+        """Image of the set under the j-th power of the frequency matrix (see Box.dilate)."""
+        out = (b.dilate(A, j) for b in self.boxes)
         return BoxSet(self.dim, tuple(sorted(out, key=lambda b: (b.lo, b.hi))))
 
     def contains(self, x: RealPoint) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .boxes import BoxSet
 from .density import CharacterTarget, approx_character, mean_coefficient
 from .errors import InputError, WaverepError
 from .gram import GramSpec, eval_msf_wavelet, gram_matrix
-from .groups import AdicVector, DilationMatrix
+from .groups import AdicVector
 from .jsonio import parse_ratio
 from .operators import (
     fiber_operator,

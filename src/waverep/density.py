@@ -18,13 +18,14 @@ representation seen through the characters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .boxes import BoxSet
 from .errors import InconsistentTarget, LevelExceeded, NotCovered, AmbiguousScale
 from .groups import AdicVector, DilationMatrix, RealPoint, character_value, phase_exp
+from .spectral import project_point
 
 __all__ = ["CharacterTarget", "ApproxResult", "approx_character", "mean_coefficient"]
 
@@ -93,9 +94,7 @@ class CharacterTarget:
             raise LevelExceeded(
                 f"element has level {beta.j} > target level {self.level}"
             )
-        return linalg.mat_vec(
-            linalg.mat_pow(self.A.entries, self.level - beta.j), beta.v
-        )
+        return linalg.mat_vec(self.A.power(self.level - beta.j)[0], beta.v)
 
     def phase(self, beta: AdicVector) -> Fraction:
         """The forced phase of beta (value e^{-i pi phase}), mod 2."""
@@ -139,7 +138,7 @@ def approx_character(
                 f"element of level {beta.j} exceeds target level {target.level}"
             )
     reduced = [1 - ((1 - t) % 2) for t in target.gen_phases]  # into (-1, 1]
-    b_pow = linalg.mat_pow(A.b_entries, target.level)
+    b_pow = linalg.transpose(A.power(target.level)[0])
 
     def build(shift: tuple[int, ...]) -> RealPoint:
         y0 = [r + 2 * s for r, s in zip(reduced, shift)]
@@ -152,8 +151,6 @@ def approx_character(
     y = build(shifts[0])
     membership = None
     if E is not None:
-        from .spectral import project_point
-
         for shift in shifts[:max_retries]:
             candidate = build(shift)
             try:

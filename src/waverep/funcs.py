@@ -19,14 +19,14 @@ by the inexact (general matrix) path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .boxes import Box, BoxSet
-from .errors import DimensionMismatch, NonDiagonalDilation, WindowTooSmall
+from .errors import DimensionMismatch
 from .groups import AdicVector, DilationMatrix, RealPoint, character_value, phase_exp
 
 __all__ = ["Term", "ModulatedBoxSum", "LayerFunction", "GridFunction", "axis_integral"]
@@ -46,10 +46,6 @@ def axis_integral(a: Fraction, b: Fraction, theta: Fraction) -> complex:
     hi = phase_exp(-theta * b)
     lo = phase_exp(-theta * a)
     return (hi - lo) / complex(0, -float(theta))
-
-
-def _term_key(t: Term):
-    return (t.beta.j, t.beta.v, t.box.lo, t.box.hi)
 
 
 @dataclass(frozen=True)
@@ -97,25 +93,15 @@ class ModulatedBoxSum:
     def dilated(self, m: int) -> "ModulatedBoxSum":
         """m-fold frequency-domain scaling operator.
 
-        Boxes map within the family only for diagonal matrices; the
-        modulation parameter stays in the A-adic group and the
-        coefficient picks up |det|^{-m/2}.
+        Boxes map within the family only for diagonal matrices (Box.dilate
+        raises NonDiagonalDilation otherwise); the modulation parameter
+        stays in the A-adic group and the coefficient picks up |det|^{-m/2}.
         """
         if m == 0:
             return self
-        if not self.A.is_diagonal:
-            raise NonDiagonalDilation("exact scaling needs a diagonal matrix")
         scale = float(self.A.det_abs) ** (-m / 2.0)
-        diag = [Fraction(d) ** m for d in self.A.diagonal]
-        out = []
-        for t in self.terms:
-            pairs = [
-                (min(d * a, d * b), max(d * a, d * b))
-                for d, a, b in zip(diag, t.box.lo, t.box.hi)
-            ]
-            box = Box(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-            out.append(Term(t.coef * scale, t.beta.twist(m), box))
-        return ModulatedBoxSum(self.A, tuple(out))
+        terms = (Term(t.coef * scale, t.beta.twist(m), t.box.dilate(self.A, m)) for t in self.terms)
+        return ModulatedBoxSum(self.A, tuple(terms))
 
     # --- algebra ---------------------------------------------------------
 
@@ -146,15 +132,6 @@ class ModulatedBoxSum:
             if c != 0
         )
         return ModulatedBoxSum(self.A, terms)
-
-    def restricted(self, S: BoxSet) -> "ModulatedBoxSum":
-        out = []
-        for t in self.terms:
-            for piece in S.boxes:
-                c = t.box.intersect(piece)
-                if c is not None:
-                    out.append(Term(t.coef, t.beta, c))
-        return ModulatedBoxSum(self.A, tuple(out))
 
     def support(self) -> BoxSet:
         return BoxSet.of(self.dim, [t.box for t in self.terms])

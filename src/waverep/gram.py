@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import BoxSet
-from .errors import NonDiagonalDilation
 from .funcs import ModulatedBoxSum
 from .groups import AdicVector, DilationMatrix
 
@@ -132,15 +130,12 @@ def _gram_quadrature(
 ) -> np.ndarray:
     """Riemann-sum Gram entries for a general integer matrix (n = 1 or 2)."""
     n = spec.A.n
-    b = np.array(spec.A.b_entries, dtype=float)
     det = float(spec.A.det_abs)
 
     def sample(m, v, pts):
-        # value of the (m, v) basis vector at points (rows)
-        bm = np.linalg.matrix_power(b, -m) if m >= 0 else np.linalg.matrix_power(
-            np.linalg.inv(b), -m
-        )
-        ys = pts @ bm.T
+        # value of the (m, v) basis vector at points (rows): ys = B^{-m} pts
+        p, d = spec.A.power(-m)
+        ys = pts @ (np.array(p, dtype=float) / d)
         inside = np.zeros(len(pts), dtype=bool)
         for box in spec.E.boxes:
             lo = np.array([float(x) * math.pi for x in box.lo])

@@ -6,6 +6,12 @@ denominator and kept in a canonical form, so equality is structural.
 The scaling group Z acts by beta -> A^{-m} beta; the semidirect product
 carries the usual twisted multiplication.
 
+Every power of A, of either sign, comes from the one cached
+:meth:`DilationMatrix.power`, which returns A^k as an integer matrix
+over an integer denominator: negative powers are adj(A)^k / det^k.
+So the canonical form is an integer congruence test (v lies in A(Z^n)
+iff adj(A) v = 0 mod det) and no linear system is ever solved.
+
 Points of R^n come in two flavours: plain floats, and exact rational
 multiples of pi per coordinate.  On the exact flavour every phase
 <x, beta> is a rational multiple of pi, reduced mod 2*pi in rational
@@ -18,9 +24,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import linalg
 from .errors import DimensionMismatch, NotExpansive, SingularMatrix
@@ -44,12 +50,15 @@ class DilationMatrix:
 
     ``entries`` is the matrix A acting on the time domain; the frequency
     domain sees its transpose.  ``char_coeffs`` are the coefficients of
-    det(x*I - A), ascending.  Construct through :func:`validate_dilation`.
+    det(x*I - A), ascending, and ``adjugate`` is adj(A), so that
+    A^{-1} = adj(A) / det.  Construct through :func:`validate_dilation`.
     """
 
     entries: linalg.IntMatrix
     char_coeffs: tuple[int, ...]
     determinant: int
+    adjugate: linalg.IntMatrix = field(compare=False, repr=False)
+    _powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -60,11 +69,6 @@ class DilationMatrix:
         return abs(self.determinant)
 
     @property
-    def b_entries(self) -> linalg.IntMatrix:
-        """The transpose, acting on the frequency domain."""
-        return linalg.transpose(self.entries)
-
-    @property
     def is_diagonal(self) -> bool:
         return all(
             self.entries[i][j] == 0
@@ -73,20 +77,20 @@ class DilationMatrix:
             if i != j
         )
 
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        if not self.is_diagonal:
-            raise ValueError("matrix is not diagonal")
-        return tuple(self.entries[i][i] for i in range(self.n))
+    def power(self, k: int) -> tuple[linalg.IntMatrix, int]:
+        """A^k as (P, d) with A^k = P / d, both integral; cached per k.
 
-    def apply(self, v: Sequence) -> tuple:
-        return linalg.mat_vec(self.entries, v)
-
-    def apply_pow(self, v: Sequence, k: int) -> tuple:
-        """A^k v, exact; negative k solves with Fractions."""
-        if k >= 0:
-            return linalg.mat_vec(linalg.mat_pow(self.entries, k), v)
-        return linalg.solve(linalg.mat_pow(self.entries, -k), v)
+        (A^k, 1) for k >= 0 and (adj(A)^|k|, det^|k|) for k < 0; d keeps
+        the sign of det.  The frequency matrix B^k is P transposed over d.
+        """
+        hit = self._powers.get(k)
+        if hit is None:
+            if k >= 0:
+                hit = (linalg.mat_pow(self.entries, k), 1)
+            else:
+                hit = (linalg.mat_pow(self.adjugate, -k), self.determinant**-k)
+            self._powers[k] = hit
+        return hit
 
     def __repr__(self) -> str:
         return f"DilationMatrix({[list(r) for r in self.entries]})"
@@ -102,10 +106,8 @@ def validate_dilation(raw) -> DilationMatrix:
     integer Schur reduction certifies.
     """
     entries = linalg.as_matrix(raw)
-    coeffs = linalg.char_poly(entries)
-    n = len(entries)
-    c0 = coeffs[0]
-    determinant = c0 if n % 2 == 0 else -c0
+    coeffs, adjugate = linalg.char_poly(entries)
+    determinant = (-1) ** len(entries) * coeffs[0]
     if determinant == 0:
         raise SingularMatrix("determinant is zero")
     reversed_coeffs = tuple(reversed(coeffs))
@@ -115,15 +117,16 @@ def validate_dilation(raw) -> DilationMatrix:
             f"eigenvalue of modulus <= 1 (certificate failed at stage {stage})",
             stage,
         )
-    return DilationMatrix(entries=entries, char_coeffs=coeffs, determinant=determinant)
+    return DilationMatrix(entries, coeffs, determinant, adjugate)
 
 
 @dataclass(frozen=True)
 class AdicVector:
     """An element A^{-j} v of the A-adic group, in canonical form.
 
-    Canonical means j == 0 or v is not in A(Z^n); construction
-    normalizes, so equality of values is equality of fields.
+    Canonical means j == 0 or v is not in A(Z^n), decided by the
+    integer congruence adj(A) v = 0 mod det; construction normalizes,
+    so equality of values is equality of fields.
     """
 
     A: DilationMatrix
@@ -140,11 +143,12 @@ class AdicVector:
         if all(x == 0 for x in v):
             j = 0
         else:
+            det = self.A.determinant
             while j > 0:
-                w = linalg.solve_integer(self.A.entries, v)
-                if w is None:
+                w = linalg.mat_vec(self.A.adjugate, v)
+                if any(x % det for x in w):
                     break
-                v, j = w, j - 1
+                v, j = tuple(x // det for x in w), j - 1
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "j", j)
 
@@ -164,26 +168,23 @@ class AdicVector:
         """The element as an exact rational vector."""
         if self.j == 0:
             return tuple(Fraction(x) for x in self.v)
-        return linalg.solve(linalg.mat_pow(self.A.entries, self.j), self.v)
+        p, d = self.A.power(-self.j)
+        return tuple(Fraction(x, d) for x in linalg.mat_vec(p, self.v))
 
     def twist(self, m: int) -> "AdicVector":
         """The scaling action: A^{-m} applied to this element."""
         e = self.j + m
         if e >= 0:
             return AdicVector(self.A, self.v, e)
-        w = linalg.mat_vec(linalg.mat_pow(self.A.entries, -e), self.v)
+        w = linalg.mat_vec(self.A.power(-e)[0], self.v)
         return AdicVector(self.A, w, 0)
 
-    def _common(self, other: "AdicVector") -> tuple[int, tuple, tuple]:
+    def __add__(self, other: "AdicVector") -> "AdicVector":
         if self.A != other.A:
             raise DimensionMismatch("elements from different ambient groups")
         big = max(self.j, other.j)
-        v1 = linalg.mat_vec(linalg.mat_pow(self.A.entries, big - self.j), self.v)
-        v2 = linalg.mat_vec(linalg.mat_pow(self.A.entries, big - other.j), other.v)
-        return big, v1, v2
-
-    def __add__(self, other: "AdicVector") -> "AdicVector":
-        big, v1, v2 = self._common(other)
+        v1 = linalg.mat_vec(self.A.power(big - self.j)[0], self.v)
+        v2 = linalg.mat_vec(self.A.power(big - other.j)[0], other.v)
         return AdicVector(self.A, tuple(a + b for a, b in zip(v1, v2)), big)
 
     def __sub__(self, other: "AdicVector") -> "AdicVector":
@@ -250,10 +251,6 @@ class RealPoint:
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.pi_coords is not None
-
     def __repr__(self) -> str:
         if self.pi_coords is not None:
             return f"RealPoint(pi={[str(f) for f in self.pi_coords]})"
@@ -292,19 +289,21 @@ def character_value(x: RealPoint, beta: AdicVector) -> complex:
 
 
 def b_transform(A: DilationMatrix, x: RealPoint, k: int) -> RealPoint:
-    """B^k x for B the transpose of A, exact on exact points."""
+    """B^k x for B the transpose of A, exact on exact points.
+
+    With A^k = P / d from :meth:`DilationMatrix.power`, coordinate i is
+    sum_j P_ji x_j / d.  On float points that is n products, n - 1 sums
+    and one division, each correctly rounded, so for k < 0 (d != 1) the
+    error is at most about (n + 1) * 2^-53 * sum_j |P_ji x_j| / |d|, as
+    long as the entries of P and d are below 2^53; for k >= 0 the
+    division drops out.
+    """
     if x.dim != A.n:
         raise DimensionMismatch("point and matrix dimensions differ")
-    b = A.b_entries
+    p, d = A.power(k)
+    bk = linalg.transpose(p)
     if x.pi_coords is not None:
-        if k >= 0:
-            w = linalg.mat_vec(linalg.mat_pow(b, k), x.pi_coords)
-        else:
-            w = linalg.solve(linalg.mat_pow(b, -k), x.pi_coords)
-        return RealPoint.from_pi(w)
-    if k >= 0:
-        mat = linalg.mat_pow(b, k)
-        return RealPoint.from_floats(
-            tuple(sum(mat[i][j] * x.coords[j] for j in range(A.n)) for i in range(A.n))
-        )
-    return RealPoint.from_floats(linalg.solve_float(linalg.mat_pow(b, -k), x.coords))
+        w = linalg.mat_vec(bk, x.pi_coords)
+        return RealPoint.from_pi(w if d == 1 else (c / d for c in w))
+    w = linalg.mat_vec(bk, x.coords)
+    return RealPoint.from_floats(w if d == 1 else (c / d for c in w))

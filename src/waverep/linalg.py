@@ -1,18 +1,18 @@
-"""Exact integer and rational matrix helpers.
+"""Exact integer matrix helpers.
 
-Everything here works on tuples of tuples with Python integers or
-``fractions.Fraction`` entries, so results are exact for arbitrarily
-large values.  Matrices are small (desk scale, n <= 4 or so); clarity
-wins over asymptotics.
+Everything here works on tuples of tuples with Python integers (vectors
+may also hold ``fractions.Fraction`` entries), so results are exact for
+arbitrarily large values.  Nothing here solves a linear system: an
+inverse power of an integer matrix is carried as the integer pair
+adj(A)^k, det(A)^k, with the adjugate taken from the characteristic
+polynomial recursion.  Matrices are small (desk scale, n <= 4 or so);
+clarity wins over asymptotics.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import Sequence
-
-from .errors import SingularMatrix
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -61,16 +61,20 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     return result
 
 
-def char_poly(a: IntMatrix) -> tuple[int, ...]:
-    """Coefficients of det(x*I - a), ascending: (c0, c1, ..., 1).
+def char_poly(a: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
+    """Coefficients of det(x*I - a), ascending: (c0, c1, ..., 1), and adj(a).
 
-    Faddeev-LeVerrier recursion; all divisions are exact.
+    Faddeev-LeVerrier recursion M_1 = I, M_{k+1} = a M_k + c_{n-k} I with
+    c_{n-k} = -tr(a M_k) / k; all divisions are exact.  Cayley-Hamilton
+    gives a M_n = -c0 I, so the adjugate comes for free as
+    adj(a) = (-1)^(n+1) M_n and satisfies adj(a) a = det(a) I.
     """
     n = len(a)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = identity(n)
     for k in range(1, n + 1):
+        adj = m
         am = mat_mul(a, m)
         tr = sum(am[i][i] for i in range(n))
         c = -tr // k
@@ -79,57 +83,8 @@ def char_poly(a: IntMatrix) -> tuple[int, ...]:
         m = tuple(
             tuple(am[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
         )
-    return tuple(coeffs)
-
-
-def det(a: IntMatrix) -> int:
-    n = len(a)
-    c0 = char_poly(a)[0]
-    return c0 if n % 2 == 0 else -c0
-
-
-def solve(a, b: Sequence) -> tuple[Fraction, ...]:
-    """Solve a x = b exactly over the rationals (Gaussian elimination)."""
-    n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(row[n] for row in aug)
-
-
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """Integer solution of a x = b, or None if x is not integral."""
-    x = solve(a, b)
-    if all(xi.denominator == 1 for xi in x):
-        return tuple(int(xi) for xi in x)
-    return None
-
-
-def solve_float(a, b):
-    """Plain float Gaussian elimination for the inexact point path."""
-    n = len(a)
-    aug = [[float(a[i][j]) for j in range(n)] + [float(b[i])] for i in range(n)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if aug[pivot][col] == 0.0:
-            raise SingularMatrix("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1.0 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0.0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(row[n] for row in aug)
+    sign = 1 if n % 2 else -1
+    return tuple(coeffs), tuple(tuple(sign * x for x in row) for row in adj)
 
 
 def schur_stable(coeffs: Sequence[int]) -> tuple[bool, int]:

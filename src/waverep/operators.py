@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boxes import Box, BoxSet
-from .errors import DimensionMismatch, NotCovered, WindowTooSmall
+from .errors import WindowTooSmall
 from .funcs import LayerFunction, ModulatedBoxSum, Term
 from .groups import (
     AdicVector,
@@ -31,6 +31,7 @@ from .groups import (
     b_transform,
     character_value,
 )
+from .spectral import layer_span, to_layers
 
 __all__ = [
     "apply_group_element",
@@ -71,7 +72,7 @@ def commutation_defect(
     """
     rng = random.Random(seed)
     e_axis = AdicVector.of(A, [1 if i == axis else 0 for i in range(A.n)])
-    img = AdicVector.of(A, A.apply(e_axis.v))
+    img = e_axis.twist(-1)
     worst = 0.0
     for _ in range(trials):
         f = _random_mbs(rng, A)
@@ -131,8 +132,6 @@ def conjugation_defect(
     This is the computational form of the unitary equivalence between
     the frequency-domain representation and its layered realization.
     """
-    from .spectral import layer_span, to_layers
-
     span = layer_span(f, E, A)
     k_min = span[0] - abs(g.m) - margin
     k_max = span[1] + abs(g.m) + margin
@@ -309,12 +308,11 @@ def invariant_step_extension(
     dilation orbits, which is exactly the commutant membership
     condition g(xi) = g(B xi).
     """
-    out = []
-    for box, val in pieces:
-        for j in range(-j_span, j_span + 1):
-            for image in BoxSet(A.n, (box,)).dilate(A, j).boxes:
-                out.append((image, val))
-    return out
+    return [
+        (box.dilate(A, j), val)
+        for box, val in pieces
+        for j in range(-j_span, j_span + 1)
+    ]
 
 
 def commutator_with_dilation(
@@ -349,14 +347,9 @@ def find_noninvariant_witness(
     ``within`` restricts candidates to a region (a finitely extended
     multiplier is only scale-invariant inside its extension range).
     """
-    candidates = []
-    for box, _ in pieces:
-        for j in range(-j_span, j_span + 1):
-            for image in BoxSet(A.n, (box,)).dilate(A, j).boxes:
-                candidates.append(image)
+    candidates = [box.dilate(A, j) for box, _ in pieces for j in range(-j_span, j_span + 1)]
     for box in candidates:
-        single = BoxSet(A.n, (box,))
-        if within is not None and not single.subtract(within).is_empty:
+        if within is not None and not BoxSet.of(A.n, [box]).subtract(within).is_empty:
             continue
         f = ModulatedBoxSum.piecewise(A, [(box, 1.0)])
         norm = commutator_with_dilation(pieces, f)

@@ -126,12 +126,11 @@ def to_layers(
         pieces = []
         for t in f.terms:
             # piece of the k-th layer: B^{-k}(box) intersected with E
-            moved = BoxSet(A.n, (t.box,)).dilate(A, -k)
-            for mb in moved.boxes:
-                for eb in E.boxes:
-                    c = mb.intersect(eb)
-                    if c is not None:
-                        pieces.append(Term(t.coef * scale, t.beta.twist(-k), c))
+            moved = t.box.dilate(A, -k)
+            for eb in E.boxes:
+                c = moved.intersect(eb)
+                if c is not None:
+                    pieces.append(Term(t.coef * scale, t.beta.twist(-k), c))
         if pieces:
             layers[k] = ModulatedBoxSum(A, tuple(pieces))
     out = LayerFunction(A, k_min, k_max, layers)
@@ -153,9 +152,7 @@ def from_layers(F: LayerFunction, E: BoxSet, A: DilationMatrix) -> ModulatedBoxS
     for k, layer in sorted(F.layers.items()):
         scale = float(det) ** (-k / 2.0)
         for t in layer.terms:
-            moved = BoxSet(A.n, (t.box,)).dilate(A, k)
-            for mb in moved.boxes:
-                out.append(Term(t.coef * scale, t.beta.twist(k), mb))
+            out.append(Term(t.coef * scale, t.beta.twist(k), t.box.dilate(A, k)))
     return ModulatedBoxSum(A, tuple(out))
 
 
@@ -188,10 +185,10 @@ def isometry_defect(
             vol = t.box.volume()
             covered = Fraction(0)
             for k in range(k_min, k_max + 1):
-                # volume of box ∩ B^k E, pulled back: det^k * vol(B^{-k} box ∩ E)
-                moved = BoxSet(A.n, (t.box,)).dilate(A, -k)
-                inter = moved.intersect(E)
-                covered += det**k * inter.measure()
+                # vol(box ∩ B^k E) = det^k * vol(B^{-k} box ∩ E); E's boxes are disjoint
+                moved = t.box.dilate(A, -k)
+                pieces = (moved.intersect(eb) for eb in E.boxes)
+                covered += det**k * sum(c.volume() for c in pieces if c is not None)
             total += w * (float(vol) * pin)
             mapped += w * (float(covered) * pin)
         if total == 0.0:
@@ -233,12 +230,10 @@ def sampled_isometry_defect(
     if layer_cells is None:
         layer_cells = max(cells // 16, 8)
     det = float(A.det_abs)
-    b = np.array(A.b_entries, dtype=float)
     mapped = 0.0
     for k in range(k_min, k_max + 1):
-        bk = np.linalg.matrix_power(b, k) if k >= 0 else np.linalg.inv(
-            np.linalg.matrix_power(b, -k)
-        )
+        p, d = A.power(k)
+        bk = np.array(p, dtype=float).T / d
         for box in E.boxes:
             blo = np.array([float(x) * math.pi for x in box.lo])
             bhi = np.array([float(x) * math.pi for x in box.hi])

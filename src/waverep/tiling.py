@@ -13,6 +13,7 @@ matrix is not diagonal the exact set arithmetic is unavailable and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -20,6 +21,7 @@ from typing import Optional
 from .boxes import Box, BoxSet, interval_set
 from .errors import BadAnnulus
 from .groups import DilationMatrix, RealPoint, b_transform
+from .jsonio import boxset_json
 
 __all__ = [
     "CheckResult",
@@ -124,20 +126,6 @@ def shannon_set() -> BoxSet:
     return interval_set([(-2, -1), (1, 2)])
 
 
-def _boxset_json(s: BoxSet) -> dict:
-    return {
-        "dim": s.dim,
-        "boxes": [
-            {"lo": [str(x) for x in b.lo], "hi": [str(x) for x in b.hi]}
-            for b in s.boxes
-        ],
-    }
-
-
-def _exact_capable(E: BoxSet, A: DilationMatrix) -> bool:
-    return A.is_diagonal
-
-
 def _sample_annulus(dim: int, r_in: float, r_out: float, seed: int, index: int) -> RealPoint:
     # rejection from the bounding cube; deterministic sub-attempts
     for attempt in range(256):
@@ -165,7 +153,7 @@ def check_dilation_disjoint(
     name = "dilation_disjoint"
     if E.is_empty:
         return CheckResult(name, True, "exact", note="empty set, vacuous")
-    if mode != "sampled" and _exact_capable(E, A):
+    if mode != "sampled" and A.is_diagonal:
         dilates = {j: E.dilate(A, j) for j in range(-j_max, j_max + 1)}
         for j in range(-j_max, j_max + 1):
             for k in range(j + 1, j_max + 1):
@@ -175,13 +163,13 @@ def check_dilation_disjoint(
                         name,
                         False,
                         "exact",
-                        witness={"j": j, "k": k, "intersection": _boxset_json(inter)},
+                        witness={"j": j, "k": k, "intersection": boxset_json(inter)},
                     )
         return CheckResult(name, True, "exact")
     if mode == "exact":
         raise ValueError("exact mode requested but the frequency matrix is not diagonal")
     note = "sampled mode (non-diagonal frequency matrix)" if mode == "auto" else ""
-    r_in, r_out = float(annulus[0]) * 3.141592653589793, float(annulus[1]) * 3.141592653589793
+    r_in, r_out = float(annulus[0]) * math.pi, float(annulus[1]) * math.pi
     for i in range(samples):
         xi = _sample_annulus(E.dim, r_in, r_out, seed, i)
         hits = [
@@ -220,7 +208,7 @@ def check_dilation_cover(
     if r_in <= 0 or r_out <= r_in:
         raise BadAnnulus(f"need 0 < r_in < r_out, got ({r_in}, {r_out})")
     note = f"certified on sup-norm annulus [{r_in}*pi, {r_out}*pi] with |j| <= {j_max} only"
-    if mode != "sampled" and _exact_capable(E, A):
+    if mode != "sampled" and A.is_diagonal:
         dim = E.dim
         outer = BoxSet(
             dim, (Box((-r_out,) * dim, (r_out,) * dim),)
@@ -237,12 +225,12 @@ def check_dilation_cover(
             name,
             False,
             "exact",
-            witness={"uncovered": _boxset_json(remaining)},
+            witness={"uncovered": boxset_json(remaining)},
             note=note,
         )
     if mode == "exact":
         raise ValueError("exact mode requested but the frequency matrix is not diagonal")
-    rf_in, rf_out = float(r_in) * 3.141592653589793, float(r_out) * 3.141592653589793
+    rf_in, rf_out = float(r_in) * math.pi, float(r_out) * math.pi
     for i in range(samples):
         xi = _sample_annulus(E.dim, rf_in, rf_out, seed, i)
         covered = any(
@@ -270,8 +258,8 @@ def check_translation_congruent(E: BoxSet) -> CheckResult:
         False,
         "exact",
         witness={
-            "overlap": _boxset_json(overlap),
-            "deficit": _boxset_json(deficit),
+            "overlap": boxset_json(overlap),
+            "deficit": boxset_json(deficit),
             "fragments": len(fragments),
         },
     )

@@ -116,6 +116,14 @@ class TestGram:
         # coarse quadrature: only a sanity-level agreement is claimed
         assert res.max_deviation < 0.2
 
+    def test_quadrature_negative_scale(self):
+        # the (m, v) vector lives on B^m E; m < 0 must sample through B^{-m},
+        # not B^{-|m|}, or the m = -1 rows land off the set (deviation 15)
+        A = validate_dilation([[0, 2], [2, 0]])
+        res = gram_matrix(GramSpec(product_set(E, E), A, m_max=1, v_max=1))
+        assert res.mode == "quadrature"
+        assert res.max_deviation < 1e-12
+
 
 class TestCompleteness:
     def test_family_member_zero_defect(self):

@@ -17,6 +17,8 @@ from waverep.groups import (
     shift_cocycle,
     validate_dilation,
 )
+from waverep.linalg import identity, mat_mul, mat_vec, transpose
+from util import ref_b_transform, ref_canonical, ref_solve, ref_values
 
 A2 = validate_dilation([[2]])
 A23 = validate_dilation([[2, 0], [0, 3]])
@@ -280,3 +282,112 @@ class TestPointTransforms:
         assert y.coords[0] == pytest.approx(6.0)
         z = b_transform(A2, x, -1)
         assert z.coords[0] == pytest.approx(0.75)
+
+
+@st.composite
+def expansive(draw):
+    """A random expansive integer matrix with n in 1..3.
+
+    A random small matrix is kept when it certifies; otherwise a
+    triangular matrix with diagonal entries of modulus >= 2 is conjugated
+    by a unimodular shear, which keeps it integral, expansive and
+    (usually) non-diagonal.  Both branches reach negative determinants.
+    """
+    n = draw(st.integers(1, 3))
+    raw = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    try:
+        return validate_dilation(raw)
+    except (NotExpansive, SingularMatrix):
+        pass
+    diag = [draw(st.sampled_from([-3, -2, 2, 3])) for _ in range(n)]
+    t = [
+        [diag[i] if i == j else draw(st.integers(-2, 2)) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    if n > 1:
+        p, q = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-2, 2))
+        # the shear I + c e_p e_q^T has inverse I - c e_p e_q^T
+        shear = [[int(i == j) + c * ((i, j) == (p, q)) for j in range(n)] for i in range(n)]
+        unshear = [[int(i == j) - c * ((i, j) == (p, q)) for j in range(n)] for i in range(n)]
+        t = mat_mul(mat_mul(shear, t), unshear)
+    return validate_dilation(t)
+
+
+@st.composite
+def adic_data(draw, jmax: int = 4):
+    A = draw(expansive())
+    v = tuple(draw(st.integers(-40, 40)) for _ in range(A.n))
+    return A, v, draw(st.integers(0, jmax))
+
+
+class TestPowerOfA:
+    """The cached A^k = P / d against Fraction Gaussian elimination."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(A=expansive())
+    def test_adjugate(self, A):
+        det_i = tuple(tuple(A.determinant * x for x in row) for row in identity(A.n))
+        assert mat_mul(A.adjugate, A.entries) == det_i
+        assert mat_mul(A.entries, A.adjugate) == det_i
+
+    @settings(max_examples=100, deadline=None)
+    @given(A=expansive(), k=st.integers(-4, 4))
+    def test_power_inverse_pair(self, A, k):
+        p, d = A.power(k)
+        q, e = A.power(-k)
+        assert mat_mul(p, q) == tuple(
+            tuple(d * e * x for x in row) for row in identity(A.n)
+        )
+        assert A.power(k) is A.power(k)  # cached
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=adic_data())
+    def test_canonical_form_and_values(self, data):
+        A, v, j = data
+        a = AdicVector.of(A, v, j)
+        assert (a.v, a.j) == ref_canonical(A, v, j)
+        assert a.values() == ref_values(A, v, j)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=adic_data(), m=st.integers(-4, 4))
+    def test_twist(self, data, m):
+        A, v, j = data
+        tw = AdicVector.of(A, v, j).twist(m)
+        # A^{-m} applied to the exact value A^{-j} v, one factor at a time
+        want = ref_values(A, v, j)
+        for _ in range(max(m, 0)):
+            want = ref_solve(A.entries, want)
+        for _ in range(max(-m, 0)):
+            want = mat_vec(A.entries, want)
+        assert tw.values() == want
+        assert (tw.v, tw.j) == ref_canonical(A, tw.v, tw.j)
+
+    @settings(max_examples=150, deadline=None)
+    @given(A=expansive(), k=st.integers(-4, 4), data=st.data())
+    def test_exact_b_transform(self, A, k, data):
+        x = [
+            Fraction(data.draw(st.integers(-50, 50)), data.draw(st.integers(1, 12)))
+            for _ in range(A.n)
+        ]
+        y = b_transform(A, RealPoint.from_pi(x), k)
+        assert y.pi_coords == ref_b_transform(A, x, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(A=expansive(), k=st.integers(-4, -1), data=st.data())
+    def test_float_b_transform_negative_power(self, A, k, data):
+        # B^k x = P^T x / d: n products, n - 1 sums and one division, each
+        # correctly rounded, so coordinate i is off from the exact rational
+        # image of the float input by at most
+        # gamma_{n+1} * sum_j |P_ji x_j| / |d|, gamma_m = m u / (1 - m u), u = 2^-53.
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+        x = [data.draw(finite.filter(lambda t: t == 0 or abs(t) > 1e-200)) for _ in range(A.n)]
+        y = b_transform(A, RealPoint.from_floats(x), k)
+        p, d = A.power(k)
+        bk = transpose(p)
+        exact = ref_b_transform(A, [Fraction(c) for c in x], k)
+        u = Fraction(1, 2**53)
+        gamma = (A.n + 1) * u / (1 - (A.n + 1) * u)
+        for i in range(A.n):
+            size = sum(abs(bk[i][j] * Fraction(x[j])) for j in range(A.n)) / abs(d)
+            assert abs(Fraction(y.coords[i]) - exact[i]) <= gamma * size

@@ -1,0 +1,60 @@
+"""Import hygiene of the package: no unused module-level imports, no local package imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "waverep"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {ast.literal_eval(e) for e in node.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = _tree(path)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # the package __init__ re-exports what it imports
+    if path.name == "__init__.py":
+        used |= set(bound)
+    used |= _exported(tree)
+    unused = sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_package_imports(path):
+    local = []
+    for fn in ast.walk(_tree(path)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("waverep")
+            ):
+                local.append(f"{fn.name} (line {node.lineno})")
+            elif isinstance(node, ast.Import) and any(
+                a.name.startswith("waverep") for a in node.names
+            ):
+                local.append(f"{fn.name} (line {node.lineno})")
+    assert not local, f"{path.name}: function-local package imports in {local}"

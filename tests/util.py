@@ -8,6 +8,7 @@ from fractions import Fraction
 from waverep.boxes import Box, BoxSet
 from waverep.funcs import ModulatedBoxSum
 from waverep.groups import AdicVector, DilationMatrix, GroupElement, RealPoint
+from waverep.linalg import mat_pow, mat_vec, transpose
 
 
 def random_adic(rng: random.Random, A: DilationMatrix, vmax: int = 9, jmax: int = 3):
@@ -78,3 +79,48 @@ def random_disjoint_subordinate(
         dil = E.dilate(A, k)
         pieces.append((random_subbox(rng, rng.choice(dil.boxes)), random_coef(rng)))
     return ModulatedBoxSum.piecewise(A, pieces)
+
+
+# --- reference A-adic arithmetic by Fraction Gaussian elimination ----------
+
+
+def ref_solve(a, b) -> tuple[Fraction, ...]:
+    """Exact solution of a x = b over the rationals (Gaussian elimination)."""
+    n = len(a)
+    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(row[n] for row in aug)
+
+
+def ref_canonical(A: DilationMatrix, v, j: int) -> tuple[tuple[int, ...], int]:
+    """Canonical (v, j) of A^{-j} v: divide by A while the quotient stays integral."""
+    v = tuple(v)
+    if all(x == 0 for x in v):
+        return v, 0
+    while j > 0:
+        w = ref_solve(A.entries, v)
+        if any(x.denominator != 1 for x in w):
+            break
+        v, j = tuple(int(x) for x in w), j - 1
+    return v, j
+
+
+def ref_values(A: DilationMatrix, v, j: int) -> tuple[Fraction, ...]:
+    """A^{-j} v as exact rationals."""
+    return ref_solve(mat_pow(A.entries, j), v)
+
+
+def ref_b_transform(A: DilationMatrix, x, k: int) -> tuple[Fraction, ...]:
+    """B^k x exactly, B the transpose of A, for a rational vector x."""
+    b = transpose(A.entries)
+    if k >= 0:
+        return tuple(Fraction(c) for c in mat_vec(mat_pow(b, k), x))
+    return ref_solve(mat_pow(b, -k), x)
