@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -125,69 +124,62 @@ class Box:
         return f"Box({parts})"
 
 
-def _merge_cells(dim: int, cells: set[Box]) -> list[Box]:
-    """Greedy fuse of adjacent boxes, axis by axis, to a fixpoint."""
-    current = list(cells)
+def _merge_cells(
+    dim: int, cells: Iterable[tuple[int, ...]]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Greedy fuse of grid cells (lower-index tuples) into (lo, hi) index boxes, to a fixpoint.
+
+    The boxes stay disjoint, so every sort key is unique and the result
+    does not depend on the order of ``cells``.
+    """
+    current = [(lo, tuple(i + 1 for i in lo)) for lo in cells]
     changed = True
     while changed:
         changed = False
         for axis in range(dim):
-            def key(b: Box):
-                other = tuple(
-                    (b.lo[k], b.hi[k]) for k in range(dim) if k != axis
-                )
-                return (other, b.lo[axis])
-
-            current.sort(key=key)
-            fused: list[Box] = []
-            for b in current:
+            others = [k for k in range(dim) if k != axis]
+            current.sort(key=lambda b: (tuple((b[0][k], b[1][k]) for k in others), b[0][axis]))
+            fused: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+            for lo, hi in current:
                 if fused:
-                    p = fused[-1]
-                    same_profile = all(
-                        p.lo[k] == b.lo[k] and p.hi[k] == b.hi[k]
-                        for k in range(dim)
-                        if k != axis
-                    )
-                    if same_profile and p.hi[axis] == b.lo[axis]:
-                        fused[-1] = Box(
-                            p.lo,
-                            tuple(
-                                b.hi[k] if k == axis else p.hi[k] for k in range(dim)
-                            ),
-                        )
+                    plo, phi = fused[-1]
+                    same_profile = all(plo[k] == lo[k] and phi[k] == hi[k] for k in others)
+                    if same_profile and phi[axis] == lo[axis]:
+                        fused[-1] = (plo, phi[:axis] + (hi[axis],) + phi[axis + 1 :])
                         changed = True
                         continue
-                fused.append(b)
+                fused.append((lo, hi))
             current = fused
-    current.sort(key=lambda b: (b.lo, b.hi))
+    current.sort()
     return current
 
 
 def normalize(dim: int, boxes: Iterable[Box]) -> "BoxSet":
-    """Canonical disjoint representation of a union of boxes."""
+    """Canonical disjoint representation of a union of boxes.
+
+    Works on integer indices into the per-axis endpoint grids: the index
+    map is monotone, so orders and equalities are those of the endpoints.
+    """
     boxes = list(boxes)
     for b in boxes:
         if b.dim != dim:
             raise DimensionMismatch("box dimension mismatch")
     if not boxes:
         return BoxSet(dim, ())
-    grids = []
-    for k in range(dim):
-        vals = sorted({b.lo[k] for b in boxes} | {b.hi[k] for b in boxes})
-        grids.append(vals)
-    cells: set[Box] = set()
+    grids = [sorted({b.lo[k] for b in boxes} | {b.hi[k] for b in boxes}) for k in range(dim)]
+    index = [{x: i for i, x in enumerate(g)} for g in grids]
+    cells: set[tuple[int, ...]] = set()
     for b in boxes:
-        ranges = []
-        for k in range(dim):
-            g = grids[k]
-            i0 = bisect_left(g, b.lo[k])
-            i1 = bisect_right(g, b.hi[k]) - 1
-            ranges.append(range(i0, i1))
-        for idx in itertools.product(*ranges):
-            lo = tuple(grids[k][i] for k, i in enumerate(idx))
-            hi = tuple(grids[k][i + 1] for k, i in enumerate(idx))
-            cells.add(Box(lo, hi))
-    return BoxSet(dim, tuple(_merge_cells(dim, cells)))
+        cells.update(
+            itertools.product(*(range(index[k][b.lo[k]], index[k][b.hi[k]]) for k in range(dim)))
+        )
+    return BoxSet(
+        dim,
+        tuple(
+            Box(tuple(g[i] for g, i in zip(grids, lo)), tuple(g[i] for g, i in zip(grids, hi)))
+            for lo, hi in _merge_cells(dim, cells)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -226,6 +218,11 @@ class BoxSet:
                 if c is not None:
                     pieces.append(c)
         return normalize(self.dim, pieces)
+
+    def meets(self, other: "BoxSet") -> bool:
+        """Whether the intersection has positive measure; builds no box set."""
+        self._check(other)
+        return any(a.intersect(b) is not None for a in self.boxes for b in other.boxes)
 
     def subtract(self, other: "BoxSet") -> "BoxSet":
         self._check(other)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -46,13 +47,25 @@ def _emit(report: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _parse_annulus(text: str) -> tuple[Fraction, Fraction]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise InputError(f"--annulus needs two ratios r_in,r_out, got {text!r}")
+    r_in, r_out = (parse_ratio(x) for x in parts)
+    if not 0 < r_in < r_out:
+        raise InputError(f"--annulus needs 0 < r_in < r_out, got ({r_in}, {r_out})")
+    return r_in, r_out
+
+
 def _cmd_verify_set(args) -> tuple[int, dict]:
     E = _load_set(args.set)
     A = jsonio.parse_matrix_arg(args.dilation)
-    annulus = tuple(parse_ratio(x) for x in args.annulus.split(","))
+    annulus = _parse_annulus(args.annulus)
+    if args.j_max < 0:
+        raise InputError(f"--j-max must be >= 0, got {args.j_max}")
     params = VerifyParams(
         j_max=args.j_max,
-        annulus=(annulus[0], annulus[1]),
+        annulus=annulus,
         samples=args.samples,
         seed=args.seed,
         mode=args.mode,
@@ -67,6 +80,12 @@ def _cmd_verify_set(args) -> tuple[int, dict]:
 def _cmd_gram(args) -> tuple[int, dict]:
     E = _load_set(args.set)
     A = jsonio.parse_matrix_arg(args.dilation)
+    if args.m < 0 or args.v < 0:
+        raise InputError(f"--m and --v must be >= 0, got {args.m} and {args.v}")
+    if E.dim != A.n:
+        raise InputError(f"set dimension {E.dim} != matrix dimension {A.n}")
+    if E.is_empty:
+        raise InputError("the set is empty")
     spec = GramSpec(E, A, m_max=args.m, v_max=args.v, tolerance=args.tol)
     res = gram_matrix(spec)
     out = {

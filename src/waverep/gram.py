@@ -8,6 +8,9 @@ vanish because the dilates of E are disjoint (a support statement, not
 a cancellation), and same-scale entries are exponential integrals with
 exactly reduced phases.  Completeness is reported as a defect curve
 over growing translation ranges, never as a boolean.
+
+Since D M_v = M_{Av} D, an entry depends only on the exact key
+(m, m', A^-m v - A^-m' v'), so each key is evaluated once.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .boxes import BoxSet
 from .funcs import ModulatedBoxSum
 from .groups import AdicVector, DilationMatrix
@@ -83,9 +87,11 @@ class GramResult:
     warning: str | None = None
 
 
-def _basis_vector(spec: GramSpec, m: int, v: tuple[int, ...]) -> ModulatedBoxSum:
+def _scales(spec: GramSpec) -> tuple[dict[int, ModulatedBoxSum], dict[int, float]]:
+    """D^m 1_E and its squared norm per scale m (M_v is unitary: the norm of every (m, v))."""
     base = ModulatedBoxSum.indicator(spec.A, spec.E)
-    return base.modulated(AdicVector.of(spec.A, v)).dilated(m)
+    dilates = {m: base.dilated(m) for m in range(-spec.m_max, spec.m_max + 1)}
+    return dilates, {m: f.inner(f).real for m, f in dilates.items()}
 
 
 def gram_matrix(spec: GramSpec) -> GramResult:
@@ -95,22 +101,20 @@ def gram_matrix(spec: GramSpec) -> GramResult:
     entries are exactly 1; off-diagonal entries vanish exactly whenever
     the support/phase arithmetic forces them to.  Falls back to a
     quadrature evaluation when the frequency matrix is not diagonal.
+
+    The closed-form pairing of (m, v) with (m', v') sums, in a fixed
+    order, over the boxes of B^m E and B^m' E with coefficients fixed by
+    m and m' and the exact phase difference A^-m v - A^-m' v'.  So it is
+    a function of the key (m, m', A^-m v - A^-m' v'): each key is
+    evaluated once and every other entry with it is bit-identical.  The
+    key's vector is held as A^M times it, M = max(m, m'), an integer
+    vector (exact, and injective since A^M is invertible).  Blocks whose
+    supports do not meet (E against B^(m'-m) E) are the exact zero.
     """
     labels = spec.labels()
-    exact = spec.A.is_diagonal
     k = len(labels)
-    matrix = np.zeros((k, k), dtype=complex)
-    if exact:
-        vectors = [_basis_vector(spec, m, v) for m, v in labels]
-        norm_sqs = [b.inner(b).real for b in vectors]
-        norms = [math.sqrt(s) for s in norm_sqs]
-        for i in range(k):
-            # the diagonal normalizer is the norm square itself: exactly 1
-            matrix[i, i] = norm_sqs[i] / norm_sqs[i]
-            for j in range(i + 1, k):
-                val = vectors[i].inner(vectors[j]) / (norms[i] * norms[j])
-                matrix[i, j] = val
-                matrix[j, i] = val.conjugate()
+    if spec.A.is_diagonal:
+        matrix = _gram_closed_form(spec, labels)
         mode = "closed-form"
     else:
         matrix = _gram_quadrature(spec, labels)
@@ -125,10 +129,48 @@ def gram_matrix(spec: GramSpec) -> GramResult:
     return GramResult(labels, matrix, dev, mode, warning)
 
 
+def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]]) -> np.ndarray:
+    A, E = spec.A, spec.E
+    dilates, norm_sqs = _scales(spec)
+    norms = {m: math.sqrt(s) for m, s in norm_sqs.items()}
+    meets = {d: E.meets(E.dilate(A, d)) for d in range(-2 * spec.m_max, 2 * spec.m_max + 1)}
+    # A^e v, 0 <= e <= 2 m_max: the key vector is lifts[i][M - m] - lifts[j][M - m']
+    lifts = [
+        [linalg.mat_vec(A.power(e)[0], v) for e in range(2 * spec.m_max + 1)] for _, v in labels
+    ]
+    entries: dict = {}
+    k = len(labels)
+    matrix = np.zeros((k, k), dtype=complex)
+    for i, (m, _) in enumerate(labels):
+        # the diagonal normalizer is the norm square itself: exactly 1
+        matrix[i, i] = norm_sqs[m] / norm_sqs[m]
+        for j in range(i + 1, k):
+            mp = labels[j][0]
+            top = max(m, mp)
+            w = None
+            if meets[mp - m]:
+                w = tuple(a - b for a, b in zip(lifts[i][top - m], lifts[j][top - mp]))
+            val = entries.get((m, mp, w))
+            if val is None:
+                inner = 0j
+                if w is not None:
+                    beta = AdicVector(A, w, 0).twist(top)
+                    inner = dilates[m].modulated(beta).inner(dilates[mp])
+                val = entries[m, mp, w] = inner / (norms[m] * norms[mp])
+            matrix[i, j] = val
+            matrix[j, i] = val.conjugate()
+    return matrix
+
+
 def _gram_quadrature(
     spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]], cells: int = 4096
 ) -> np.ndarray:
-    """Riemann-sum Gram entries for a general integer matrix (n = 1 or 2)."""
+    """Riemann-sum Gram entries for a general integer matrix (n = 1 or 2).
+
+    Column j is the product V conj(v_j) of the sampled vectors, one per
+    label, so no conjugate copy of V is held.  Its summation order differs
+    from a per-entry ``np.sum`` by rounding only: |delta| <= 1e-14.
+    """
     n = spec.A.n
     det = float(spec.A.det_abs)
 
@@ -155,14 +197,11 @@ def _gram_quadrature(
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     vol = (2 * r_max / per_axis) ** n
-    vals = [sample(m, v, pts) for m, v in labels]
+    vals = np.empty((len(labels), len(pts)), dtype=complex)
+    for i, (m, v) in enumerate(labels):
+        vals[i] = sample(m, v, pts)
     mu = float(spec.E.measure()) * math.pi**n
-    k = len(labels)
-    out = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = np.sum(vals[i] * np.conj(vals[j])) * vol / mu
-    return out
+    return np.array([vals @ row.conj() for row in vals]).T * vol / mu
 
 
 def completeness_defect(
@@ -180,11 +219,11 @@ def completeness_defect(
     outside the scanned dilates keeps its entire norm as defect.
     """
     spec = GramSpec(E, A, m_max, v_max)
+    dilates, norm_sqs = _scales(spec)
     total = f.norm_sq()
     captured = 0.0
     for m, v in spec.labels():
-        b = _basis_vector(spec, m, v)
-        nb = math.sqrt(b.inner(b).real)
-        coef = f.inner(b) / nb
+        b = dilates[m].modulated(AdicVector.of(A, v).twist(m))
+        coef = f.inner(b) / math.sqrt(norm_sqs[m])
         captured += abs(coef) ** 2
     return total - captured

@@ -154,17 +154,18 @@ def check_dilation_disjoint(
     if E.is_empty:
         return CheckResult(name, True, "exact", note="empty set, vacuous")
     if mode != "sampled" and A.is_diagonal:
-        dilates = {j: E.dilate(A, j) for j in range(-j_max, j_max + 1)}
-        for j in range(-j_max, j_max + 1):
-            for k in range(j + 1, j_max + 1):
-                inter = dilates[j].intersect(dilates[k])
-                if not inter.is_empty:
-                    return CheckResult(
-                        name,
-                        False,
-                        "exact",
-                        witness={"j": j, "k": k, "intersection": boxset_json(inter)},
-                    )
+        # B^j E meets B^k E iff E meets B^(k-j) E, so only the gap d = k - j
+        # matters; the first pair in (j, k) order is (-j_max, -j_max + d_min)
+        for d in range(1, 2 * j_max + 1):
+            if E.meets(E.dilate(A, d)):
+                j, k = -j_max, -j_max + d
+                inter = E.dilate(A, j).intersect(E.dilate(A, k))
+                return CheckResult(
+                    name,
+                    False,
+                    "exact",
+                    witness={"j": j, "k": k, "intersection": boxset_json(inter)},
+                )
         return CheckResult(name, True, "exact")
     if mode == "exact":
         raise ValueError("exact mode requested but the frequency matrix is not diagonal")

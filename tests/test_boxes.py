@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from util import ref_normalize
 from waverep.boxes import Box, BoxSet, interval_set, normalize, product_set, unit_cube
 from waverep.errors import DimensionMismatch, NonDiagonalDilation
 from waverep.groups import RealPoint, validate_dilation
@@ -18,7 +19,31 @@ def test_empty_box_rejected():
         Box((Fraction(1),), (Fraction(1),))
 
 
+_ENDS = st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def box_lists(draw):
+    dim = draw(st.integers(1, 3))
+    boxes = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo, hi = [], []
+        for _ in range(dim):
+            a, b = draw(st.tuples(_ENDS, _ENDS).filter(lambda p: p[0] != p[1]))
+            lo.append(min(a, b))
+            hi.append(max(a, b))
+        boxes.append(Box(tuple(lo), tuple(hi)))
+    return dim, boxes
+
+
 class TestNormalize:
+    @settings(max_examples=80, deadline=None)
+    @given(case=box_lists())
+    def test_matches_fraction_reference(self, case):
+        dim, boxes = case
+        assert normalize(dim, boxes).boxes == ref_normalize(dim, boxes)
+        assert normalize(dim, reversed(boxes)).boxes == ref_normalize(dim, boxes)
+
     def test_interval_merge(self):
         s = interval_set([(1, 2), (Fraction(3, 2), 3)])
         assert s.boxes == (Box((Fraction(1),), (Fraction(3),)),)

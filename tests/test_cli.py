@@ -118,6 +118,62 @@ class TestGramCommand:
         assert "witness" in report
 
 
+class TestInputBoundary:
+    """Bad arguments exit 2 with a JSON error before any check runs."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--annulus", "1"],
+            ["--annulus", "1,2,3"],
+            ["--annulus", "2,1", "--mode", "sampled"],
+            ["--annulus", "2,1", "--mode", "exact"],
+            ["--annulus", "0,1"],
+            ["--j-max", "-1"],
+        ],
+    )
+    def test_verify_set(self, extra, capsys):
+        argv = ["verify-set", "--set", "shannon", "--dilation", "[[2]]", "--samples", "10"]
+        code, out = run_capture(argv + extra, capsys)
+        assert code == 2
+        assert "error" in json.loads(out)
+
+    def test_verify_set_zero_j_max_is_a_check(self, capsys):
+        code, out = run_capture(
+            ["verify-set", "--set", "shannon", "--dilation", "[[2]]", "--j-max", "0"], capsys
+        )
+        assert code == 1
+        assert json.loads(out)["conditions"]["dilation_disjoint"]["passed"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--set", "shannon", "--dilation", "[[2]]", "--m", "-1"],
+            ["--set", "shannon", "--dilation", "[[2]]", "--v", "-1"],
+            ["--set", "shannon", "--dilation", "[[2,0],[0,2]]"],
+            ["--set", "shannon", "--dilation", "[[2,1],[0,2]]"],
+        ],
+    )
+    def test_gram(self, extra, capsys):
+        code, out = run_capture(["gram"] + extra, capsys)
+        assert code == 2
+        assert "error" in json.loads(out)
+
+    def test_gram_empty_set(self, tmp_path, capsys):
+        f = tmp_path / "empty.json"
+        f.write_text(json.dumps({"dim": 1, "boxes": []}))
+        code, out = run_capture(["gram", "--set", str(f), "--dilation", "[[2]]"], capsys)
+        assert code == 2
+        assert "error" in json.loads(out)
+
+    def test_gram_zero_ranges_are_valid(self, capsys):
+        code, out = run_capture(
+            ["gram", "--set", "shannon", "--dilation", "[[2]]", "--m", "0", "--v", "0"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["matrix_real"] == [[1.0]]
+
+
 class TestDecompose:
     def test_indicator(self, tmp_path, capsys):
         fn = tmp_path / "f.json"

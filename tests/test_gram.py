@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from util import box_sets, diagonal_matrices, ref_gram_closed_form, ref_gram_quadrature
 from waverep.boxes import interval_set, product_set
 from waverep.funcs import ModulatedBoxSum
 from waverep.gram import GramSpec, completeness_defect, eval_msf_wavelet, gram_matrix
@@ -123,6 +126,79 @@ class TestGram:
         res = gram_matrix(GramSpec(product_set(E, E), A, m_max=1, v_max=1))
         assert res.mode == "quadrature"
         assert res.max_deviation < 1e-12
+
+
+def assert_bit_identical(got: np.ndarray, want: np.ndarray):
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+
+def cross_scale_blocks(spec: GramSpec, matrix: np.ndarray) -> tuple[bool, bool]:
+    """(some cross-scale block is all zero, some cross-scale block is not)."""
+    labels = spec.labels()
+    scales = range(-spec.m_max, spec.m_max + 1)
+    zero = nonzero = False
+    for m in scales:
+        for mp in scales:
+            if m == mp:
+                continue
+            rows = [i for i, (a, _) in enumerate(labels) if a == m]
+            cols = [j for j, (b, _) in enumerate(labels) if b == mp]
+            if np.any(matrix[np.ix_(rows, cols)]):
+                nonzero = True
+            else:
+                zero = True
+    return zero, nonzero
+
+
+class TestGroupStructure:
+    """The keyed closed form against the all-pairs evaluation: equal to the bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(E=box_sets(1), A=diagonal_matrices(1), m_max=st.integers(0, 2), v_max=st.integers(0, 3))
+    def test_bit_identical_1d(self, E, A, m_max, v_max):
+        spec = GramSpec(E, A, m_max, v_max)
+        assert_bit_identical(gram_matrix(spec).matrix, ref_gram_closed_form(spec))
+
+    @settings(max_examples=12, deadline=None)
+    @given(E=box_sets(2), A=diagonal_matrices(2), m_max=st.integers(0, 1), v_max=st.integers(0, 1))
+    def test_bit_identical_2d(self, E, A, m_max, v_max):
+        spec = GramSpec(E, A, m_max, v_max)
+        assert_bit_identical(gram_matrix(spec).matrix, ref_gram_closed_form(spec))
+
+    @pytest.mark.parametrize(
+        "E, A, zero, nonzero",
+        [
+            (E, A2, True, False),
+            (interval_set([(0, 2)]), A2, False, True),
+            # B E meets E, B^2 E does not
+            (interval_set([(-3, -1), (1, 3)]), validate_dilation([[-2]]), True, True),
+            (product_set(E, E), validate_dilation([[2, 0], [0, -2]]), True, False),
+            (
+                product_set(interval_set([(0, 2)]), interval_set([(-1, 1)])),
+                validate_dilation([[2, 0], [0, 3]]),
+                False,
+                True,
+            ),
+        ],
+    )
+    def test_zero_and_nonzero_cross_scale_blocks(self, E, A, zero, nonzero):
+        spec = GramSpec(E, A, m_max=1, v_max=2 if A.n == 1 else 1)
+        got = gram_matrix(spec).matrix
+        assert_bit_identical(got, ref_gram_closed_form(spec))
+        assert cross_scale_blocks(spec, got) == (zero, nonzero)
+
+    @pytest.mark.parametrize(
+        "A",
+        [[[0, 2], [2, 0]], [[0, -2], [2, 0]], [[1, 1], [-1, 1]]],
+    )
+    @pytest.mark.parametrize("E", [product_set(E, E), product_set(E, interval_set([(0, 2)]))])
+    def test_quadrature_product_matches_loop(self, A, E):
+        spec = GramSpec(E, validate_dilation(A), m_max=1, v_max=1)
+        got = gram_matrix(spec)
+        assert got.mode == "quadrature"
+        assert np.max(np.abs(got.matrix - ref_gram_quadrature(spec))) <= 1e-14
 
 
 class TestCompleteness:

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from util import box_sets, diagonal_matrices, ref_disjoint_witness
 from waverep.boxes import interval_set, product_set
 from waverep.errors import BadAnnulus
 from waverep.tiling import (
@@ -48,6 +51,32 @@ class TestDisjoint:
     def test_zero_two_pi_fails(self):
         res = check_dilation_disjoint(interval_set([(0, 2)]), A2, j_max=2)
         assert not res.passed
+
+
+class TestDisjointByGap:
+    """The O(j) scan over gaps k - j against the O(j^2) scan over pairs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 2), j_max=st.integers(0, 5))
+    def test_same_witness_as_pair_scan(self, data, dim, j_max):
+        E = data.draw(box_sets(dim))
+        A = data.draw(diagonal_matrices(dim))
+        res = check_dilation_disjoint(E, A, j_max=j_max)
+        want = ref_disjoint_witness(E, A, j_max)
+        assert res.mode == "exact"
+        assert res.passed == (want is None)
+        assert res.witness == want
+
+    def test_witness_starts_at_minus_j_max(self):
+        # E meets B^3 E and no nearer dilate, so the pair is (-j_max, 3 - j_max)
+        E = interval_set([(1, Fraction(3, 2)), (8, 9)])
+        res = check_dilation_disjoint(E, A2, j_max=2)
+        assert (res.witness["j"], res.witness["k"]) == (-2, 1)
+        assert res.witness == ref_disjoint_witness(E, A2, 2)
+
+    def test_gap_beyond_range_passes(self):
+        E = interval_set([(1, Fraction(3, 2)), (8, 9)])
+        assert check_dilation_disjoint(E, A2, j_max=1).passed
 
 
 class TestCover:

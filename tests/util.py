@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from waverep.boxes import Box, BoxSet
+import numpy as np
+from hypothesis import strategies as st
+
+from waverep.boxes import Box, BoxSet, interval_set, product_set
 from waverep.funcs import ModulatedBoxSum
-from waverep.groups import AdicVector, DilationMatrix, GroupElement, RealPoint
+from waverep.gram import GramSpec
+from waverep.groups import AdicVector, DilationMatrix, GroupElement, RealPoint, validate_dilation
+from waverep.jsonio import boxset_json
 from waverep.linalg import mat_pow, mat_vec, transpose
 
 
@@ -124,3 +132,161 @@ def ref_b_transform(A: DilationMatrix, x, k: int) -> tuple[Fraction, ...]:
     if k >= 0:
         return tuple(Fraction(c) for c in mat_vec(mat_pow(b, k), x))
     return ref_solve(mat_pow(b, -k), x)
+
+
+# --- brute-force references for the group-structure shortcuts -------------
+
+
+def ref_gram_closed_form(spec: GramSpec) -> np.ndarray:
+    """Closed-form Gram matrix by evaluating all k^2 / 2 pairings, one basis vector per label."""
+    labels = spec.labels()
+    base = ModulatedBoxSum.indicator(spec.A, spec.E)
+    vectors = [base.modulated(AdicVector.of(spec.A, v)).dilated(m) for m, v in labels]
+    norm_sqs = [b.inner(b).real for b in vectors]
+    norms = [math.sqrt(s) for s in norm_sqs]
+    k = len(labels)
+    matrix = np.zeros((k, k), dtype=complex)
+    for i in range(k):
+        matrix[i, i] = norm_sqs[i] / norm_sqs[i]
+        for j in range(i + 1, k):
+            val = vectors[i].inner(vectors[j]) / (norms[i] * norms[j])
+            matrix[i, j] = val
+            matrix[j, i] = val.conjugate()
+    return matrix
+
+
+def ref_gram_quadrature(spec: GramSpec, cells: int = 4096) -> np.ndarray:
+    """Riemann-sum Gram matrix with one np.sum per entry (the O(k^2) loop)."""
+    n = spec.A.n
+    det = float(spec.A.det_abs)
+
+    def sample(m, v, pts):
+        p, d = spec.A.power(-m)
+        ys = pts @ (np.array(p, dtype=float) / d)
+        inside = np.zeros(len(pts), dtype=bool)
+        for box in spec.E.boxes:
+            lo = np.array([float(x) * math.pi for x in box.lo])
+            hi = np.array([float(x) * math.pi for x in box.hi])
+            inside |= np.all((ys >= lo) & (ys < hi), axis=1)
+        phase = np.exp(-1j * (ys @ np.asarray(v, dtype=float)))
+        return det ** (-m / 2.0) * inside * phase
+
+    r_max = max(
+        abs(float(x)) for box in spec.E.boxes for x in (*box.lo, *box.hi)
+    ) * math.pi * det ** spec.m_max
+    per_axis = max(8, int(round(cells ** (1 / n))))
+    axes = [-r_max + 2 * r_max * (np.arange(per_axis) + 0.5) / per_axis for _ in range(n)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    vol = (2 * r_max / per_axis) ** n
+    labels = spec.labels()
+    vals = [sample(m, v, pts) for m, v in labels]
+    mu = float(spec.E.measure()) * math.pi**n
+    k = len(labels)
+    out = np.zeros((k, k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            out[i, j] = np.sum(vals[i] * np.conj(vals[j])) * vol / mu
+    return out
+
+
+def ref_disjoint_witness(E: BoxSet, A: DilationMatrix, j_max: int) -> dict | None:
+    """First overlapping pair (j, k) of dilates in (j, k) order, scanning all O(j^2) pairs."""
+    dilates = {j: E.dilate(A, j) for j in range(-j_max, j_max + 1)}
+    for j in range(-j_max, j_max + 1):
+        for k in range(j + 1, j_max + 1):
+            inter = dilates[j].intersect(dilates[k])
+            if not inter.is_empty:
+                return {"j": j, "k": k, "intersection": boxset_json(inter)}
+    return None
+
+
+def ref_normalize(dim: int, boxes) -> tuple[Box, ...]:
+    """Canonical boxes of a union: Fraction grid cells, fused axis by axis to a fixpoint."""
+    boxes = list(boxes)
+    if not boxes:
+        return ()
+    grids = [sorted({b.lo[k] for b in boxes} | {b.hi[k] for b in boxes}) for k in range(dim)]
+    cells: set[Box] = set()
+    for b in boxes:
+        ranges = [
+            range(bisect_left(grids[k], b.lo[k]), bisect_right(grids[k], b.hi[k]) - 1)
+            for k in range(dim)
+        ]
+        for idx in itertools.product(*ranges):
+            lo = tuple(grids[k][i] for k, i in enumerate(idx))
+            hi = tuple(grids[k][i + 1] for k, i in enumerate(idx))
+            cells.add(Box(lo, hi))
+    current = list(cells)
+    changed = True
+    while changed:
+        changed = False
+        for axis in range(dim):
+            others = [k for k in range(dim) if k != axis]
+            current.sort(key=lambda b: (tuple((b.lo[k], b.hi[k]) for k in others), b.lo[axis]))
+            fused: list[Box] = []
+            for b in current:
+                if fused:
+                    p = fused[-1]
+                    same_profile = all(
+                        p.lo[k] == b.lo[k] and p.hi[k] == b.hi[k] for k in range(dim) if k != axis
+                    )
+                    if same_profile and p.hi[axis] == b.lo[axis]:
+                        hi = tuple(b.hi[k] if k == axis else p.hi[k] for k in range(dim))
+                        fused[-1] = Box(p.lo, hi)
+                        changed = True
+                        continue
+                fused.append(b)
+            current = fused
+    current.sort(key=lambda b: (b.lo, b.hi))
+    return tuple(current)
+
+
+# --- hypothesis strategies: diagonal matrices and candidate sets ----------
+
+_ENTRIES = st.sampled_from([-3, -2, 2, 3])
+
+
+def diagonal_matrices(dim: int):
+    """Expansive diagonal matrices with entries of either sign."""
+
+    def diag(d):
+        return validate_dilation(
+            [[x if i == k else 0 for k in range(dim)] for i, x in enumerate(d)]
+        )
+
+    return st.lists(_ENTRIES, min_size=dim, max_size=dim).map(diag)
+
+
+def _shannon_like(a: Fraction) -> list[tuple[Fraction, Fraction]]:
+    # [a, 2a) + [-2(2-a), -(2-a)): a wavelet set for dilation by 2 when 0 < a < 2
+    b = 2 - a
+    return [(a, 2 * a), (-2 * b, -b)]
+
+
+@st.composite
+def interval_sets(draw) -> BoxSet:
+    """1-D sets: Shannon-like wavelet sets, shifted or stretched ones, and random unions."""
+    kind = draw(st.sampled_from(["shannon", "shifted", "stretched", "random"]))
+    a = draw(st.fractions(Fraction(1, 4), Fraction(7, 4), max_denominator=8))
+    if kind == "random":
+        ends = st.fractions(-4, 4, max_denominator=4)
+        pairs = draw(
+            st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), min_size=1, max_size=3)
+        )
+        return interval_set([(min(p), max(p)) for p in pairs])
+    intervals = _shannon_like(a)
+    if kind == "shifted":
+        s = draw(st.fractions(-1, 1, max_denominator=4))
+        intervals = [(lo + s, hi + s) for lo, hi in intervals]
+    elif kind == "stretched":
+        c = draw(st.fractions(Fraction(1, 2), 3, max_denominator=4))
+        intervals = [(lo * c, hi * c) for lo, hi in intervals]
+    return interval_set(intervals)
+
+
+def box_sets(dim: int):
+    """Sets of the given dimension (1 or 2); in 2-D, products, which overlap when a factor does."""
+    if dim == 1:
+        return interval_sets()
+    return st.tuples(interval_sets(), interval_sets()).map(lambda p: product_set(*p))
