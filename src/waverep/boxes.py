@@ -282,35 +282,17 @@ class BoxSet:
         """
         fragments: list[tuple[Box, tuple[int, ...]]] = []
         for box in self.boxes:
-            # split along the odd-integer grid so each piece sits in one cell
-            pieces = [box]
-            for k in range(self.dim):
-                split: list[Box] = []
-                for p in pieces:
-                    cuts = []
-                    c = _next_odd(p.lo[k])
-                    while c < p.hi[k]:
-                        cuts.append(c)
-                        c += 2
-                    split.extend(_split_axis(p, k, cuts))
-                pieces = split
-            for p in pieces:
-                shift = tuple(-int((a + 1) // 2) for a in p.lo)
-                fragments.append((p, shift))
-        images = [
-            frag.translate(tuple(Fraction(2 * s) for s in shift))
-            for frag, shift in fragments
-        ]
-        overlap_pieces = []
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                c = images[i].intersect(images[j])
-                if c is not None:
-                    overlap_pieces.append(c)
-        overlap = normalize(self.dim, overlap_pieces)
-        cube = unit_cube(self.dim)
-        covered = normalize(self.dim, images)
-        deficit = cube.subtract(covered)
+            # per axis, the cells [2c - 1, 2c + 1) that [lo, hi) meets: c from
+            # floor((lo + 1) / 2) up to ceil((hi + 1) / 2), exclusive
+            spans = [range((a + 1) // 2, -((-1 - b) // 2)) for a, b in zip(box.lo, box.hi)]
+            for cell in itertools.product(*spans):
+                lo = tuple(max(a, 2 * c - 1) for a, c in zip(box.lo, cell))
+                hi = tuple(min(b, 2 * c + 1) for b, c in zip(box.hi, cell))
+                fragments.append((Box(lo, hi), tuple(-c for c in cell)))
+        images = [frag.translate(tuple(Fraction(2 * s) for s in shift)) for frag, shift in fragments]
+        pairs = (a.intersect(b) for a, b in itertools.combinations(images, 2))
+        overlap = normalize(self.dim, [c for c in pairs if c is not None])
+        deficit = unit_cube(self.dim).subtract(normalize(self.dim, images))
         return fragments, overlap, deficit
 
     def _check(self, other: "BoxSet"):
@@ -319,29 +301,6 @@ class BoxSet:
 
     def __repr__(self) -> str:
         return f"BoxSet(dim={self.dim}, boxes={list(self.boxes)})"
-
-
-def _next_odd(x: Fraction) -> Fraction:
-    """Smallest odd integer strictly greater than x."""
-    k = x.__floor__()
-    c = Fraction(k if k % 2 else k + 1)
-    if c <= x:
-        c += 2
-    return c
-
-
-def _split_axis(box: Box, axis: int, cuts: list[Fraction]) -> list[Box]:
-    out = []
-    lo = box.lo[axis]
-    for c in cuts + [box.hi[axis]]:
-        out.append(
-            Box(
-                tuple(lo if k == axis else box.lo[k] for k in range(box.dim)),
-                tuple(c if k == axis else box.hi[k] for k in range(box.dim)),
-            )
-        )
-        lo = c
-    return out
 
 
 def interval_set(intervals: Iterable[tuple]) -> BoxSet:

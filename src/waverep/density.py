@@ -175,7 +175,7 @@ def approx_character(
     return ApproxResult(y, float(err), membership)
 
 
-def mean_coefficient(beta: AdicVector, J: int, A: DilationMatrix | None = None) -> complex:
+def mean_coefficient(beta: AdicVector, J: int) -> complex:
     """Normalized character integral over the level-J expanded cube.
 
     Closed form: the product over axes of sin(pi theta)/(pi theta) with
@@ -184,7 +184,6 @@ def mean_coefficient(beta: AdicVector, J: int, A: DilationMatrix | None = None) 
     every nonzero lattice element at every J >= 0); and decaying to 0
     with J for every nonzero beta.
     """
-    A = beta.A if A is None else A
     theta = beta.twist(-J).values()  # A^J beta, exact
     prod = 1.0
     for t in theta:

@@ -1,13 +1,17 @@
-"""JSON schemas for sets, group elements, points and functions.
+"""The one decoder and encoder of each outside JSON value.
 
 Exact rationals travel as strings "p/q" so endpoints survive
 serialization without float corruption; point coordinates accept either
-decimal strings or exact "p/q pi" strings.
+decimal strings or exact "p/q pi" strings.  Every decoder checks the
+shape, the integer fields and the dimension against the matrix, and
+raises ``InputError`` on anything else, so a malformed input never
+reaches a check.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,15 +22,20 @@ from .groups import AdicVector, DilationMatrix, GroupElement, RealPoint, validat
 
 __all__ = [
     "parse_ratio",
-    "ratio_str",
     "parse_boxset",
     "boxset_json",
     "parse_point",
     "point_json",
     "parse_matrix_arg",
+    "parse_adic",
+    "adic_json",
     "parse_group_element",
+    "group_element_json",
     "parse_mbs",
     "mbs_json",
+    "parse_targets",
+    "complex_json",
+    "parse_inline",
     "load_json",
 ]
 
@@ -42,88 +51,99 @@ def parse_ratio(text) -> Fraction:
     raise InputError(f"bad rational {text!r} (use 'p/q' strings or integers)")
 
 
-def ratio_str(f: Fraction) -> str:
-    return str(f)
+def _int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _parse_box(data: dict, dim: int) -> Box:
+    """{"lo": [...], "hi": [...]}, dim ratios each; KeyError/TypeError/ValueError if malformed."""
+    lo = tuple(parse_ratio(x) for x in data["lo"])
+    hi = tuple(parse_ratio(x) for x in data["hi"])
+    if len(lo) != dim or len(hi) != dim:
+        raise InputError(f"box {data!r} needs {dim} coordinates per endpoint")
+    return Box(lo, hi)
+
+
+def _box_json(b: Box) -> dict:
+    return {"lo": [str(x) for x in b.lo], "hi": [str(x) for x in b.hi]}
 
 
 def parse_boxset(data: dict) -> BoxSet:
     try:
-        dim = int(data["dim"])
-        boxes = []
-        for i, entry in enumerate(data["boxes"]):
-            lo = tuple(parse_ratio(x) for x in entry["lo"])
-            hi = tuple(parse_ratio(x) for x in entry["hi"])
-            if len(lo) != dim or len(hi) != dim:
-                raise InputError(f"box {i}: endpoint arity != dim")
-            boxes.append(Box(lo, hi))
+        dim = _int(data["dim"], "dim")
+        boxes = [_parse_box(entry, dim) for entry in data["boxes"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed set definition: {exc}") from None
     return BoxSet.of(dim, boxes)
 
 
 def boxset_json(s: BoxSet) -> dict:
-    return {
-        "dim": s.dim,
-        "boxes": [
-            {"lo": [ratio_str(x) for x in b.lo], "hi": [ratio_str(x) for x in b.hi]}
-            for b in s.boxes
-        ],
-    }
+    return {"dim": s.dim, "boxes": [_box_json(b) for b in s.boxes]}
 
 
-def parse_point(coords: list[str]) -> RealPoint:
-    """Each coordinate a decimal string or an exact 'p/q pi' string."""
-    pi_parts: list[Fraction] = []
-    float_parts: list[float] = []
-    exact = True
-    for c in coords:
-        text = str(c).strip()
-        if text.endswith("pi"):
-            pi_parts.append(parse_ratio(text[:-2].strip() or "1"))
-            float_parts.append(0.0)
-        else:
-            exact = False
-            try:
-                float_parts.append(float(text))
-            except ValueError:
-                raise InputError(f"bad coordinate {text!r}") from None
-    if exact:
-        return RealPoint.from_pi(pi_parts)
-    return RealPoint.from_floats(float_parts)
+def parse_point(text: str, A: DilationMatrix) -> RealPoint:
+    """Comma-separated coordinates, one per axis of A, each decimal or exact 'p/q pi'.
+
+    The point is exact when every coordinate is; a decimal coordinate
+    makes the whole point a float point.
+    """
+    coords = [c.strip() for c in text.split(",")]
+    if len(coords) != A.n:
+        raise InputError(f"point dimension {len(coords)} != matrix dimension {A.n}")
+    exact = [parse_ratio(c[:-2].strip() or "1") if c.endswith("pi") else None for c in coords]
+    if None not in exact:
+        return RealPoint.from_pi(exact)
+    try:
+        floats = [float(c) if f is None else float(f) * math.pi for c, f in zip(coords, exact)]
+    except ValueError:
+        raise InputError(f"bad coordinate in {text!r}") from None
+    if not all(map(math.isfinite, floats)):
+        raise InputError(f"point {text!r} has a coordinate that is not finite")
+    return RealPoint.from_floats(floats)
 
 
 def point_json(x: RealPoint) -> list[str]:
     if x.pi_coords is not None:
-        return [f"{ratio_str(f)} pi" for f in x.pi_coords]
+        return [f"{f} pi" for f in x.pi_coords]
     return [repr(c) for c in x.coords]
 
 
 def parse_matrix_arg(text: str) -> DilationMatrix:
     """Inline JSON like [[2]] or a path to a JSON file holding the rows."""
     raw = text.strip()
-    if raw.startswith("["):
-        try:
-            rows = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad matrix JSON: {exc}") from None
-    else:
-        rows = load_json(raw)
+    rows = parse_inline(raw, "matrix") if raw.startswith("[") else load_json(raw)
     try:
         return validate_dilation(rows)
-    except InputError:
-        raise
     except Exception as exc:  # rejection of the matrix argument is a usage error
         raise InputError(f"bad matrix: {exc}") from None
 
 
-def parse_group_element(data: dict, A: DilationMatrix) -> GroupElement:
-    try:
-        v = [int(x) for x in data["v"]]
-        j = int(data.get("j", 0))
-        m = int(data.get("m", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed group element: {exc}") from None
-    return GroupElement(AdicVector.of(A, v, j), m)
+def parse_adic(data, A: DilationMatrix) -> AdicVector:
+    """{"v": [one integer per axis of A], "j": J >= 0 (default 0)}: the element A^{-J} v."""
+    if not isinstance(data, dict) or not isinstance(data.get("v"), list):
+        raise InputError(f'an A-adic element is {{"v": [...], "j": J}}, got {data!r}')
+    v = [_int(x, "v") for x in data["v"]]
+    j = _int(data.get("j", 0), "j")
+    if len(v) != A.n:
+        raise InputError(f"element dimension {len(v)} != matrix dimension {A.n}")
+    if j < 0:
+        raise InputError(f"j must be >= 0, got {j}")
+    return AdicVector.of(A, v, j)
+
+
+def adic_json(beta: AdicVector) -> dict:
+    return {"v": list(beta.v), "j": beta.j}
+
+
+def parse_group_element(data, A: DilationMatrix) -> GroupElement:
+    """An A-adic element with an integer scale "m" (default 0)."""
+    return GroupElement(parse_adic(data, A), _int(data.get("m", 0), "m"))
+
+
+def group_element_json(g: GroupElement) -> dict:
+    return {**adic_json(g.beta), "m": g.m}
 
 
 def parse_mbs(data: dict, A: DilationMatrix) -> ModulatedBoxSum:
@@ -131,14 +151,9 @@ def parse_mbs(data: dict, A: DilationMatrix) -> ModulatedBoxSum:
         terms = []
         for entry in data["terms"]:
             coef = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-            beta_data = entry.get("beta", {"v": [0] * A.n, "j": 0})
-            beta = AdicVector.of(
-                A, [int(x) for x in beta_data["v"]], int(beta_data.get("j", 0))
-            )
-            lo = tuple(parse_ratio(x) for x in entry["box"]["lo"])
-            hi = tuple(parse_ratio(x) for x in entry["box"]["hi"])
-            terms.append(Term(coef, beta, Box(lo, hi)))
-    except (KeyError, TypeError, ValueError) as exc:
+            beta = parse_adic(entry["beta"], A) if "beta" in entry else AdicVector.zero(A)
+            terms.append(Term(coef, beta, _parse_box(entry["box"], A.n)))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed function definition: {exc}") from None
     return ModulatedBoxSum(A, tuple(terms))
 
@@ -149,22 +164,48 @@ def mbs_json(f: ModulatedBoxSum) -> dict:
             {
                 "re": t.coef.real,
                 "im": t.coef.imag,
-                "beta": {"v": list(t.beta.v), "j": t.beta.j},
-                "box": {
-                    "lo": [ratio_str(x) for x in t.box.lo],
-                    "hi": [ratio_str(x) for x in t.box.hi],
-                },
+                "beta": adic_json(t.beta),
+                "box": _box_json(t.box),
             }
             for t in f.terms
         ]
     }
 
 
-def load_json(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"file not found: {path}")
+def parse_targets(data, A: DilationMatrix) -> list[tuple[dict, list[AdicVector]]]:
+    """[{"phases": [{"v", "j", "t"}, ...], "test_set": [{"v", "j"}, ...]}, ...].
+
+    Each target becomes its phase map (element -> t, the phase in pi
+    units) and its test set, which defaults to the phased elements.
+    """
     try:
-        return json.loads(p.read_text())
+        return [
+            (
+                {parse_adic(item, A): parse_ratio(item["t"]) for item in entry["phases"]},
+                [parse_adic(item, A) for item in entry.get("test_set", entry["phases"])],
+            )
+            for entry in data
+        ]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"malformed density target: {exc!r}") from None
+
+
+def complex_json(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+def parse_inline(text: str, what: str):
+    """An inline JSON command-line argument."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad {what} JSON: {exc}") from None
+
+
+def load_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (OSError, ValueError) as exc:  # missing, unreadable or not text
+        raise InputError(f"cannot read {path}: {exc}") from None

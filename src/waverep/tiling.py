@@ -14,7 +14,7 @@ matrix is not diagonal the exact set arithmetic is unavailable and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -65,12 +65,8 @@ class CheckResult:
     note: str = ""
 
     def to_json(self) -> dict:
-        out = {"name": self.name, "passed": self.passed, "mode": self.mode}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.note:
-            out["note"] = self.note
-        return out
+        """The fields, without an absent witness or an empty note."""
+        return {k: v for k, v in asdict(self).items() if v is not None and v != ""}
 
 
 @dataclass
@@ -82,13 +78,7 @@ class VerifyParams:
     mode: str = "auto"  # auto | exact | sampled
 
     def to_json(self) -> dict:
-        return {
-            "j_max": self.j_max,
-            "annulus": [str(self.annulus[0]), str(self.annulus[1])],
-            "samples": self.samples,
-            "seed": self.seed,
-            "mode": self.mode,
-        }
+        return {**asdict(self), "annulus": [str(r) for r in self.annulus]}
 
 
 @dataclass
@@ -127,17 +117,21 @@ def shannon_set() -> BoxSet:
 
 
 def _sample_annulus(dim: int, r_in: float, r_out: float, seed: int, index: int) -> RealPoint:
-    # rejection from the bounding cube; deterministic sub-attempts
-    for attempt in range(256):
-        coords = tuple(
-            (2.0 * counter_uniform(seed, index, attempt, axis) - 1.0) * r_out
-            for axis in range(dim)
-        )
-        norm = max(abs(c) for c in coords)
-        if r_in <= norm <= r_out:
-            return RealPoint.from_floats(coords)
-    # the annulus has positive volume fraction, so this is unreachable
-    raise RuntimeError("annulus sampling failed")
+    """Uniform point of the sup-norm shell r_in <= |x|_inf <= r_out, drawn directly.
+
+    The volume inside sup-norm radius r grows as r^dim, so the radius is
+    read off that law; the sphere of radius r is 2*dim faces of equal
+    area, so a face is picked uniformly and the other axes are uniform
+    on it.  Every draw is accepted, however thin the shell.
+    """
+    u = [counter_uniform(seed, index, 0, axis) for axis in range(dim + 2)]
+    q = (r_in / r_out) ** dim  # scaled by r_out, so no power overflows
+    r = r_out * (q + u[dim] * (1.0 - q)) ** (1.0 / dim)
+    r = min(max(r, r_in), r_out)
+    face = int(u[dim + 1] * 2 * dim) % (2 * dim)
+    coords = [(2.0 * u[axis] - 1.0) * r for axis in range(dim)]
+    coords[face // 2] = r if face % 2 else -r
+    return RealPoint.from_floats(coords)
 
 
 def check_dilation_disjoint(

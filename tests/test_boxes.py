@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import ref_normalize
+from util import ref_normalize, ref_translation_reduce
 from waverep.boxes import Box, BoxSet, interval_set, normalize, product_set, unit_cube
 from waverep.errors import DimensionMismatch, NonDiagonalDilation
 from waverep.groups import RealPoint, validate_dilation
@@ -244,6 +244,18 @@ class TestTranslationReduce:
             frags, overlap, deficit = s.translation_reduce()
             assert overlap.is_empty and deficit.is_empty
             assert sum(f.volume() for f, _ in frags) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=box_lists(), scale=st.sampled_from([1, 2]))
+    def test_matches_odd_cut_reference(self, case, scale):
+        # scale 2 widens the boxes to span up to six cells per axis
+        dim, boxes = case
+        boxes = [Box(tuple(scale * x for x in b.lo), tuple(scale * x for x in b.hi)) for b in boxes]
+        E = BoxSet.of(dim, boxes[:3])
+        frags, overlap, deficit = E.translation_reduce()
+        want = ref_translation_reduce(E)
+        assert frags == want[0]
+        assert overlap == want[1] and deficit == want[2]
 
     def test_2d_shannon_product(self):
         s = product_set(SHANNON, SHANNON)

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from waverep.cli import run
 
@@ -59,6 +61,13 @@ class TestVerifySet:
     def test_bad_matrix_exit_two(self, capsys):
         code, _ = run_capture(["verify-set", "--set", "shannon", "--dilation", "[[1]]"], capsys)
         assert code == 2
+
+    def test_thin_annulus_sampled(self, capsys):
+        # a shell 1/1000 thick, where sampling by rejection from the cube rarely hits
+        argv = ["verify-set", "--set", "shannon", "--dilation", "[[2]]", "--annulus", "999/1000,1"]
+        code, out = run_capture(argv + ["--mode", "sampled", "--samples", "300"], capsys)
+        assert code == 0
+        assert json.loads(out)["all_passed"]
 
     def test_byte_identical_reports(self, capsys):
         argv = ["verify-set", "--set", "shannon", "--dilation", "[[2]]", "--seed", "5"]
@@ -118,8 +127,150 @@ class TestGramCommand:
         assert "witness" in report
 
 
+# input files named by the boundary cases and the fuzz below
+_FILES = {
+    "f1d.json": {"terms": [{"re": 1.0, "box": {"lo": ["1"], "hi": ["2"]}}]},
+    "f2d.json": {"terms": [{"re": 1.0, "box": {"lo": ["1", "1"], "hi": ["2", "2"]}}]},
+    "fbad.json": {"terms": [{"re": "x", "box": {"lo": ["1"]}}]},
+    "ss.json": {"dim": 2, "boxes": [{"lo": ["1", "1"], "hi": ["2", "2"]}]},
+    "empty.json": {"dim": 1, "boxes": []},
+    "fracdim.json": {"dim": 1.5, "boxes": [{"lo": ["1"], "hi": ["2"]}, {"lo": ["-2"], "hi": ["-1"]}]},
+    "targets.json": [{"phases": [{"v": [1], "j": 1, "t": "-1/2"}]}],
+    "nophases.json": [{"test_set": [{"v": [1]}]}],
+    "not.json": [{"phases": [{"v": [1], "j": 1}]}],
+    "tdict.json": {"phases": []},
+}
+
+
+def _write_files(directory):
+    for name, data in _FILES.items():
+        (directory / name).write_text(json.dumps(data))
+
+
+_X = ["--dilation", "[[2]]", "--x", "1/2 pi"]
+_BAD_ARGV = [
+    # malformed values and a missing option
+    ["wavelet-eval", "--set", "shannon"],
+    ["wavelet-eval", "--set", "shannon", "--points", "1,a"],
+    ["wavelet-eval", "--set", "shannon", "--grid", "1:2"],
+    ["wavelet-eval", "--set", "shannon", "--points", "1,2"],
+    ["rep", *_X, "--element", "{bad"],
+    ["mean-coef", "--dilation", "[[2]]", "--beta", "x"],
+    ["rep", *_X, "--element", '{"v": [1], "j": -1}'],
+    ["mean-coef", "--dilation", "[[2]]", "--beta", '{"v": [1], "j": -1}'],
+    ["density", "--dilation", "[[2]]", "--targets", "nophases.json"],
+    ["density", "--dilation", "[[2]]", "--targets", "not.json"],
+    # values that do not fit the matrix or the window
+    ["rep", *_X, "--element", '{"v": [1, 2]}'],
+    ["rep", "--dilation", "[[2]]", "--x", "1/2 pi,1", "--element", '{"v": [1]}'],
+    ["mean-coef", "--dilation", "[[2]]", "--beta", '{"v": [1, 2]}'],
+    ["verify-set", "--set", "shannon", "--dilation", "[[2,0],[0,2]]"],
+    ["decompose", "--set", "shannon", "--dilation", "[[2,0],[0,2]]", "--function", "f2d.json"],
+    ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "f2d.json"],
+    ["rep", *_X, "--element", '{"v": [1]}', "--K", "-3"],
+    ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "f1d.json",
+     "--k-min", "3", "--k-max", "1"],
+    # counts out of range, which would run no check at all
+    ["verify-set", "--set", "shannon", "--dilation", "[[0,2],[2,0]]", "--samples", "0"],
+    ["mean-coef", "--dilation", "[[2]]", "--beta", '{"v": [1]}', "--j-max", "-1"],
+    # unknown options and non-integer values
+    ["verify-set", "--set", "shannon", "--dilation", "[[2]]", "--bogus", "1"],
+    ["gram", "--set", "shannon", "--dilation", "[[2]]", "--m", "x"],
+    # unusable files, sets and numbers
+    ["verify-set", "--set", "ss.json", "--dilation", "[[0,2],[2,0]]", "--mode", "exact"],
+    ["verify-set", "--set", ".", "--dilation", "[[2]]"],
+    ["wavelet-eval", "--set", "empty.json", "--points", "1"],
+    ["verify-set", "--set", "empty.json", "--dilation", "[[2]]"],
+    ["verify-set", "--set", "fracdim.json", "--dilation", "[[2]]"],
+    ["wavelet-eval", "--set", "shannon", "--points", "1e308"],
+    ["density", "--dilation", "[[2]]", "--targets", "tdict.json"],
+    ["density", "--dilation", "[[2]]", "--targets", "targets.json", "--set", "ss.json"],
+    ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "fbad.json"],
+    ["rep", "--dilation", "[[2]]", "--x", "nan", "--element", '{"v": [1]}'],
+    ["rep", *_X, "--element", '{"v": [1.5]}'],
+    ["wavelet-eval", "--set", "shannon", "--points", "1", "--csv", "missing/psi.csv"],
+    ["mean-coef", "--dilation", "[[2]]", "--beta", '{"v": [1]}', "--output", "missing/out.json"],
+]
+
+
+_MATRICES = ["[[2]]", "[[-3]]", "[[2,0],[0,2]]", "[[0,2],[2,0]]", "[[1]]", "[[2", "[]", "x.json"]
+_SETS = ["shannon", "ss.json", "empty.json", "f1d.json", "missing.json", "."]
+_SMALL = ["-1", "0", "1", "2", "x", "1.5"]
+_ADIC = ['{"v": [1], "j": 1, "m": 1}', '{"v": [1, -2], "m": -1}', '{"v": [0]}', "{bad", "[]",
+         '{"v": [1], "j": -1}', '{"v": ["a"]}', '{"v": [1], "m": true}', "7"]
+# per subcommand, each option with the values the fuzz may give it; an option drawn as
+# absent keeps its default, so a costly default (--samples, --m, --v) is always given
+_FUZZ = {
+    "verify-set": [
+        ("--set", _SETS), ("--dilation", _MATRICES), ("--j-max", _SMALL),
+        ("--annulus", ["1/2,2", "2,1", "1", "0,1", "a,b", "999/1000,1"]),
+        ("--samples", ["-1", "0", "5", "20"]), ("--seed", ["0", "3", "x"]),
+        ("--mode", ["auto", "exact", "sampled", "fast"]),
+    ],
+    "gram": [
+        ("--set", _SETS), ("--dilation", _MATRICES),
+        ("--m", ["-1", "0", "1", "x"]), ("--v", ["-1", "0", "1", "2"]),
+        ("--tol", ["1e-12", "nan", "x"]),
+    ],
+    "decompose": [
+        ("--set", _SETS), ("--dilation", _MATRICES),
+        ("--function", ["f1d.json", "f2d.json", "fbad.json", "ss.json", "missing.json"]),
+        ("--k-min", ["-2", "0", "3", "x"]), ("--k-max", ["-2", "1", "3"]),
+    ],
+    "rep": [
+        ("--dilation", _MATRICES),
+        ("--x", ["1/2 pi", "0.3", "1/3 pi,-0.2", "nan", "a", "", "1/0 pi"]),
+        ("--element", _ADIC), ("--K", _SMALL),
+    ],
+    "wavelet-eval": [
+        ("--set", _SETS), ("--points", ["0;0.5", "1,2", "1,a", "", "inf", "nan", "1e308"]),
+        ("--grid", ["-1:1:3", "1:2", "0:1:-1", "a:b:c"]),
+    ],
+    "density": [
+        ("--dilation", _MATRICES),
+        ("--targets", ["targets.json", "nophases.json", "not.json", "tdict.json", "f1d.json"]),
+        ("--eps", ["1e-10", "-1", "x"]), ("--set", _SETS),
+    ],
+    "mean-coef": [("--dilation", _MATRICES), ("--beta", _ADIC), ("--j-max", _SMALL)],
+}
+
+
 class TestInputBoundary:
     """Bad arguments exit 2 with a JSON error before any check runs."""
+
+    @pytest.mark.parametrize("argv", _BAD_ARGV, ids=" ".join)
+    def test_exit_two_with_json_error(self, argv, tmp_path, monkeypatch, capsys):
+        _write_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert list(json.loads(captured.out)) == ["error"]
+        assert captured.err == ""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_fuzz_argv(self, data, tmp_path, monkeypatch, capsys):
+        _write_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        command, options = data.draw(st.sampled_from(sorted(_FUZZ.items())), label="command")
+        argv = [command]
+        for flag, values in options:
+            value = data.draw(st.sampled_from([None, *values]), label=flag)
+            if value is not None:
+                argv += [flag, value]
+        argv += data.draw(st.sampled_from([[], ["--bogus"], ["extra"]]), label="junk")
+        code = run(argv)
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(capsys.readouterr().out), dict)
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: waverep")
 
     @pytest.mark.parametrize(
         "extra",

@@ -9,6 +9,7 @@ from waverep.boxes import interval_set, product_set
 from waverep.errors import BadAnnulus
 from waverep.tiling import (
     VerifyParams,
+    _sample_annulus,
     check_dilation_cover,
     check_dilation_disjoint,
     check_translation_congruent,
@@ -231,6 +232,36 @@ class TestSampledMode:
             mode="sampled",
         )
         assert not res.passed
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        r_in=st.floats(1e-3, 1e200),
+        ratio=st.floats(1 + 1e-12, 1e100),
+        seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 2**32),
+    )
+    def test_annulus_points_lie_in_the_shell(self, dim, r_in, ratio, seed, index):
+        r_out = r_in * ratio
+        x = _sample_annulus(dim, r_in, r_out, seed, index)
+        assert x.dim == dim
+        assert r_in <= max(abs(c) for c in x.coords) <= r_out
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_annulus_draws_are_uniform(self, dim):
+        # half the shell's volume lies inside radius r_mid, and each of the 2*dim faces
+        # carries 1/(2*dim) of it
+        count, r_in, r_out = 4000, 1.0, 2.0
+        r_mid = ((r_in**dim + r_out**dim) / 2) ** (1 / dim)
+        points = [_sample_annulus(dim, r_in, r_out, 5, i).coords for i in range(count)]
+        norms = [max(abs(c) for c in x) for x in points]
+        assert abs(sum(r <= r_mid for r in norms) / count - 0.5) < 0.03
+        faces = []
+        for x in points:
+            k = max(range(dim), key=lambda a: abs(x[a]))
+            faces.append(2 * k + (x[k] > 0))
+        for face in range(2 * dim):
+            assert abs(faces.count(face) / count - 1 / (2 * dim)) < 0.03
 
     def test_non_diagonal_downgrades(self):
         A = validate_dilation([[0, 2], [2, 0]])

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from waverep.boxes import Box, BoxSet, interval_set, product_set
+from waverep.boxes import Box, BoxSet, interval_set, normalize, product_set, unit_cube
 from waverep.funcs import ModulatedBoxSum
 from waverep.gram import GramSpec
 from waverep.groups import AdicVector, DilationMatrix, GroupElement, RealPoint, validate_dilation
@@ -240,6 +240,45 @@ def ref_normalize(dim: int, boxes) -> tuple[Box, ...]:
             current = fused
     current.sort(key=lambda b: (b.lo, b.hi))
     return tuple(current)
+
+
+def ref_translation_reduce(E: BoxSet):
+    """translation_reduce by cutting each box at every odd integer inside it, axis by axis."""
+    fragments = []
+    for box in E.boxes:
+        pieces = [box]
+        for k in range(E.dim):
+            split = []
+            for p in pieces:
+                c = Fraction(p.lo[k].__floor__())
+                c += 1 if c % 2 == 0 else 0
+                c += 2 if c <= p.lo[k] else 0
+                cuts = []
+                while c < p.hi[k]:
+                    cuts.append(c)
+                    c += 2
+                lo = p.lo[k]
+                for cut in cuts + [p.hi[k]]:
+                    split.append(
+                        Box(
+                            tuple(lo if i == k else p.lo[i] for i in range(p.dim)),
+                            tuple(cut if i == k else p.hi[i] for i in range(p.dim)),
+                        )
+                    )
+                    lo = cut
+            pieces = split
+        for p in pieces:
+            fragments.append((p, tuple(-int((a + 1) // 2) for a in p.lo)))
+    images = [frag.translate(tuple(Fraction(2 * s) for s in shift)) for frag, shift in fragments]
+    overlap_pieces = []
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            c = images[i].intersect(images[j])
+            if c is not None:
+                overlap_pieces.append(c)
+    overlap = normalize(E.dim, overlap_pieces)
+    deficit = unit_cube(E.dim).subtract(normalize(E.dim, images))
+    return fragments, overlap, deficit
 
 
 # --- hypothesis strategies: diagonal matrices and candidate sets ----------
