@@ -5,7 +5,10 @@ report carries a machine-readable witness), 2 usage or input error.
 Every outcome, usage errors included, is one JSON object on stdout (an
 input error is ``{"error": ...}``); the text of ``--help`` is the only
 stdout that is not JSON.  All input values are decoded by ``jsonio`` and
-range-checked here before any check runs.
+range-checked here before any check runs.  A value too large for a
+float (an ``OverflowError`` anywhere in a check) is an input error too,
+and a NaN or infinity never reaches stdout: a report that still holds
+one is replaced by an error, with exit 2.
 Reports are deterministic byte-for-byte for identical inputs and seed.
 """
 
@@ -46,7 +49,7 @@ def _load_set(arg: str, dim: int | None) -> BoxSet:
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -66,6 +69,16 @@ def _int_at_least(lo: int):
 
     convert.__name__ = "int"  # names the type in argparse's "invalid int value" message
     return convert
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"
 
 
 def _annulus(text: str) -> tuple[Fraction, Fraction]:
@@ -246,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dilation", required=True)
     p.add_argument("--m", type=natural, default=2, help="scale range [-m, m]")
     p.add_argument("--v", type=natural, default=8, help="translation range per axis")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.set_defaults(handler=_cmd_gram)
 
     p = sub.add_parser("decompose", help="map a function to its layer decomposition")
@@ -275,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="match character targets with points")
     p.add_argument("--dilation", required=True)
     p.add_argument("--targets", required=True, help="JSON list of targets")
-    p.add_argument("--eps", type=float, default=1e-10)
+    p.add_argument("--eps", type=_tolerance, default=1e-10)
     p.add_argument("--set", help="optional base set for membership checks")
     p.set_defaults(handler=_cmd_density)
 
@@ -299,11 +312,13 @@ def run(argv: list[str]) -> int:
         return 0
     except (InputError, OSError) as exc:  # an OSError comes from a file named by the user
         code, report = 2, {"error": str(exc)}
+    except OverflowError as exc:  # an input too large for a float, e.g. --K or --m
+        code, report = 2, {"error": f"a value is out of float range: {exc}"}
     except WaverepError as exc:
         code, report = 1, {"error": str(exc), "kind": type(exc).__name__}
     try:
         _emit(report, getattr(args, "output", None))
-    except OSError as exc:  # the --output file cannot be written
+    except (OSError, ValueError) as exc:  # --output cannot be written, or a NaN or infinity
         _emit({"error": str(exc)}, None)
         return 2
     return code

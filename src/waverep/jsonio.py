@@ -150,7 +150,10 @@ def parse_mbs(data: dict, A: DilationMatrix) -> ModulatedBoxSum:
     try:
         terms = []
         for entry in data["terms"]:
-            coef = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+            re, im = float(entry.get("re", 0.0)), float(entry.get("im", 0.0))
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise InputError(f"coefficient ({re}, {im}) is not finite")
+            coef = complex(re, im)
             beta = parse_adic(entry["beta"], A) if "beta" in entry else AdicVector.zero(A)
             terms.append(Term(coef, beta, _parse_box(entry["box"], A.n)))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -8,7 +8,12 @@ frequency matrix, (ii) cover R^n by those dilates up to a null set, and
 statement, so it is certified only on a finite sup-norm annulus with a
 finite dilation range, and every report says so.  When the frequency
 matrix is not diagonal the exact set arithmetic is unavailable and
-(i)/(ii) downgrade to a seeded, reproducible sampling check.
+(i)/(ii) downgrade to a seeded, reproducible sampling check: one pass
+over the draws of the annulus decides both.  A sampled condition that
+passes N uniform draws carries ``fail_fraction_bound = ln(1/alpha)/N``
+with alpha = 0.05, the "rule of three" (Hanley & Lippman-Hand, JAMA
+1983): at confidence 1 - alpha it fails on less than that fraction of
+the annulus.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
 ]
 
 _M64 = (1 << 64) - 1
+_ALPHA = 0.05  # a sampled pass's bound holds at confidence 1 - _ALPHA
 
 
 def _splitmix(z: int) -> int:
@@ -63,6 +69,8 @@ class CheckResult:
     mode: str
     witness: Optional[dict] = None
     note: str = ""
+    # a sampled pass: at confidence 1 - _ALPHA it fails on less than this fraction of the annulus
+    fail_fraction_bound: Optional[float] = None
 
     def to_json(self) -> dict:
         """The fields, without an absent witness or an empty note."""
@@ -134,6 +142,46 @@ def _sample_annulus(dim: int, r_in: float, r_out: float, seed: int, index: int) 
     return RealPoint.from_floats(coords)
 
 
+def _shell(annulus: tuple[Fraction, Fraction], j_max: int) -> tuple[Fraction, Fraction, str]:
+    """The radii of the annulus and the note that bounds a cover certificate to it."""
+    r_in, r_out = Fraction(annulus[0]), Fraction(annulus[1])
+    if r_in <= 0 or r_out <= r_in:
+        raise BadAnnulus(f"need 0 < r_in < r_out, got ({r_in}, {r_out})")
+    note = f"certified on sup-norm annulus [{r_in}*pi, {r_out}*pi] with |j| <= {j_max} only"
+    return r_in, r_out, note
+
+
+def _sampled_checks(E: BoxSet, A: DilationMatrix, p: VerifyParams) -> tuple[CheckResult, ...]:
+    """(i) and (ii) from one scan over the seeded draws of the annulus: the first draw
+    with two or more levels j (B^-j xi in E, |j| <= j_max) fails (i), the first with none (ii).
+    """
+    if p.mode == "exact":
+        raise ValueError("exact mode requested but the frequency matrix is not diagonal")
+    r_in, r_out, cover_note = _shell(p.annulus, p.j_max)
+    radii = float(r_in) * math.pi, float(r_out) * math.pi
+    note = "sampled mode (non-diagonal frequency matrix)" if p.mode == "auto" else ""
+    disjoint = check_dilation_disjoint(E, A) if E.is_empty else None
+    cover = None
+    for i in range(p.samples):
+        xi = _sample_annulus(E.dim, *radii, p.seed, i)
+        # lazy, so that once (i) has failed only the first level is computed
+        hits = (j for j in range(-p.j_max, p.j_max + 1) if E.contains(b_transform(A, xi, -j)))
+        if disjoint is None:
+            hits = list(hits)
+            if len(hits) >= 2:
+                witness = {"point": list(xi.coords), "levels": hits}
+                disjoint = CheckResult("dilation_disjoint", False, "sampled", witness, note)
+        if cover is None and next(iter(hits), None) is None:
+            witness = {"point": list(xi.coords)}
+            cover = CheckResult("dilation_cover", False, "sampled", witness, cover_note)
+        if disjoint is not None and cover is not None:
+            break
+    bound = math.log(1 / _ALPHA) / p.samples
+    disjoint = disjoint or CheckResult("dilation_disjoint", True, "sampled", None, note, bound)
+    cover = cover or CheckResult("dilation_cover", True, "sampled", None, cover_note, bound)
+    return disjoint, cover
+
+
 def check_dilation_disjoint(
     E: BoxSet,
     A: DilationMatrix,
@@ -147,40 +195,21 @@ def check_dilation_disjoint(
     name = "dilation_disjoint"
     if E.is_empty:
         return CheckResult(name, True, "exact", note="empty set, vacuous")
-    if mode != "sampled" and A.is_diagonal:
-        # B^j E meets B^k E iff E meets B^(k-j) E, so only the gap d = k - j
-        # matters; the first pair in (j, k) order is (-j_max, -j_max + d_min)
-        for d in range(1, 2 * j_max + 1):
-            if E.meets(E.dilate(A, d)):
-                j, k = -j_max, -j_max + d
-                inter = E.dilate(A, j).intersect(E.dilate(A, k))
-                return CheckResult(
-                    name,
-                    False,
-                    "exact",
-                    witness={"j": j, "k": k, "intersection": boxset_json(inter)},
-                )
-        return CheckResult(name, True, "exact")
-    if mode == "exact":
-        raise ValueError("exact mode requested but the frequency matrix is not diagonal")
-    note = "sampled mode (non-diagonal frequency matrix)" if mode == "auto" else ""
-    r_in, r_out = float(annulus[0]) * math.pi, float(annulus[1]) * math.pi
-    for i in range(samples):
-        xi = _sample_annulus(E.dim, r_in, r_out, seed, i)
-        hits = [
-            j
-            for j in range(-j_max, j_max + 1)
-            if E.contains(b_transform(A, xi, -j))
-        ]
-        if len(hits) >= 2:
+    if mode == "sampled" or not A.is_diagonal:
+        return _sampled_checks(E, A, VerifyParams(j_max, annulus, samples, seed, mode))[0]
+    # B^j E meets B^k E iff E meets B^(k-j) E, so only the gap d = k - j
+    # matters; the first pair in (j, k) order is (-j_max, -j_max + d_min)
+    for d in range(1, 2 * j_max + 1):
+        if E.meets(E.dilate(A, d)):
+            j, k = -j_max, -j_max + d
+            inter = E.dilate(A, j).intersect(E.dilate(A, k))
             return CheckResult(
                 name,
                 False,
-                "sampled",
-                witness={"point": list(xi.coords), "levels": hits},
-                note=note,
+                "exact",
+                witness={"j": j, "k": k, "intersection": boxset_json(inter)},
             )
-    return CheckResult(name, True, "sampled", note=note)
+    return CheckResult(name, True, "exact")
 
 
 def check_dilation_cover(
@@ -199,47 +228,26 @@ def check_dilation_cover(
     and the report says exactly that.
     """
     name = "dilation_cover"
-    r_in, r_out = Fraction(annulus[0]), Fraction(annulus[1])
-    if r_in <= 0 or r_out <= r_in:
-        raise BadAnnulus(f"need 0 < r_in < r_out, got ({r_in}, {r_out})")
-    note = f"certified on sup-norm annulus [{r_in}*pi, {r_out}*pi] with |j| <= {j_max} only"
-    if mode != "sampled" and A.is_diagonal:
-        dim = E.dim
-        outer = BoxSet(
-            dim, (Box((-r_out,) * dim, (r_out,) * dim),)
-        )
-        inner = BoxSet(dim, (Box((-r_in,) * dim, (r_in,) * dim),))
-        remaining = outer.subtract(inner)
-        for j in range(-j_max, j_max + 1):
-            if remaining.is_empty:
-                break
-            remaining = remaining.subtract(E.dilate(A, j))
+    r_in, r_out, note = _shell(annulus, j_max)
+    if mode == "sampled" or not A.is_diagonal:
+        return _sampled_checks(E, A, VerifyParams(j_max, annulus, samples, seed, mode))[1]
+    dim = E.dim
+    outer = BoxSet(dim, (Box((-r_out,) * dim, (r_out,) * dim),))
+    inner = BoxSet(dim, (Box((-r_in,) * dim, (r_in,) * dim),))
+    remaining = outer.subtract(inner)
+    for j in range(-j_max, j_max + 1):
         if remaining.is_empty:
-            return CheckResult(name, True, "exact", note=note)
-        return CheckResult(
-            name,
-            False,
-            "exact",
-            witness={"uncovered": boxset_json(remaining)},
-            note=note,
-        )
-    if mode == "exact":
-        raise ValueError("exact mode requested but the frequency matrix is not diagonal")
-    rf_in, rf_out = float(r_in) * math.pi, float(r_out) * math.pi
-    for i in range(samples):
-        xi = _sample_annulus(E.dim, rf_in, rf_out, seed, i)
-        covered = any(
-            E.contains(b_transform(A, xi, -j)) for j in range(-j_max, j_max + 1)
-        )
-        if not covered:
-            return CheckResult(
-                name,
-                False,
-                "sampled",
-                witness={"point": list(xi.coords)},
-                note=note,
-            )
-    return CheckResult(name, True, "sampled", note=note)
+            break
+        remaining = remaining.subtract(E.dilate(A, j))
+    if remaining.is_empty:
+        return CheckResult(name, True, "exact", note=note)
+    return CheckResult(
+        name,
+        False,
+        "exact",
+        witness={"uncovered": boxset_json(remaining)},
+        note=note,
+    )
 
 
 def check_translation_congruent(E: BoxSet) -> CheckResult:
@@ -270,12 +278,11 @@ def verify_wavelet_set(
     the wavelet-set certificate at the tested resolution.
     """
     p = params or VerifyParams()
-    disjoint = check_dilation_disjoint(
-        E, A, j_max=p.j_max, mode=p.mode, samples=p.samples, seed=p.seed, annulus=p.annulus
-    )
-    cover = check_dilation_cover(
-        E, A, annulus=p.annulus, j_max=p.j_max, samples=p.samples, seed=p.seed, mode=p.mode
-    )
+    if p.mode != "sampled" and A.is_diagonal:
+        disjoint = check_dilation_disjoint(E, A, j_max=p.j_max, mode=p.mode)
+        cover = check_dilation_cover(E, A, annulus=p.annulus, j_max=p.j_max, mode=p.mode)
+    else:
+        disjoint, cover = _sampled_checks(E, A, p)
     congruent = check_translation_congruent(E)
     report = TilingReport(
         disjoint=disjoint,

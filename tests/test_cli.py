@@ -75,6 +75,16 @@ class TestVerifySet:
         _, out2 = run_capture(argv, capsys)
         assert out1 == out2
 
+    def test_byte_identical_sampled_reports(self, capsys):
+        argv = ["verify-set", "--set", "shannon", "--dilation", "[[2]]", "--seed", "5"]
+        argv += ["--mode", "sampled", "--samples", "300", "--annulus", "1/8,8", "--j-max", "4"]
+        code, out1 = run_capture(argv, capsys)
+        _, out2 = run_capture(argv, capsys)
+        assert code == 0
+        assert out1 == out2
+        cover = json.loads(out1)["conditions"]["dilation_cover"]
+        assert cover["fail_fraction_bound"] == math.log(20) / 300
+
     def test_witness_reverifies_with_single_operation(self, tmp_path, capsys):
         # an uncovered-gap witness must itself fail the point projection
         f = tmp_path / "shifted.json"
@@ -139,6 +149,21 @@ _FILES = {
     "nophases.json": [{"test_set": [{"v": [1]}]}],
     "not.json": [{"phases": [{"v": [1], "j": 1}]}],
     "tdict.json": {"phases": []},
+    "sxs.json": {
+        "dim": 2,
+        "boxes": [
+            {"lo": [a, b], "hi": [c, d]}
+            for a, c in (("-2", "-1"), ("1", "2"))
+            for b, d in (("-2", "-1"), ("1", "2"))
+        ],
+    },
+    "fbig.json": {
+        "terms": [
+            {"re": 1e308, "box": {"lo": ["1"], "hi": ["3/2"]}},
+            {"re": 1e308, "box": {"lo": ["3/2"], "hi": ["2"]}},
+        ]
+    },
+    "finf.json": {"terms": [{"re": "inf", "box": {"lo": ["1"], "hi": ["2"]}}]},
 }
 
 
@@ -190,6 +215,18 @@ _BAD_ARGV = [
     ["rep", *_X, "--element", '{"v": [1.5]}'],
     ["wavelet-eval", "--set", "shannon", "--points", "1", "--csv", "missing/psi.csv"],
     ["mean-coef", "--dilation", "[[2]]", "--beta", '{"v": [1]}', "--output", "missing/out.json"],
+    # values out of float range
+    ["verify-set", "--set", "shannon", "--dilation", "[[2]]", "--mode", "sampled", "--j-max", "1100",
+     "--samples", "3"],
+    ["gram", "--set", "shannon", "--dilation", "[[2]]", "--m", "2100", "--v", "0"],
+    ["gram", "--set", "sxs.json", "--dilation", "[[0,2],[2,0]]", "--m", "520", "--v", "0"],
+    ["rep", "--dilation", "[[2]]", "--x", "0.3", "--element", '{"v":[1],"j":1,"m":0}', "--K", "1100"],
+    ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "fbig.json"],
+    # numbers that are not finite, and a negative tolerance
+    ["gram", "--set", "shannon", "--dilation", "[[2]]", "--m", "0", "--v", "0", "--tol", "nan"],
+    ["density", "--dilation", "[[2]]", "--targets", "targets.json", "--eps", "nan"],
+    ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "finf.json"],
+    ["gram", "--set", "shannon", "--dilation", "[[2]]", "--m", "0", "--v", "0", "--tol", "-1"],
 ]
 
 
@@ -267,6 +304,13 @@ class TestInputBoundary:
         code = run(argv)
         assert code in (0, 1, 2)
         assert isinstance(json.loads(capsys.readouterr().out), dict)
+
+    def test_non_finite_report_exits_two(self, monkeypatch, capsys):
+        # a NaN that no input check caught is an error, never a bare NaN token on stdout
+        monkeypatch.setattr("waverep.cli._cmd_mean_coef", lambda args: (0, {"value": math.nan}))
+        code, out = run_capture(["mean-coef", "--dilation", "[[2]]", "--beta", '{"v": [1]}'], capsys)
+        assert code == 2
+        assert list(json.loads(out, parse_constant=pytest.fail)) == ["error"]
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

@@ -1,10 +1,20 @@
+import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from util import box_sets, diagonal_matrices, ref_disjoint_witness
+from util import (
+    box_sets,
+    diagonal_matrices,
+    ref_disjoint_witness,
+    ref_sampled_cover,
+    ref_sampled_disjoint,
+)
+from waverep import tiling
 from waverep.boxes import interval_set, product_set
 from waverep.errors import BadAnnulus
 from waverep.tiling import (
@@ -269,3 +279,90 @@ class TestSampledMode:
         res = check_dilation_disjoint(E, A, j_max=3, samples=300, seed=1)
         assert res.mode == "sampled"
         assert "non-diagonal" in res.note
+
+
+_NON_DIAGONAL = [validate_dilation(m) for m in ([[0, 2], [2, 0]], [[0, -2], [2, 0]], [[1, 1], [-1, 1]])]
+_ANNULI = [(Fraction(1, 8), Fraction(8)), (Fraction(1, 2), Fraction(2)), (Fraction(1), Fraction(4))]
+
+
+def _one_pass_and_reference(E, A, j_max, samples, seed, annulus, mode):
+    """The one-pass results without their coverage bound, and the two reference loops."""
+    report = verify_wavelet_set(E, A, VerifyParams(j_max, annulus, samples, seed, mode))
+    got = tuple(replace(c, fail_fraction_bound=None) for c in (report.disjoint, report.cover))
+    want = (
+        ref_sampled_disjoint(E, A, j_max, samples, seed, annulus, mode),
+        ref_sampled_cover(E, A, j_max, samples, seed, annulus),
+    )
+    return got, want
+
+
+class TestOnePass:
+    """One scan over the draws decides (i) and (ii) as the two separate loops did."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 2),
+        j_max=st.integers(0, 4),
+        samples=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_same_results_as_two_loops(self, data, dim, j_max, samples, seed):
+        E = data.draw(box_sets(dim))
+        matrices = diagonal_matrices(dim)
+        if dim == 2:
+            matrices = st.one_of(matrices, st.sampled_from(_NON_DIAGONAL))
+        A = data.draw(matrices)
+        mode = data.draw(st.sampled_from(["sampled"] if A.is_diagonal else ["sampled", "auto"]))
+        annulus = data.draw(st.sampled_from(_ANNULI))
+        got, want = _one_pass_and_reference(E, A, j_max, samples, seed, annulus, mode)
+        event(f"disjoint passed: {want[0].passed}, cover passed: {want[1].passed}")
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "E, A, verdicts",
+        [
+            (shannon_set(), A2, (True, True)),
+            (interval_set([(-2, Fraction(-1, 2)), (Fraction(1, 2), 2)]), A2, (False, True)),
+            (interval_set([(Fraction(9, 8), Fraction(17, 8)), (Fraction(-17, 8), Fraction(-9, 8))]),
+             A2, (True, False)),
+            (interval_set([(Fraction(1, 2), 2)]), A2, (False, False)),
+            (product_set(shannon_set(), shannon_set()), _NON_DIAGONAL[0], (True, False)),
+        ],
+    )
+    def test_each_outcome(self, E, A, verdicts):
+        mode = "sampled" if A.is_diagonal else "auto"
+        got, want = _one_pass_and_reference(E, A, 4, 300, 7, _ANNULI[0], mode)
+        assert got == want
+        assert (got[0].passed, got[1].passed) == verdicts
+
+    @pytest.mark.parametrize("E", [shannon_set(), interval_set([(Fraction(1, 2), 2)])])
+    def test_each_draw_once(self, E, monkeypatch):
+        counts = Counter()
+
+        def counting(dim, r_in, r_out, seed, index):
+            counts[index] += 1
+            return _sample_annulus(dim, r_in, r_out, seed, index)
+
+        monkeypatch.setattr(tiling, "_sample_annulus", counting)
+        verify_wavelet_set(E, A2, VerifyParams(j_max=4, samples=200, seed=1, mode="sampled"))
+        assert counts and set(counts.values()) == {1}
+
+    def test_pass_bounds_the_failing_fraction(self):
+        E, samples = shannon_set(), 250
+        params = VerifyParams(j_max=4, annulus=_ANNULI[0], samples=samples, mode="sampled")
+        report = verify_wavelet_set(E, A2, params)
+        for check in (report.disjoint, report.cover):
+            assert check.passed
+            assert check.fail_fraction_bound == pytest.approx(math.log(20) / samples, rel=1e-15)
+            assert check.to_json()["fail_fraction_bound"] == check.fail_fraction_bound
+
+    def test_no_bound_on_exact_or_failing_conditions(self):
+        exact = verify_wavelet_set(shannon_set(), A2, VerifyParams(j_max=4))
+        failed = verify_wavelet_set(
+            interval_set([(Fraction(1, 2), 2)]), A2, VerifyParams(j_max=4, samples=200, mode="sampled")
+        )
+        for check in (exact.disjoint, exact.cover, exact.congruent, failed.disjoint, failed.cover):
+            assert check.fail_fraction_bound is None
+            assert "fail_fraction_bound" not in check.to_json()
+        assert not failed.disjoint.passed and not failed.cover.passed

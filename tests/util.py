@@ -14,9 +14,17 @@ from hypothesis import strategies as st
 from waverep.boxes import Box, BoxSet, interval_set, normalize, product_set, unit_cube
 from waverep.funcs import ModulatedBoxSum
 from waverep.gram import GramSpec
-from waverep.groups import AdicVector, DilationMatrix, GroupElement, RealPoint, validate_dilation
+from waverep.groups import (
+    AdicVector,
+    DilationMatrix,
+    GroupElement,
+    RealPoint,
+    b_transform,
+    validate_dilation,
+)
 from waverep.jsonio import boxset_json
 from waverep.linalg import mat_pow, mat_vec, transpose
+from waverep.tiling import CheckResult, _sample_annulus
 
 
 def random_adic(rng: random.Random, A: DilationMatrix, vmax: int = 9, jmax: int = 3):
@@ -199,6 +207,31 @@ def ref_disjoint_witness(E: BoxSet, A: DilationMatrix, j_max: int) -> dict | Non
             if not inter.is_empty:
                 return {"j": j, "k": k, "intersection": boxset_json(inter)}
     return None
+
+
+def ref_sampled_disjoint(E, A, j_max, samples, seed, annulus, mode) -> CheckResult:
+    """Sampled condition (i) by a loop of its own: every level of each draw, until two meet."""
+    note = "sampled mode (non-diagonal frequency matrix)" if mode == "auto" else ""
+    r_in, r_out = float(annulus[0]) * math.pi, float(annulus[1]) * math.pi
+    for i in range(samples):
+        xi = _sample_annulus(E.dim, r_in, r_out, seed, i)
+        hits = [j for j in range(-j_max, j_max + 1) if E.contains(b_transform(A, xi, -j))]
+        if len(hits) >= 2:
+            witness = {"point": list(xi.coords), "levels": hits}
+            return CheckResult("dilation_disjoint", False, "sampled", witness=witness, note=note)
+    return CheckResult("dilation_disjoint", True, "sampled", note=note)
+
+
+def ref_sampled_cover(E, A, j_max, samples, seed, annulus) -> CheckResult:
+    """Sampled condition (ii) by a loop of its own: the first draw that no level holds."""
+    r_in, r_out = Fraction(annulus[0]), Fraction(annulus[1])
+    note = f"certified on sup-norm annulus [{r_in}*pi, {r_out}*pi] with |j| <= {j_max} only"
+    for i in range(samples):
+        xi = _sample_annulus(E.dim, float(r_in) * math.pi, float(r_out) * math.pi, seed, i)
+        if not any(E.contains(b_transform(A, xi, -j)) for j in range(-j_max, j_max + 1)):
+            witness = {"point": list(xi.coords)}
+            return CheckResult("dilation_cover", False, "sampled", witness=witness, note=note)
+    return CheckResult("dilation_cover", True, "sampled", note=note)
 
 
 def ref_normalize(dim: int, boxes) -> tuple[Box, ...]:
