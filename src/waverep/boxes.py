@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatch, NonDiagonalDilation
 from .groups import DilationMatrix, RealPoint
 
@@ -247,6 +249,28 @@ class BoxSet:
         if x.dim != self.dim:
             raise DimensionMismatch("point dimension mismatch")
         return any(b.contains_point(x) for b in self.boxes)
+
+    def float_bounds(self) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+        """Each box as (lo, hi) in radians, float(a) * pi and float(b) * pi per axis.
+
+        These are the bounds that :meth:`Box.contains_point` compares a
+        float point with, so every float path tests membership alike.
+        """
+        return [
+            (tuple(float(a) * math.pi for a in b.lo), tuple(float(x) * math.pi for x in b.hi))
+            for b in self.boxes
+        ]
+
+    def contains_rows(self, pts: np.ndarray) -> np.ndarray:
+        """Mask of the rows of a float point array (radians) that lie in the set.
+
+        The same comparisons as :meth:`contains` on each row: lo <= x < hi
+        on every axis of some box, with the bounds of :meth:`float_bounds`.
+        """
+        inside = np.zeros(len(pts), dtype=bool)
+        for lo, hi in self.float_bounds():
+            inside |= np.all((pts >= lo) & (pts < hi), axis=1)
+        return inside
 
     def same_set(self, other: "BoxSet") -> bool:
         """Equality as sets (representation independent)."""

@@ -303,6 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the option that sets how far a subcommand raises powers of A, which is what
+# usually leaves float range there
+_SCALE_OPTIONS = {"verify-set": "--j-max", "gram": "--m", "rep": "--K"}
+
+
+def _overflow_error(args, exc: OverflowError) -> str:
+    """The error text for a value out of float range, naming the scale option and its value."""
+    flag = _SCALE_OPTIONS.get(getattr(args, "command", None))
+    if flag is None:
+        return f"a value is out of float range: {exc}"
+    value = getattr(args, flag[2:].replace("-", "_"))
+    return f"a value is out of float range at {flag} {value} (try a smaller {flag}): {exc}"
+
+
 def run(argv: list[str]) -> int:
     args = None
     try:
@@ -313,7 +327,7 @@ def run(argv: list[str]) -> int:
     except (InputError, OSError) as exc:  # an OSError comes from a file named by the user
         code, report = 2, {"error": str(exc)}
     except OverflowError as exc:  # an input too large for a float, e.g. --K or --m
-        code, report = 2, {"error": f"a value is out of float range: {exc}"}
+        code, report = 2, {"error": _overflow_error(args, exc)}
     except WaverepError as exc:
         code, report = 1, {"error": str(exc), "kind": type(exc).__name__}
     try:

@@ -178,11 +178,7 @@ def _gram_quadrature(
         # value of the (m, v) basis vector at points (rows): ys = B^{-m} pts
         p, d = spec.A.power(-m)
         ys = pts @ (np.array(p, dtype=float) / d)
-        inside = np.zeros(len(pts), dtype=bool)
-        for box in spec.E.boxes:
-            lo = np.array([float(x) * math.pi for x in box.lo])
-            hi = np.array([float(x) * math.pi for x in box.hi])
-            inside |= np.all((ys >= lo) & (ys < hi), axis=1)
+        inside = spec.E.contains_rows(ys)
         phase = np.exp(-1j * (ys @ np.asarray(v, dtype=float)))
         return det ** (-m / 2.0) * inside * phase
 

@@ -234,9 +234,8 @@ def sampled_isometry_defect(
     for k in range(k_min, k_max + 1):
         p, d = A.power(k)
         bk = np.array(p, dtype=float).T / d
-        for box in E.boxes:
-            blo = np.array([float(x) * math.pi for x in box.lo])
-            bhi = np.array([float(x) * math.pi for x in box.hi])
+        for blo, bhi in E.float_bounds():
+            blo, bhi = np.array(blo), np.array(bhi)
             counts = [
                 max(2, int(round((bhi[a] - blo[a]) / (bhi[0] - blo[0]) * layer_cells)))
                 for a in range(len(blo))

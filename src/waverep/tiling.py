@@ -9,7 +9,10 @@ statement, so it is certified only on a finite sup-norm annulus with a
 finite dilation range, and every report says so.  When the frequency
 matrix is not diagonal the exact set arithmetic is unavailable and
 (i)/(ii) downgrade to a seeded, reproducible sampling check: one pass
-over the draws of the annulus decides both.  A sampled condition that
+over the draws of the annulus decides both.  The pass runs on NumPy
+blocks of draws, and its draws and images are bit-identical to the
+per-index definition: draw i is keyed by (seed, i) alone, and each image
+is rounded as :func:`b_transform` rounds it.  A sampled condition that
 passes N uniform draws carries ``fail_fraction_bound = ln(1/alpha)/N``
 with alpha = 0.05, the "rule of three" (Hanley & Lippman-Hand, JAMA
 1983): at confidence 1 - alpha it fails on less than that fraction of
@@ -23,8 +26,10 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .boxes import Box, BoxSet, interval_set
-from .errors import BadAnnulus
+from .errors import BadAnnulus, DimensionMismatch
 from .groups import DilationMatrix, RealPoint, b_transform
 from .jsonio import boxset_json
 
@@ -41,25 +46,15 @@ __all__ = [
 
 _M64 = (1 << 64) - 1
 _ALPHA = 0.05  # a sampled pass's bound holds at confidence 1 - _ALPHA
+_BLOCK = 4096  # draws per block of the sampled pass: bounds its memory, keeps its early stop
 
 
-def _splitmix(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
-
-
-def counter_uniform(seed: int, *indices: int) -> float:
-    """Deterministic uniform in [0, 1) keyed by (seed, indices).
-
-    Counter based, so sampled verdicts are reproducible across runs,
-    machines and shard orders.
-    """
-    z = seed & _M64
-    for idx in indices:
-        z = _splitmix(z ^ (idx & _M64))
-    return _splitmix(z) / float(1 << 64)
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 on uint64 arrays (Steele, Lea & Flood, OOPSLA 2014); wraps mod 2^64."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 @dataclass
@@ -124,22 +119,44 @@ def shannon_set() -> BoxSet:
     return interval_set([(-2, -1), (1, 2)])
 
 
-def _sample_annulus(dim: int, r_in: float, r_out: float, seed: int, index: int) -> RealPoint:
-    """Uniform point of the sup-norm shell r_in <= |x|_inf <= r_out, drawn directly.
+def _counter_uniforms(seed: int, start: int, count: int, width: int) -> np.ndarray:
+    """Uniforms in [0, 1] for indices start, ..., start + count - 1, one row each.
 
-    The volume inside sup-norm radius r grows as r^dim, so the radius is
-    read off that law; the sphere of radius r is 2*dim faces of equal
-    area, so a face is picked uniformly and the other axes are uniform
-    on it.  Every draw is accepted, however thin the shell.
+    Entry (i - start, a) is keyed by (seed, i, 0, a): z = seed, then
+    z = splitmix(z ^ key) for each key, and splitmix(z) / 2^64.  Counter
+    based, so sampled verdicts are reproducible across runs, machines and
+    blocks.
     """
-    u = [counter_uniform(seed, index, 0, axis) for axis in range(dim + 2)]
+    index = np.arange(start, start + count, dtype=np.uint64)
+    key = _splitmix(_splitmix(np.uint64(seed & _M64) ^ index))
+    u = np.stack([_splitmix(_splitmix(key ^ np.uint64(a))) for a in range(width)], axis=1)
+    return u / 2.0**64
+
+
+def _sample_annulus(
+    dim: int, r_in: float, r_out: float, seed: int, start: int, count: int
+) -> np.ndarray:
+    """Draws start, ..., start + count - 1 of the sup-norm shell r_in <= |x|_inf <= r_out.
+
+    Row i is a uniform point of the shell drawn directly: the volume
+    inside sup-norm radius r grows as r^dim, so the radius is read off
+    that law; the sphere of radius r is 2*dim faces of equal area, so a
+    face is picked uniformly and the other axes are uniform on it.  Every
+    draw is accepted, however thin the shell.  Uniforms 0..dim-1 of a
+    draw are its coordinates, dim its radius and dim + 1 its face.  Each
+    radius is raised to 1/dim by Python's ``**`` on its own float (NumPy's
+    power rounds differently), so a row does not depend on its block.
+    """
+    u = _counter_uniforms(seed, start, count, dim + 2)
     q = (r_in / r_out) ** dim  # scaled by r_out, so no power overflows
-    r = r_out * (q + u[dim] * (1.0 - q)) ** (1.0 / dim)
-    r = min(max(r, r_in), r_out)
-    face = int(u[dim + 1] * 2 * dim) % (2 * dim)
-    coords = [(2.0 * u[axis] - 1.0) * r for axis in range(dim)]
-    coords[face // 2] = r if face % 2 else -r
-    return RealPoint.from_floats(coords)
+    base = q + u[:, dim] * (1.0 - q)
+    e = 1.0 / dim
+    r = r_out * np.array([b**e for b in base.tolist()])
+    r = np.minimum(np.maximum(r, r_in), r_out)
+    face = (u[:, dim + 1] * 2 * dim).astype(np.int64) % (2 * dim)
+    coords = (2.0 * u[:, :dim] - 1.0) * r[:, None]
+    coords[np.arange(count), face // 2] = np.where(face % 2 == 1, r, -r)
+    return coords
 
 
 def _shell(annulus: tuple[Fraction, Fraction], j_max: int) -> tuple[Fraction, Fraction, str]:
@@ -151,28 +168,61 @@ def _shell(annulus: tuple[Fraction, Fraction], j_max: int) -> tuple[Fraction, Fr
     return r_in, r_out, note
 
 
+def _map_rows(A: DilationMatrix, k: int, xs: np.ndarray) -> np.ndarray:
+    """B^k applied to every row of xs, rounded as :func:`b_transform` rounds a point.
+
+    With A^k = P / d, coordinate i is sum_j P_ji x_j summed left to right,
+    then divided by d when d != 1: the same float operations in the same
+    order, and no matrix product, whose summation order may differ.
+    """
+    p, d = A.power(k)
+    out = np.empty_like(xs)
+    for i in range(A.n):
+        acc = float(p[0][i]) * xs[:, 0]
+        for j in range(1, A.n):
+            acc = acc + float(p[j][i]) * xs[:, j]
+        out[:, i] = acc if d == 1 else acc / float(d)
+    return out
+
+
+def _levels(E: BoxSet, A: DilationMatrix, xi: RealPoint, j_max: int) -> list[int]:
+    """The levels j, |j| <= j_max, with B^-j xi in E, point by point.
+
+    A reported witness takes its levels from here, so it can be checked
+    without the block arithmetic that found it.
+    """
+    return [j for j in range(-j_max, j_max + 1) if E.contains(b_transform(A, xi, -j))]
+
+
 def _sampled_checks(E: BoxSet, A: DilationMatrix, p: VerifyParams) -> tuple[CheckResult, ...]:
     """(i) and (ii) from one scan over the seeded draws of the annulus: the first draw
     with two or more levels j (B^-j xi in E, |j| <= j_max) fails (i), the first with none (ii).
+
+    The scan runs on blocks of draws: every level maps a whole block at
+    once and marks its rows in E, and it stops after the block in which
+    both conditions have their witness.  Images that overflow to inf or
+    NaN lie in no box and raise no warning.
     """
     if p.mode == "exact":
         raise ValueError("exact mode requested but the frequency matrix is not diagonal")
+    if E.dim != A.n:
+        raise DimensionMismatch("point and matrix dimensions differ")
     r_in, r_out, cover_note = _shell(p.annulus, p.j_max)
     radii = float(r_in) * math.pi, float(r_out) * math.pi
     note = "sampled mode (non-diagonal frequency matrix)" if p.mode == "auto" else ""
     disjoint = check_dilation_disjoint(E, A) if E.is_empty else None
     cover = None
-    for i in range(p.samples):
-        xi = _sample_annulus(E.dim, *radii, p.seed, i)
-        # lazy, so that once (i) has failed only the first level is computed
-        hits = (j for j in range(-p.j_max, p.j_max + 1) if E.contains(b_transform(A, xi, -j)))
-        if disjoint is None:
-            hits = list(hits)
-            if len(hits) >= 2:
-                witness = {"point": list(xi.coords), "levels": hits}
-                disjoint = CheckResult("dilation_disjoint", False, "sampled", witness, note)
-        if cover is None and next(iter(hits), None) is None:
-            witness = {"point": list(xi.coords)}
+    levels = range(-p.j_max, p.j_max + 1)
+    for start in range(0, p.samples, _BLOCK):
+        with np.errstate(all="ignore"):
+            xs = _sample_annulus(E.dim, *radii, p.seed, start, min(_BLOCK, p.samples - start))
+            counts = sum(E.contains_rows(_map_rows(A, -j, xs)).astype(int) for j in levels)
+        if disjoint is None and (overlaps := np.flatnonzero(counts >= 2)).size:
+            xi = RealPoint.from_floats(xs[overlaps[0]].tolist())
+            witness = {"point": list(xi.coords), "levels": _levels(E, A, xi, p.j_max)}
+            disjoint = CheckResult("dilation_disjoint", False, "sampled", witness, note)
+        if cover is None and (gaps := np.flatnonzero(counts == 0)).size:
+            witness = {"point": xs[gaps[0]].tolist()}
             cover = CheckResult("dilation_cover", False, "sampled", witness, cover_note)
         if disjoint is not None and cover is not None:
             break

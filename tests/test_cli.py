@@ -1,12 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from util import ref_sampled_cover, ref_sampled_disjoint
+from waverep.boxes import Box, BoxSet
 from waverep.cli import run
+from waverep.groups import validate_dilation
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_capture(argv, capsys):
@@ -84,6 +93,42 @@ class TestVerifySet:
         assert out1 == out2
         cover = json.loads(out1)["conditions"]["dilation_cover"]
         assert cover["fail_fraction_bound"] == math.log(20) / 300
+
+    @pytest.mark.filterwarnings("error")
+    def test_sampled_images_past_float_range_stay_quiet(self, tmp_path, capsys):
+        # B^-j of a point near 10^307 pi leaves float range: the images are inf or NaN,
+        # which lie in no box, and no RuntimeWarning reaches stderr
+        f = tmp_path / "square.json"
+        f.write_text(json.dumps({"dim": 2, "boxes": [{"lo": ["1", "1"], "hi": ["2", "2"]}]}))
+        big = 10**307
+        argv = ["verify-set", "--set", str(f), "--dilation", "[[3,1],[1,2]]"]
+        argv += ["--annulus", f"1/2,{big}", "--samples", "50", "--j-max", "3"]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        conditions = json.loads(captured.out)["conditions"]
+        E = BoxSet(2, (Box((1, 1), (2, 2)),))
+        A = validate_dilation([[3, 1], [1, 2]])
+        annulus = (Fraction(1, 2), Fraction(big))
+        disjoint = ref_sampled_disjoint(E, A, 3, 50, 0, annulus, "auto").to_json()
+        disjoint["fail_fraction_bound"] = math.log(20) / 50
+        assert conditions["dilation_disjoint"] == disjoint
+        cover = ref_sampled_cover(E, A, 3, 50, 0, annulus).to_json()
+        assert conditions["dilation_cover"] == cover
+
+    def test_default_sampled_run_from_the_command_line(self):
+        # the default 100k draws through main(): quick, exit 0 and nothing on stderr
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        argv = ["verify-set", "--set", "shannon", "--dilation", "[[2]]", "--mode", "sampled"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "waverep.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["all_passed"] is True
 
     def test_witness_reverifies_with_single_operation(self, tmp_path, capsys):
         # an uncovered-gap witness must itself fail the point projection
@@ -304,6 +349,25 @@ class TestInputBoundary:
         code = run(argv)
         assert code in (0, 1, 2)
         assert isinstance(json.loads(capsys.readouterr().out), dict)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["verify-set", "--set", "shannon", "--dilation", "[[2]]", "--mode", "sampled",
+              "--j-max", "1100", "--samples", "3"], "--j-max 1100"),
+            (["gram", "--set", "shannon", "--dilation", "[[2]]", "--m", "2100", "--v", "0"], "--m 2100"),
+            (["rep", "--dilation", "[[2]]", "--x", "0.3", "--element", '{"v":[1],"j":1,"m":0}',
+              "--K", "1100"], "--K 1100"),
+        ],
+    )
+    def test_out_of_float_range_names_the_scale_option(self, argv, named, capsys):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        report = json.loads(captured.out)
+        assert list(report) == ["error"]
+        assert report["error"].startswith("a value is out of float range")
+        assert named in report["error"]
 
     def test_non_finite_report_exits_two(self, monkeypatch, capsys):
         # a NaN that no input check caught is an error, never a bare NaN token on stdout

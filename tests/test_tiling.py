@@ -11,6 +11,7 @@ from util import (
     box_sets,
     diagonal_matrices,
     ref_disjoint_witness,
+    ref_sample_annulus,
     ref_sampled_cover,
     ref_sampled_disjoint,
 )
@@ -18,16 +19,17 @@ from waverep import tiling
 from waverep.boxes import interval_set, product_set
 from waverep.errors import BadAnnulus
 from waverep.tiling import (
+    _BLOCK,
     VerifyParams,
+    _counter_uniforms,
     _sample_annulus,
     check_dilation_cover,
     check_dilation_disjoint,
     check_translation_congruent,
-    counter_uniform,
     shannon_set,
     verify_wavelet_set,
 )
-from waverep.groups import validate_dilation
+from waverep.groups import RealPoint, b_transform, validate_dilation
 
 A2 = validate_dilation([[2]])
 A3 = validate_dilation([[3]])
@@ -194,11 +196,11 @@ class TestDeterminism:
 
 class TestSampledMode:
     def test_counter_rng_reproducible(self):
-        a = [counter_uniform(7, i) for i in range(5)]
-        b = [counter_uniform(7, i) for i in range(5)]
+        a = _counter_uniforms(7, 0, 5, 1)[:, 0].tolist()
+        b = _counter_uniforms(7, 0, 5, 1)[:, 0].tolist()
         assert a == b
         assert all(0 <= x < 1 for x in a)
-        assert counter_uniform(7, 0) != counter_uniform(8, 0)
+        assert _counter_uniforms(7, 0, 1, 1)[0, 0] != _counter_uniforms(8, 0, 1, 1)[0, 0]
 
     def test_sampled_agrees_with_exact_on_shannon(self):
         res = check_dilation_disjoint(
@@ -253,9 +255,25 @@ class TestSampledMode:
     )
     def test_annulus_points_lie_in_the_shell(self, dim, r_in, ratio, seed, index):
         r_out = r_in * ratio
-        x = _sample_annulus(dim, r_in, r_out, seed, index)
+        x = RealPoint.from_floats(_sample_annulus(dim, r_in, r_out, seed, index, 1)[0])
         assert x.dim == dim
         assert r_in <= max(abs(c) for c in x.coords) <= r_out
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        r_in=st.floats(1e-3, 1e200),
+        ratio=st.one_of(st.just(1 + 1e-12), st.floats(1 + 1e-12, 1e100)),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**32),
+        count=st.integers(1, 8),
+    )
+    def test_block_rows_are_the_scalar_draws(self, dim, r_in, ratio, seed, start, count):
+        r_out = r_in * ratio
+        rows = _sample_annulus(dim, r_in, r_out, seed, start, count)
+        assert rows.shape == (count, dim)
+        for k, row in enumerate(rows.tolist()):
+            assert tuple(row) == ref_sample_annulus(dim, r_in, r_out, seed, start + k).coords
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_annulus_draws_are_uniform(self, dim):
@@ -263,7 +281,7 @@ class TestSampledMode:
         # carries 1/(2*dim) of it
         count, r_in, r_out = 4000, 1.0, 2.0
         r_mid = ((r_in**dim + r_out**dim) / 2) ** (1 / dim)
-        points = [_sample_annulus(dim, r_in, r_out, 5, i).coords for i in range(count)]
+        points = _sample_annulus(dim, r_in, r_out, 5, 0, count).tolist()
         norms = [max(abs(c) for c in x) for x in points]
         assert abs(sum(r <= r_mid for r in norms) / count - 0.5) < 0.03
         faces = []
@@ -282,6 +300,9 @@ class TestSampledMode:
 
 
 _NON_DIAGONAL = [validate_dilation(m) for m in ([[0, 2], [2, 0]], [[0, -2], [2, 0]], [[1, 1], [-1, 1]])]
+_NON_DIAGONAL_3 = [
+    validate_dilation(m) for m in ([[0, 0, 2], [1, 0, 0], [0, 1, 0]], [[2, 1, 0], [0, 2, 1], [1, 0, 2]])
+]
 _ANNULI = [(Fraction(1, 8), Fraction(8)), (Fraction(1, 2), Fraction(2)), (Fraction(1), Fraction(4))]
 
 
@@ -336,13 +357,44 @@ class TestOnePass:
         assert got == want
         assert (got[0].passed, got[1].passed) == verdicts
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        A=st.sampled_from([A2, validate_dilation([[-3]]), *_NON_DIAGONAL, *_NON_DIAGONAL_3]),
+        k=st.integers(-6, 6),
+        seed=st.integers(0, 2**64 - 1),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_block_images_are_the_point_images(self, A, k, seed, scale):
+        # the same left-to-right sum and final division as b_transform, with no BLAS product
+        xs = scale * (2 * _counter_uniforms(seed, 0, 16, A.n) - 1)
+        images = tiling._map_rows(A, k, xs)
+        for x, image in zip(xs.tolist(), images.tolist()):
+            assert tuple(image) == b_transform(A, RealPoint.from_floats(x), k).coords
+
+    @pytest.mark.parametrize("seed", [2 << 40, 6 << 40, 9 << 40])
+    def test_witness_in_a_later_block(self, seed, monkeypatch):
+        # on the annulus [pi/2, 2pi], (i) fails on [pi, (1 + 1/1024) pi), a 1/3072 share, and
+        # (ii) on [-(1 + 1/8192) pi, -pi) and its half, a 1/16384 share
+        starts = []
+
+        def counting(dim, r_in, r_out, seed, start, count):
+            starts.append(start)
+            return _sample_annulus(dim, r_in, r_out, seed, start, count)
+
+        monkeypatch.setattr(tiling, "_sample_annulus", counting)
+        E = interval_set([(1, 2 + Fraction(1, 512)), (-2, -1 - Fraction(1, 8192))])
+        annulus = (Fraction(1, 2), Fraction(2))
+        got, want = _one_pass_and_reference(E, A2, 1, 4 * _BLOCK, seed, annulus, "sampled")
+        assert got == want
+        assert not want[0].passed and max(starts) >= _BLOCK
+
     @pytest.mark.parametrize("E", [shannon_set(), interval_set([(Fraction(1, 2), 2)])])
     def test_each_draw_once(self, E, monkeypatch):
         counts = Counter()
 
-        def counting(dim, r_in, r_out, seed, index):
-            counts[index] += 1
-            return _sample_annulus(dim, r_in, r_out, seed, index)
+        def counting(dim, r_in, r_out, seed, start, count):
+            counts.update(range(start, start + count))
+            return _sample_annulus(dim, r_in, r_out, seed, start, count)
 
         monkeypatch.setattr(tiling, "_sample_annulus", counting)
         verify_wavelet_set(E, A2, VerifyParams(j_max=4, samples=200, seed=1, mode="sampled"))

@@ -24,7 +24,7 @@ from waverep.groups import (
 )
 from waverep.jsonio import boxset_json
 from waverep.linalg import mat_pow, mat_vec, transpose
-from waverep.tiling import CheckResult, _sample_annulus
+from waverep.tiling import CheckResult
 
 
 def random_adic(rng: random.Random, A: DilationMatrix, vmax: int = 9, jmax: int = 3):
@@ -209,12 +209,42 @@ def ref_disjoint_witness(E: BoxSet, A: DilationMatrix, j_max: int) -> dict | Non
     return None
 
 
+_M64 = (1 << 64) - 1
+
+
+def _splitmix(z: int) -> int:
+    z = (z + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def counter_uniform(seed: int, *indices: int) -> float:
+    """SplitMix64 uniform keyed by (seed, indices), one Python int at a time: the bit reference."""
+    z = seed & _M64
+    for idx in indices:
+        z = _splitmix(z ^ (idx & _M64))
+    return _splitmix(z) / float(1 << 64)
+
+
+def ref_sample_annulus(dim: int, r_in: float, r_out: float, seed: int, index: int) -> RealPoint:
+    """Draw ``index`` of the sup-norm shell, one point at a time from its per-index definition."""
+    u = [counter_uniform(seed, index, 0, axis) for axis in range(dim + 2)]
+    q = (r_in / r_out) ** dim
+    r = r_out * (q + u[dim] * (1.0 - q)) ** (1.0 / dim)
+    r = min(max(r, r_in), r_out)
+    face = int(u[dim + 1] * 2 * dim) % (2 * dim)
+    coords = [(2.0 * u[axis] - 1.0) * r for axis in range(dim)]
+    coords[face // 2] = r if face % 2 else -r
+    return RealPoint.from_floats(coords)
+
+
 def ref_sampled_disjoint(E, A, j_max, samples, seed, annulus, mode) -> CheckResult:
     """Sampled condition (i) by a loop of its own: every level of each draw, until two meet."""
     note = "sampled mode (non-diagonal frequency matrix)" if mode == "auto" else ""
     r_in, r_out = float(annulus[0]) * math.pi, float(annulus[1]) * math.pi
     for i in range(samples):
-        xi = _sample_annulus(E.dim, r_in, r_out, seed, i)
+        xi = ref_sample_annulus(E.dim, r_in, r_out, seed, i)
         hits = [j for j in range(-j_max, j_max + 1) if E.contains(b_transform(A, xi, -j))]
         if len(hits) >= 2:
             witness = {"point": list(xi.coords), "levels": hits}
@@ -227,7 +257,7 @@ def ref_sampled_cover(E, A, j_max, samples, seed, annulus) -> CheckResult:
     r_in, r_out = Fraction(annulus[0]), Fraction(annulus[1])
     note = f"certified on sup-norm annulus [{r_in}*pi, {r_out}*pi] with |j| <= {j_max} only"
     for i in range(samples):
-        xi = _sample_annulus(E.dim, float(r_in) * math.pi, float(r_out) * math.pi, seed, i)
+        xi = ref_sample_annulus(E.dim, float(r_in) * math.pi, float(r_out) * math.pi, seed, i)
         if not any(E.contains(b_transform(A, xi, -j)) for j in range(-j_max, j_max + 1)):
             witness = {"point": list(xi.coords)}
             return CheckResult("dilation_cover", False, "sampled", witness=witness, note=note)
