@@ -27,12 +27,8 @@ from .boxes import BoxSet
 from .density import CharacterTarget, approx_character, mean_coefficient
 from .errors import InputError, WaverepError
 from .gram import GramSpec, eval_msf_wavelet, gram_matrix
-from .operators import (
-    fiber_operator,
-    induced_operator,
-    reflection_intertwiner_defect,
-)
-from .spectral import isometry_defect, to_layers
+from .operators import fiber_operator, interior_deviation
+from .spectral import isometry_defect, isometry_path, to_layers
 from .tiling import VerifyParams, shannon_set, verify_wavelet_set
 
 BUILTIN_SETS = {"shannon": shannon_set}
@@ -144,7 +140,7 @@ def _cmd_decompose(args) -> tuple[int, dict]:
     if None not in (args.k_min, args.k_max) and args.k_min > args.k_max:
         raise InputError(f"--k-min {args.k_min} > --k-max {args.k_max}")
     F = to_layers(f, E, A, args.k_min, args.k_max)
-    defect = isometry_defect(f, E, A, args.k_min, args.k_max)
+    defect = isometry_defect(f, E, A, F.k_min, F.k_max)
     out = {
         "command": "decompose",
         "window": [F.k_min, F.k_max],
@@ -152,7 +148,7 @@ def _cmd_decompose(args) -> tuple[int, dict]:
         "norm_sq": F.norm_sq(),
         "truncation_mass": F.truncation_mass,
         "isometry_defect": defect,
-        "path": "exact" if f.is_piecewise_constant and f.has_disjoint_boxes() else "closed-form",
+        "path": isometry_path(f),
     }
     return 0, out
 
@@ -162,8 +158,9 @@ def _cmd_rep(args) -> tuple[int, dict]:
     x = jsonio.parse_point(args.x, A)
     g = jsonio.parse_group_element(jsonio.parse_inline(args.element, "--element"), A)
     fib = fiber_operator(x, g, args.K)
-    ind = induced_operator(x, g, args.K)
-    dev = reflection_intertwiner_defect(x, g, args.K)
+    ind = fib.reflect_conjugate()  # operators.induced_operator, from the one phase table
+    dev = interior_deviation(fib.reflect_conjugate(), ind)  # 0.0 by construction
+
     def phases(op):
         return [jsonio.complex_json(op.phases[k]) for k in range(-args.K, args.K + 1)]
 

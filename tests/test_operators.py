@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waverep.boxes import Box, interval_set, product_set
 from waverep.errors import WindowTooSmall
@@ -33,7 +35,15 @@ from waverep.operators import (
 from waverep.spectral import to_layers
 from waverep.tiling import shannon_set
 
-from util import random_adic, random_element, random_point_in, random_subordinate
+from util import (
+    diagonal_matrices,
+    float_bits,
+    random_adic,
+    random_element,
+    random_point_in,
+    random_subordinate,
+    ref_induced_phases,
+)
 
 A2 = validate_dilation([[2]])
 A23 = validate_dilation([[2, 0], [0, 3]])
@@ -250,6 +260,28 @@ class TestReflectionIntertwiner:
             x = random_point_in(rng, E)
             g = random_element(rng, A2)
             assert reflection_intertwiner_defect(x, g, 32) < 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        exact=st.booleans(),
+        K=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_induced_table_is_the_direct_one(self, dim, exact, K, seed, data):
+        # reflecting the fiber table keeps the bits of a per-k evaluation
+        A = data.draw(diagonal_matrices(dim))
+        coords = st.fractions(-4, 4, max_denominator=16) if exact else st.floats(-4, 4)
+        xs = data.draw(st.lists(coords, min_size=dim, max_size=dim))
+        x = RealPoint.from_pi(xs) if exact else RealPoint.from_floats(xs)
+        g = random_element(random.Random(seed), A)
+        ind = induced_operator(x, g, K)
+        assert ind.shift == -g.m
+        want = ref_induced_phases(x, g, K)
+        assert {k: float_bits(p) for k, p in ind.phases.items()} == {
+            k: float_bits(p) for k, p in want.items()
+        }
 
 
 class TestOrbitShift:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waverep.boxes import interval_set, product_set
 from waverep.errors import AmbiguousScale, NotCovered, WindowTooSmall, ZeroFunction
@@ -19,7 +21,16 @@ from waverep.spectral import (
 )
 from waverep.tiling import shannon_set
 
-from util import random_disjoint_subordinate, random_subordinate
+from util import (
+    box_sets,
+    diagonal_matrices,
+    float_bits,
+    random_disjoint_subordinate,
+    random_subordinate,
+    ref_isometry_defect,
+    ref_layer_terms,
+    terms_bits,
+)
 
 A2 = validate_dilation([[2]])
 A23 = validate_dilation([[2, 0], [0, 3]])
@@ -188,6 +199,29 @@ class TestIsometryDefect:
     def test_zero_function_raises(self):
         with pytest.raises(ZeroFunction):
             isometry_defect(ModulatedBoxSum.zero(A2), E, A2, 0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    kind=st.sampled_from(["disjoint", "constant", "modulated"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pieces_match_the_per_box_loops(dim, kind, seed, data):
+    # layers and defects have the bits of the two loops the piece routine replaced
+    A = data.draw(diagonal_matrices(dim))
+    S = data.draw(box_sets(dim))
+    rng = random.Random(seed)
+    if kind == "disjoint":
+        f = random_disjoint_subordinate(rng, S, A, k_lo=-2, k_hi=2)
+    else:
+        f = random_subordinate(rng, S, A, -2, 2, modulated=kind == "modulated")
+    F = to_layers(f, S, A, -3, 3, tol=math.inf)
+    got = {k: layer.terms for k, layer in F.layers.items()}
+    assert terms_bits(got) == terms_bits(ref_layer_terms(f, S, A, -3, 3))
+    defect, want = isometry_defect(f, S, A, -3, 3), ref_isometry_defect(f, S, A, -3, 3)
+    assert float_bits(defect) == float_bits(want)
 
 
 def random_smooth(rng):

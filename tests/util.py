@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from waverep.boxes import Box, BoxSet, interval_set, normalize, product_set, unit_cube
-from waverep.funcs import ModulatedBoxSum
+from waverep.funcs import LayerFunction, ModulatedBoxSum, Term
 from waverep.gram import GramSpec
 from waverep.groups import (
     AdicVector,
@@ -20,6 +20,7 @@ from waverep.groups import (
     GroupElement,
     RealPoint,
     b_transform,
+    character_value,
     validate_dilation,
 )
 from waverep.jsonio import boxset_json
@@ -342,6 +343,66 @@ def ref_translation_reduce(E: BoxSet):
     overlap = normalize(E.dim, overlap_pieces)
     deficit = unit_cube(E.dim).subtract(normalize(E.dim, images))
     return fragments, overlap, deficit
+
+
+# --- per-k references for the operator tables ------------------------------
+
+
+def ref_induced_phases(x: RealPoint, g: GroupElement, K: int) -> dict[int, complex]:
+    """The induced phase table evaluated at each k: e^{-i<x, A^{-k} beta>}, k in [-K, K]."""
+    return {k: character_value(x, g.beta.twist(k)) for k in range(-K, K + 1)}
+
+
+def ref_layer_terms(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, k_min: int, k_max: int):
+    """The layers of to_layers as term tuples, each piece B^{-k}(box) ∩ E met in its own loop."""
+    det = A.det_abs
+    layers = {}
+    for k in range(k_min, k_max + 1):
+        scale = float(det) ** (k / 2.0)
+        pieces = []
+        for t in f.terms:
+            moved = t.box.dilate(A, -k)
+            for eb in E.boxes:
+                c = moved.intersect(eb)
+                if c is not None:
+                    pieces.append(Term(t.coef * scale, t.beta.twist(-k), c))
+        if pieces:
+            layers[k] = tuple(pieces)
+    return layers
+
+
+def ref_isometry_defect(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, k_min: int, k_max: int):
+    """isometry_defect on a nonzero f, with the covered volume summed piece by piece per k."""
+    disjoint = all(s.box.intersect(t.box) is None for s, t in itertools.combinations(f.terms, 2))
+    if all(t.beta.is_zero for t in f.terms) and disjoint:
+        det = Fraction(A.det_abs)
+        pin = math.pi**A.n
+        total = mapped = 0.0
+        for t in f.terms:
+            w = abs(t.coef) ** 2
+            covered = Fraction(0)
+            for k in range(k_min, k_max + 1):
+                moved = t.box.dilate(A, -k)
+                pieces = (moved.intersect(eb) for eb in E.boxes)
+                covered += det**k * sum(c.volume() for c in pieces if c is not None)
+            total += w * (float(t.box.volume()) * pin)
+            mapped += w * (float(covered) * pin)
+        return abs(mapped - total) / total
+    pieces = ref_layer_terms(f, E, A, k_min, k_max)
+    layers = {k: ModulatedBoxSum(A, terms) for k, terms in pieces.items()}
+    norm = f.norm_sq()
+    return abs(LayerFunction(A, k_min, k_max, layers).norm_sq() - norm) / norm
+
+
+def float_bits(z: complex | float) -> tuple[str, str]:
+    """The bits of a float or complex, zero signs included."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def terms_bits(layers: dict[int, tuple[Term, ...]]) -> dict:
+    """Layer terms with each coefficient replaced by its bits."""
+    return {k: [(float_bits(t.coef), t.beta, t.box) for t in terms] for k, terms in layers.items()}
 
 
 # --- hypothesis strategies: diagonal matrices and candidate sets ----------
