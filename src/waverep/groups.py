@@ -10,7 +10,9 @@ Every power of A, of either sign, comes from the one cached
 :meth:`DilationMatrix.power`, which returns A^k as an integer matrix
 over an integer denominator: negative powers are adj(A)^k / det^k.
 So the canonical form is an integer congruence test (v lies in A(Z^n)
-iff adj(A) v = 0 mod det) and no linear system is ever solved.
+iff adj(A) v = 0 mod det) and no linear system is ever solved.  Only
+:func:`orbit` forms no power: it walks A^k beta over a window of k one
+matrix-vector step at a time.
 
 Points of R^n come in two flavours: plain floats, and exact rational
 multiples of pi per coordinate.  On the exact flavour every phase
@@ -25,6 +27,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -39,6 +42,7 @@ __all__ = [
     "RealPoint",
     "shift_cocycle",
     "character_value",
+    "orbit",
     "phase_exp",
     "b_transform",
 ]
@@ -164,12 +168,18 @@ class AdicVector:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.v)
 
+    def ratio(self) -> tuple[tuple[int, ...], int]:
+        """The element as (u, d): an integer vector over a positive integer, A^{-j} v = u / d."""
+        if self.j == 0:
+            return self.v, 1
+        p, d = self.A.power(-self.j)
+        u = linalg.mat_vec(p, self.v)
+        return (u, d) if d > 0 else (tuple(-x for x in u), -d)
+
     def values(self) -> tuple[Fraction, ...]:
         """The element as an exact rational vector."""
-        if self.j == 0:
-            return tuple(Fraction(x) for x in self.v)
-        p, d = self.A.power(-self.j)
-        return tuple(Fraction(x, d) for x in linalg.mat_vec(p, self.v))
+        u, d = self.ratio()
+        return tuple(Fraction(x, d) for x in u)
 
     def twist(self, m: int) -> "AdicVector":
         """The scaling action: A^{-m} applied to this element."""
@@ -251,41 +261,104 @@ class RealPoint:
     def dim(self) -> int:
         return len(self.coords)
 
+    @cached_property
+    def pi_ratio(self) -> tuple[tuple[int, ...], int]:
+        """Exact points only: (p, L) with pi_coords == p / L, L the least common denominator."""
+        L = math.lcm(*(f.denominator for f in self.pi_coords))
+        return tuple(f.numerator * (L // f.denominator) for f in self.pi_coords), L
+
     def __repr__(self) -> str:
         if self.pi_coords is not None:
             return f"RealPoint(pi={[str(f) for f in self.pi_coords]})"
         return f"RealPoint({list(self.coords)})"
 
 
-_QUARTER = {
-    Fraction(0): complex(1, 0),
-    Fraction(1, 2): complex(0, 1),
-    Fraction(1): complex(-1, 0),
-    Fraction(3, 2): complex(0, -1),
-}
+# e^{i pi q / 2}, q = 0..3: the quarter turns, whose values are exact
+_QUARTERS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
 
 def phase_exp(t: Fraction) -> complex:
     """e^{i pi t} with the phase reduced mod 2 in rational arithmetic."""
-    r = t % 2
-    exact = _QUARTER.get(r)
-    if exact is not None:
-        return exact
-    return cmath.exp(1j * math.pi * float(r))
+    return _phase(t.numerator, t.denominator)
 
 
-def character_value(x: RealPoint, beta: AdicVector) -> complex:
-    """The unit complex value e^{-i<x, beta>}."""
-    if x.dim != beta.A.n:
+def _phase(num: int, den: int) -> complex:
+    """e^{i pi num / den} for den > 0, with num reduced mod 2 den in integers.
+
+    A quarter turn is exact; any other angle is pi times r / den, the
+    correctly rounded int quotient, which is ``float`` of the reduced
+    Fraction r / den mod 2 whatever factors num and den share.
+    """
+    r = num % (2 * den)
+    q, rem = divmod(2 * r, den)
+    if not rem:
+        return _QUARTERS[q]
+    return cmath.exp(1j * math.pi * (r / den))
+
+
+def character_value(
+    x: RealPoint, beta: AdicVector | tuple[tuple[int, ...], int]
+) -> complex:
+    """The unit complex value e^{-i<x, beta>}.
+
+    ``beta`` is an element of the A-adic group, or any rational vector
+    given as (u, d), beta = u / d with u integral and d a positive integer.
+    On an exact point x = (p / L) pi the phase is -<p, u> / (L d) pi, an
+    exact rational that the integer core of :func:`phase_exp` reduces
+    mod 2, so u matters only mod 2 L d.  On a float point each
+    beta_i = u_i / d is the correctly rounded int quotient (what
+    ``float(Fraction(u_i, d))`` returns) and <x, beta> is summed left to
+    right from integer 0, as :func:`linalg.mat_vec` sums, on every Python
+    (from 3.12 the builtin ``sum`` compensates floats).
+    """
+    u, d = beta.ratio() if isinstance(beta, AdicVector) else beta
+    if x.dim != len(u):
         raise DimensionMismatch("point and element dimensions differ")
     if x.pi_coords is not None:
-        t = sum(
-            (xf * bf for xf, bf in zip(x.pi_coords, beta.values())),
-            Fraction(0),
-        )
-        return phase_exp(-t)
-    dot = sum(xc * float(bf) for xc, bf in zip(x.coords, beta.values()))
+        p, L = x.pi_ratio
+        s = 0
+        for pi, ui in zip(p, u):
+            s += pi * ui
+        return _phase(-s, L * d)
+    dot = 0
+    for xc, ui in zip(x.coords, u):
+        dot += xc * (ui / d)
     return cmath.exp(-1j * dot)
+
+
+def orbit(beta: AdicVector, K: int, modulus: int = 0) -> dict[int, tuple[tuple[int, ...], int]]:
+    """A^k beta for k = -K, ..., K, in that order, as (u, d) pairs for :func:`character_value`.
+
+    With beta = A^{-j} v in canonical form, one integer step per k:
+
+    * k >= j: A^k beta = w / 1 with w = A^{k-j} v, stepped w <- A w from
+      w = v at k = j.  A positive ``modulus`` keeps w reduced mod it;
+      2 L is enough for the characters of an exact point (p / L) pi.
+    * k < j: A^k beta = u / d with u = (sgn det adj(A))^{j-k} v and
+      d = |det|^{j-k}, stepped u <- sgn(det) adj(A) u, d <- |det| d down
+      from k = j, since A^{-1} = adj(A) / det.
+
+    No ``AdicVector`` and no power of A is formed per k, and each pair
+    has the exact value of ``beta.twist(-k)``.
+    """
+    A, v, j = beta.A, beta.v, beta.j
+    sgn = 1 if A.determinant > 0 else -1
+    down = tuple(tuple(sgn * x for x in row) for row in A.adjugate)
+    below = {}
+    u, d = v, 1
+    for k in range(j - 1, -K - 1, -1):
+        u, d = linalg.mat_vec(down, u), d * A.det_abs
+        if k <= K:
+            below[k] = (u, d)
+    out = dict(reversed(below.items()))
+    w = tuple(x % modulus for x in v) if modulus else v
+    for k in range(j, K + 1):
+        if k > j:
+            w = linalg.mat_vec(A.entries, w)
+            if modulus:
+                w = tuple(x % modulus for x in w)
+        out[k] = (w, 1)
+    return out
 
 
 def b_transform(A: DilationMatrix, x: RealPoint, k: int) -> RealPoint:

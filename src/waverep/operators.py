@@ -14,6 +14,16 @@ one, and the deviation between them is 0 by construction.  Everything
 is truncated to a finite index window; operator identities are compared
 on the interior sub-window untouched by the truncation, where they hold
 exactly.
+
+The table walks the orbit k -> A^k beta by a one-step integer
+recurrence (:func:`groups.orbit`): with beta = A^{-j} v, w <- A w for
+k >= j and u <- adj(A) u over a growing power of det for k < j.  On an
+exact point x = (p / L) pi only w mod 2 L matters, so those integers stay
+bounded.  Each phase is still one :func:`groups.character_value` of the
+exact value A^k beta, so it has the bits of the per-k evaluation: an
+exact phase is what :func:`groups.phase_exp` gives for the same
+rational, reduced mod 2 by its integer core, and a float phase sums the
+same correctly rounded quotients in the same order.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from .groups import (
     RealPoint,
     b_transform,
     character_value,
+    orbit,
 )
 from .spectral import layer_span, to_layers
 
@@ -179,10 +190,20 @@ class FiberOperator:
 
 
 def fiber_operator(x: RealPoint, g: GroupElement, K: int) -> FiberOperator:
-    """Truncation of the pointwise layer action over x to the window [-K, K]."""
-    phases = {
-        k: character_value(x, g.beta.twist(-k)) for k in range(-K, K + 1)
-    }
+    """Truncation of the pointwise layer action over x to the window [-K, K].
+
+    The phase at k is character_value(x, A^k beta).  The values A^k beta
+    come from :func:`groups.orbit`, one integer matrix-vector step per k
+    (A upward from k = j, sign-adjusted adj(A) over |det| downward),
+    reduced mod 2 L on an exact point (p / L) pi, since e^{-i pi t} only
+    sees t mod 2.  Each value equals ``g.beta.twist(-k)`` exactly, so an
+    exact phase is phase_exp's value for the same rational, and a float
+    phase rounds each coordinate u_i / d once, as ``float(Fraction)``
+    does, and sums them in the same order: every phase keeps the bits of
+    the per-k table, and no AdicVector or power of A is built per k.
+    """
+    modulus = 2 * x.pi_ratio[1] if x.pi_coords is not None else 0
+    phases = {k: character_value(x, w) for k, w in orbit(g.beta, K, modulus).items()}
     return FiberOperator(g.m, phases)
 
 

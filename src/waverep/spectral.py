@@ -94,16 +94,76 @@ def layer_span(
 ) -> tuple[int, int]:
     """Smallest window [k_min, k_max] with every box of f meeting the dilates.
 
-    Only the dilates B^k E with |k| <= cap (48) are scanned; if f meets none, (0, 0).
+    Only the dilates B^k E with |k| <= cap (48) count; if f meets none, (0, 0).
+    Exactly the hits of testing every dilate in [-cap, cap], but only two
+    searches run: upward from the bracket's bottom to the first dilate
+    that f meets, and downward from its top to the last.  On a diagonal A
+    (the only A that ``Box.dilate`` maps exactly) the bracket of
+    :func:`_span_bracket` holds every k at which a box of f can meet
+    B^k E, so both searches stop after O(1) dilates; on any other A it is
+    [-cap, cap], and the first dilate raises NonDiagonalDilation as before.
     """
-    ks = []
-    for k in range(-cap, cap + 1):
+
+    def meets(k: int) -> bool:
         dil = E.dilate(A, k)
-        if any(t.box.intersect(piece) is not None for t in f.terms for piece in dil.boxes):
-            ks.append(k)
-    if not ks:
+        return any(t.box.intersect(piece) is not None for t in f.terms for piece in dil.boxes)
+
+    if A.is_diagonal and E.dim == A.n:
+        lo, hi = _span_bracket(f, E, A, cap)
+    else:
+        lo, hi = -cap, cap
+    k_min = next((k for k in range(lo, hi + 1) if meets(k)), None)
+    if k_min is None:
         return 0, 0
-    return min(ks), max(ks)
+    return k_min, next((k for k in range(hi, k_min, -1) if meets(k)), k_min)
+
+
+def _floor_log(c: Fraction, a: int, cap: int) -> int:
+    """Largest k with a**k <= c (c > 0, a >= 2), clamped to [-cap - 1, cap + 1]; exact."""
+    k, p = 0, Fraction(1)
+    while p > c and k > -cap - 1:
+        k, p = k - 1, p / a
+    while p * a <= c and k <= cap:
+        k, p = k + 1, p * a
+    return k
+
+
+def _span_bracket(
+    f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, cap: int
+) -> tuple[int, int]:
+    """[k_lo, k_hi] within [-cap, cap] holding every k at which some box of f meets B^k E.
+
+    For diagonal A with a_i = |a_ii| >= 2, let R_i be E's largest
+    |coordinate| on axis i and r = ``E.bounding_radii()[0]``, so every
+    point of E has sup norm at least r.  If a box b of f meets B^k E in
+    positive measure, then, with exact rational comparisons:
+
+    * on every axis, b's distance delta_i from 0 is at most a_i^k R_i,
+      because B^k E lies within |xi_i| <= a_i^k R_i (bounds k below);
+    * b does not lie inside the open box of half-widths a_i^k r, which
+      B^k E avoids: some axis has rho_i = max |b_i| >= a_i^k r (bounds k
+      above when r > 0).
+
+    A side with no bound (delta_i = 0 on every axis, or r = 0) falls back
+    to the cap; an empty E or f gives an empty bracket (k_lo > k_hi).
+    """
+    if E.is_empty:
+        return cap + 1, cap
+    a = [abs(A.entries[i][i]) for i in range(A.n)]
+    reach = [max(max(abs(b.lo[i]), abs(b.hi[i])) for b in E.boxes) for i in range(A.n)]
+    r = E.bounding_radii()[0]
+    lo, hi = cap + 1, -cap - 1
+    for box in {t.box for t in f.terms}:
+        k_lo, k_hi = -cap, cap
+        for ai, R, x, y in zip(a, reach, box.lo, box.hi):
+            if not x <= 0 <= y:
+                k_lo = max(k_lo, -_floor_log(R / min(abs(x), abs(y)), ai, cap))
+        if r:
+            rho = (max(abs(x), abs(y)) for x, y in zip(box.lo, box.hi))
+            k_hi = max(_floor_log(c / r, ai, cap) for ai, c in zip(a, rho))
+        if k_lo <= min(k_hi, cap):
+            lo, hi = min(lo, k_lo), max(hi, k_hi)
+    return max(lo, -cap), min(hi, cap)
 
 
 def _pieces(box: Box, E: BoxSet, A: DilationMatrix, k: int) -> list[Box]:

@@ -14,7 +14,7 @@ from util import ref_sampled_cover, ref_sampled_disjoint
 from waverep import operators, spectral
 from waverep.boxes import Box, BoxSet
 from waverep.cli import run
-from waverep.groups import validate_dilation
+from waverep.groups import phase_exp, validate_dilation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -514,6 +514,26 @@ class TestRep:
         assert report["reflection_intertwiner_deviation"] == 0.0
         mags = [math.hypot(re, im) for re, im in report["fiber"]["phases"]]
         assert all(abs(m - 1) < 1e-14 for m in mags)
+
+    def test_float_overflow_keeps_its_error_text(self, capsys):
+        argv = ["rep", "--dilation", "[[2]]", "--x", "0.3", "--element", '{"v":[1],"j":1,"m":0}']
+        code, out = run_capture([*argv, "--K", "1100"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == (
+            "a value is out of float range at --K 1100 (try a smaller --K): "
+            "integer division result too large for a float"
+        )
+
+    def test_exact_point_has_no_float_range(self, capsys):
+        # an exact point reduces every phase mod 2 before any float is formed
+        argv = ["rep", "--dilation", "[[2]]", "--x", "1/3 pi", "--element", '{"v":[1],"j":1,"m":0}']
+        code, out = run_capture([*argv, "--K", "1100"], capsys)
+        assert code == 0
+        phases = json.loads(out)["fiber"]["phases"]
+        # e^{-i pi 2^(k-1) / 3} for k >= 1, and 2^(k-1) = 2 mod 3 at every even k
+        want = phase_exp(Fraction(-2, 3))
+        assert len(phases) == 2201
+        assert phases[1100 + 1100] == phases[1100 + 2] == [want.real, want.imag]
 
 
 class TestWaveletEval:

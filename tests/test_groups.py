@@ -13,13 +13,22 @@ from waverep.groups import (
     RealPoint,
     b_transform,
     character_value,
+    orbit,
     phase_exp,
     shift_cocycle,
     validate_dilation,
 )
 from waverep.linalg import identity, mat_mul, mat_vec, transpose
-from check_summation_order import mismatches
-from util import ref_b_transform, ref_canonical, ref_solve, ref_values
+from check_summation_order import character_mismatches, fiber_mismatches, mismatches
+from util import (
+    expansive,
+    float_bits,
+    ref_b_transform,
+    ref_canonical,
+    ref_phase_exp,
+    ref_solve,
+    ref_values,
+)
 
 A2 = validate_dilation([[2]])
 A23 = validate_dilation([[2, 0], [0, 3]])
@@ -269,6 +278,15 @@ class TestPhaseExp:
         t = Fraction(1, 3)
         assert abs(phase_exp(t) - cmath.exp(1j * math.pi / 3)) < 1e-15
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num=st.one_of(st.integers(-100, 100), st.integers(-(2**200), 2**200)),
+        den=st.one_of(st.integers(1, 24), st.integers(1, 2**120)),
+    )
+    def test_integer_reduction_keeps_the_bits_of_the_fraction_one(self, num, den):
+        t = Fraction(num, den)
+        assert float_bits(phase_exp(t)) == float_bits(ref_phase_exp(t))
+
 
 class TestPointTransforms:
     def test_exact_inverse_roundtrip(self):
@@ -288,35 +306,10 @@ class TestPointTransforms:
         # the same check runs in CI on the other supported Pythons, without numpy
         assert mismatches() == 0
 
-
-@st.composite
-def expansive(draw):
-    """A random expansive integer matrix with n in 1..3.
-
-    A random small matrix is kept when it certifies; otherwise a
-    triangular matrix with diagonal entries of modulus >= 2 is conjugated
-    by a unimodular shear, which keeps it integral, expansive and
-    (usually) non-diagonal.  Both branches reach negative determinants.
-    """
-    n = draw(st.integers(1, 3))
-    raw = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
-    try:
-        return validate_dilation(raw)
-    except (NotExpansive, SingularMatrix):
-        pass
-    diag = [draw(st.sampled_from([-3, -2, 2, 3])) for _ in range(n)]
-    t = [
-        [diag[i] if i == j else draw(st.integers(-2, 2)) if j > i else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    if n > 1:
-        p, q = draw(st.permutations(range(n)))[:2]
-        c = draw(st.integers(-2, 2))
-        # the shear I + c e_p e_q^T has inverse I - c e_p e_q^T
-        shear = [[int(i == j) + c * ((i, j) == (p, q)) for j in range(n)] for i in range(n)]
-        unshear = [[int(i == j) - c * ((i, j) == (p, q)) for j in range(n)] for i in range(n)]
-        t = mat_mul(mat_mul(shear, t), unshear)
-    return validate_dilation(t)
+    def test_float_characters_sum_left_to_right(self):
+        # also run in CI on the other supported Pythons
+        assert character_mismatches() == 0
+        assert fiber_mismatches() == 0
 
 
 @st.composite
@@ -367,6 +360,21 @@ class TestPowerOfA:
             want = mat_vec(A.entries, want)
         assert tw.values() == want
         assert (tw.v, tw.j) == ref_canonical(A, tw.v, tw.j)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=adic_data(jmax=5), K=st.integers(0, 8), modulus=st.integers(1, 30))
+    def test_orbit_steps_through_the_twists(self, data, K, modulus):
+        A, v, j = data
+        beta = AdicVector.of(A, v, j)
+        pairs = orbit(beta, K)
+        assert list(pairs) == list(range(-K, K + 1))
+        for k, (u, d) in pairs.items():
+            assert d > 0 and tuple(Fraction(x, d) for x in u) == beta.twist(-k).values()
+        # a modulus reduces the integral part of the orbit and nothing else
+        reduced = orbit(beta, K, modulus)
+        for k, (u, d) in pairs.items():
+            w, e = reduced[k]
+            assert e == d and (w == u if k < beta.j else w == tuple(x % modulus for x in u))
 
     @settings(max_examples=150, deadline=None)
     @given(A=expansive(), k=st.integers(-4, 4), data=st.data())

@@ -11,6 +11,7 @@ from waverep.errors import WindowTooSmall
 from waverep.funcs import LayerFunction, ModulatedBoxSum
 from waverep.groups import (
     AdicVector,
+    DilationMatrix,
     GroupElement,
     RealPoint,
     validate_dilation,
@@ -35,13 +36,16 @@ from waverep.operators import (
 from waverep.spectral import to_layers
 from waverep.tiling import shannon_set
 
+from check_summation_order import fiber_cases, fiber_table
 from util import (
     diagonal_matrices,
+    expansive,
     float_bits,
     random_adic,
     random_element,
     random_point_in,
     random_subordinate,
+    ref_fiber_phases,
     ref_induced_phases,
 )
 
@@ -239,6 +243,70 @@ class TestFiberOperators:
             out = M.apply(vec)
             for k, val in out.items():
                 assert abs(val - G.eval(x, k)) < 1e-12
+
+
+class TestFiberRecurrence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        A=expansive(),
+        j=st.integers(0, 5),
+        m=st.integers(-3, 3),
+        K=st.integers(0, 48),
+        exact=st.booleans(),
+        data=st.data(),
+    )
+    def test_table_has_the_bits_of_the_per_k_loop(self, A, j, m, K, exact, data):
+        # n = 1..3, non-diagonal A and negative det; zero signs compared too
+        v = data.draw(st.lists(st.integers(-9, 9), min_size=A.n, max_size=A.n))
+        coords = st.fractions(-6, 6, max_denominator=24) if exact else st.floats(-4, 4)
+        xs = data.draw(st.lists(coords, min_size=A.n, max_size=A.n))
+        x = RealPoint.from_pi(xs) if exact else RealPoint.from_floats(xs)
+        g = GroupElement.of(A, v, j, m)
+        M = fiber_operator(x, g, K)
+        want = ref_fiber_phases(x, g, K)
+        assert M.shift == m
+        assert list(M.phases) == list(want)
+        assert {k: float_bits(p) for k, p in M.phases.items()} == {
+            k: float_bits(p) for k, p in want.items()
+        }
+
+    def test_table_is_the_one_checked_on_every_python(self):
+        # check_summation_order.py rebuilds this table from groups alone, without numpy
+        for x, beta, K in fiber_cases(40):
+            got = fiber_operator(RealPoint.from_floats(x), GroupElement(beta, 0), K).phases
+            want = fiber_table(x, beta, K)
+            assert [(k, float_bits(p)) for k, p in got.items()] == [
+                (k, float_bits(p)) for k, p in want.items()
+            ]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_no_group_work_per_index(self, exact, monkeypatch):
+        # AdicVector constructions and powers of A per call do not grow with the window
+        counts = {"new": 0, "power": 0}
+        post_init, power = AdicVector.__post_init__, DilationMatrix.power
+
+        def counting_init(self):
+            counts["new"] += 1
+            post_init(self)
+
+        def counting_power(self, k):
+            counts["power"] += 1
+            return power(self, k)
+
+        monkeypatch.setattr(AdicVector, "__post_init__", counting_init)
+        monkeypatch.setattr(DilationMatrix, "power", counting_power)
+        A = validate_dilation([[2, 1], [0, 3]])
+        g = GroupElement.of(A, [3, -5], 2, 1)
+        if exact:
+            x = RealPoint.from_pi([Fraction(13, 10), Fraction(-2, 7)])
+        else:
+            x = RealPoint.from_floats([1.3, -0.7])
+        seen = []
+        for K in (4, 16, 48):
+            counts.update(new=0, power=0)
+            fiber_operator(x, g, K)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1] == seen[2]
 
 
 class TestReflectionIntertwiner:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverep.boxes import interval_set, product_set
+from waverep.boxes import Box, BoxSet, interval_set, product_set
 from waverep.errors import AmbiguousScale, NotCovered, WindowTooSmall, ZeroFunction
 from waverep.funcs import ModulatedBoxSum
 from waverep.groups import AdicVector, RealPoint, validate_dilation
@@ -28,6 +28,7 @@ from util import (
     random_disjoint_subordinate,
     random_subordinate,
     ref_isometry_defect,
+    ref_layer_span,
     ref_layer_terms,
     terms_bits,
 )
@@ -253,3 +254,62 @@ class TestSampledPath:
             d2 = sampled_isometry_defect(fn, E, A2, bounds, 12800, -12, 6, 240)
             assert d1 < 1e-2
             assert 0.4 < d2 / d1 < 0.6
+
+
+@st.composite
+def far_boxes(draw, dim: int) -> Box:
+    """A box of random scale 2^-80 .. 2^80 per axis, reaching past the cap on either side."""
+    lo, hi = [], []
+    for _ in range(dim):
+        scale = Fraction(2) ** draw(st.integers(-80, 80))
+        a = draw(st.integers(-8, 8)) * scale / 4
+        b = a + draw(st.integers(1, 8)) * scale / 4
+        if draw(st.integers(0, 3)) == 0:  # one axis in four straddles 0
+            a, b = -max(abs(a), abs(b)), max(abs(a), abs(b))
+        lo.append(a)
+        hi.append(b)
+    return Box(tuple(lo), tuple(hi))
+
+
+class TestLayerSpan:
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), data=st.data())
+    def test_bracket_finds_the_scanned_window(self, dim, data):
+        # negative entries, sets that touch the origin and boxes beyond the cap included
+        A = data.draw(diagonal_matrices(dim))
+        S = data.draw(box_sets(dim))
+        boxes = data.draw(st.lists(far_boxes(dim), min_size=1, max_size=3))
+        f = ModulatedBoxSum.piecewise(A, [(b, 1.0) for b in boxes])
+        assert layer_span(f, S, A) == ref_layer_span(f, S, A)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-3, -2), (Fraction(2**60), Fraction(2**61)), (Fraction(1, 2**60), Fraction(1, 2**59))],
+    )
+    def test_meeting_no_dilate_gives_zero_window(self, lo, hi):
+        # [1, 2) has dilates on the positive axis only; the last two boxes lie past the cap
+        S = interval_set([(1, 2)])
+        f = ModulatedBoxSum.piecewise(A2, [(Box((Fraction(lo),), (Fraction(hi),)), 1.0)])
+        assert layer_span(f, S, A2) == ref_layer_span(f, S, A2) == (0, 0)
+
+    def test_set_touching_the_origin_has_no_upper_bound(self):
+        S = interval_set([(-1, 1)])
+        f = ModulatedBoxSum.piecewise(A2, [(Box((Fraction(2) ** 30,), (Fraction(2) ** 31,)), 1.0)])
+        assert layer_span(f, S, A2) == ref_layer_span(f, S, A2) == (31, 48)
+
+    @pytest.mark.parametrize("k", [-46, -7, 0, 3, 45])
+    def test_examines_a_bounded_number_of_dilates(self, k, monkeypatch):
+        # on Shannon the window is found from O(1) dilates, not from all 97 within the cap
+        dilates = []
+        dilate = BoxSet.dilate
+
+        def counting(self, A, j):
+            dilates.append(j)
+            return dilate(self, A, j)
+
+        rng = random.Random(k)
+        f = random_subordinate(rng, E, A2, k, k + 2)
+        want = ref_layer_span(f, E, A2)
+        monkeypatch.setattr(BoxSet, "dilate", counting)
+        assert layer_span(f, E, A2) == want
+        assert len(dilates) <= 4

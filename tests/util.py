@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from waverep.boxes import Box, BoxSet, interval_set, normalize, product_set, unit_cube
+from waverep.errors import NotExpansive, SingularMatrix
 from waverep.funcs import LayerFunction, ModulatedBoxSum, Term
 from waverep.gram import GramSpec
 from waverep.groups import (
@@ -24,7 +26,7 @@ from waverep.groups import (
     validate_dilation,
 )
 from waverep.jsonio import boxset_json
-from waverep.linalg import mat_pow, mat_vec, transpose
+from waverep.linalg import mat_mul, mat_pow, mat_vec, transpose
 from waverep.tiling import CheckResult
 
 
@@ -348,9 +350,59 @@ def ref_translation_reduce(E: BoxSet):
 # --- per-k references for the operator tables ------------------------------
 
 
+_QUARTER_TURNS = {
+    Fraction(0): complex(1, 0),
+    Fraction(1, 2): complex(0, 1),
+    Fraction(1): complex(-1, 0),
+    Fraction(3, 2): complex(0, -1),
+}
+
+
+def ref_phase_exp(t: Fraction) -> complex:
+    """e^{i pi t} from the Fraction r = t mod 2: exact at quarter turns, else exp(i pi float(r))."""
+    r = t % 2
+    if r in _QUARTER_TURNS:
+        return _QUARTER_TURNS[r]
+    return cmath.exp(1j * math.pi * float(r))
+
+
+def ref_fiber_phases(x: RealPoint, g: GroupElement, K: int) -> dict[int, complex]:
+    """The fiber phase table one k at a time: e^{-i<x, A^k beta>} from A^k beta = beta.twist(-k).
+
+    Each character is evaluated from the exact rational vector ``values()``:
+    on an exact point the Fraction sum <x, A^k beta> goes to ref_phase_exp,
+    on a float point each coordinate is rounded by ``float(Fraction)`` and
+    the products are summed left to right from integer 0.
+    """
+    phases = {}
+    for k in range(-K, K + 1):
+        vals = g.beta.twist(-k).values()
+        if x.pi_coords is not None:
+            t = sum((xf * bf for xf, bf in zip(x.pi_coords, vals)), Fraction(0))
+            phases[k] = ref_phase_exp(-t)
+        else:
+            dot = 0
+            for xc, bf in zip(x.coords, vals):
+                dot += xc * float(bf)
+            phases[k] = cmath.exp(-1j * dot)
+    return phases
+
+
 def ref_induced_phases(x: RealPoint, g: GroupElement, K: int) -> dict[int, complex]:
     """The induced phase table evaluated at each k: e^{-i<x, A^{-k} beta>}, k in [-K, K]."""
     return {k: character_value(x, g.beta.twist(k)) for k in range(-K, K + 1)}
+
+
+def ref_layer_span(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, cap: int = 48):
+    """The window of f by testing every dilate B^k E, |k| <= cap; (0, 0) when f meets none."""
+    ks = []
+    for k in range(-cap, cap + 1):
+        dil = E.dilate(A, k)
+        if any(t.box.intersect(piece) is not None for t in f.terms for piece in dil.boxes):
+            ks.append(k)
+    if not ks:
+        return 0, 0
+    return min(ks), max(ks)
 
 
 def ref_layer_terms(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, k_min: int, k_max: int):
@@ -408,6 +460,36 @@ def terms_bits(layers: dict[int, tuple[Term, ...]]) -> dict:
 # --- hypothesis strategies: diagonal matrices and candidate sets ----------
 
 _ENTRIES = st.sampled_from([-3, -2, 2, 3])
+
+
+@st.composite
+def expansive(draw):
+    """A random expansive integer matrix with n in 1..3.
+
+    A random small matrix is kept when it certifies; otherwise a
+    triangular matrix with diagonal entries of modulus >= 2 is conjugated
+    by a unimodular shear, which keeps it integral, expansive and
+    (usually) non-diagonal.  Both branches reach negative determinants.
+    """
+    n = draw(st.integers(1, 3))
+    raw = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    try:
+        return validate_dilation(raw)
+    except (NotExpansive, SingularMatrix):
+        pass
+    diag = [draw(st.sampled_from([-3, -2, 2, 3])) for _ in range(n)]
+    t = [
+        [diag[i] if i == j else draw(st.integers(-2, 2)) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    if n > 1:
+        p, q = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-2, 2))
+        # the shear I + c e_p e_q^T has inverse I - c e_p e_q^T
+        shear = [[int(i == j) + c * ((i, j) == (p, q)) for j in range(n)] for i in range(n)]
+        unshear = [[int(i == j) - c * ((i, j) == (p, q)) for j in range(n)] for i in range(n)]
+        t = mat_mul(mat_mul(shear, t), unshear)
+    return validate_dilation(t)
 
 
 def diagonal_matrices(dim: int):
