@@ -11,6 +11,11 @@ L2(E x Z) through the norm-preserving map
 On the exact carrier (modulated box sums, diagonal matrix) the pair of
 maps is an exact mutual inverse and an exact isometry; the sampled grid
 path covers general matrices with a reported quadrature defect.
+
+One scan, :func:`_pieces`, forms the layer pieces B^{-k}(box) ∩ E of f
+over a window, dilating each box of f only within its own exact bracket;
+:func:`layer_span`, :func:`to_layers` and the exact path of
+:func:`isometry_defect` all use it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boxes import Box, BoxSet
-from .errors import AmbiguousScale, NotCovered, WindowTooSmall, ZeroFunction
+from .errors import (
+    AmbiguousScale,
+    DimensionMismatch,
+    NonDiagonalDilation,
+    NotCovered,
+    WindowTooSmall,
+    ZeroFunction,
+)
 from .funcs import GridFunction, LayerFunction, ModulatedBoxSum, Term
 from .groups import DilationMatrix, RealPoint, b_transform
 
@@ -95,48 +107,35 @@ def layer_span(
     """Smallest window [k_min, k_max] with every box of f meeting the dilates.
 
     Only the dilates B^k E with |k| <= cap (48) count; if f meets none, (0, 0).
-    Exactly the hits of testing every dilate in [-cap, cap], but only two
-    searches run: upward from the bracket's bottom to the first dilate
-    that f meets, and downward from its top to the last.  On a diagonal A
-    (the only A that ``Box.dilate`` maps exactly) the bracket of
-    :func:`_span_bracket` holds every k at which a box of f can meet
-    B^k E, so both searches stop after O(1) dilates; on any other A it is
-    [-cap, cap], and the first dilate raises NonDiagonalDilation as before.
+    The ends are the first and last layer of :func:`_pieces` over [-cap, cap].
     """
-
-    def meets(k: int) -> bool:
-        dil = E.dilate(A, k)
-        return any(t.box.intersect(piece) is not None for t in f.terms for piece in dil.boxes)
-
-    if A.is_diagonal and E.dim == A.n:
-        lo, hi = _span_bracket(f, E, A, cap)
-    else:
-        lo, hi = -cap, cap
-    k_min = next((k for k in range(lo, hi + 1) if meets(k)), None)
-    if k_min is None:
-        return 0, 0
-    return k_min, next((k for k in range(hi, k_min, -1) if meets(k)), k_min)
+    ks = list(_pieces(f, E, A, -cap, cap))
+    return (ks[0], ks[-1]) if ks else (0, 0)
 
 
-def _floor_log(c: Fraction, a: int, cap: int) -> int:
-    """Largest k with a**k <= c (c > 0, a >= 2), clamped to [-cap - 1, cap + 1]; exact."""
-    k, p = 0, Fraction(1)
-    while p > c and k > -cap - 1:
+def _floor_log(c: Fraction, a: int, lo: int, hi: int) -> int:
+    """Largest k with a**k <= c (c > 0, a >= 2), clamped to [lo - 1, hi + 1]; exact."""
+    k = min(max(0, lo - 1), hi + 1)
+    p = Fraction(a) ** k
+    while p > c and k >= lo:
         k, p = k - 1, p / a
-    while p * a <= c and k <= cap:
+    while p * a <= c and k <= hi:
         k, p = k + 1, p * a
     return k
 
 
-def _span_bracket(
-    f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, cap: int
-) -> tuple[int, int]:
-    """[k_lo, k_hi] within [-cap, cap] holding every k at which some box of f meets B^k E.
+def _pieces(
+    f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, k_min: int, k_max: int
+) -> dict[int, list[tuple[Term, Box]]]:
+    """The layers of f in [k_min, k_max]: k -> [(term, piece)], each piece in B^{-k}(box) ∩ E.
 
-    For diagonal A with a_i = |a_ii| >= 2, let R_i be E's largest
+    Layers ascend and empty ones are left out; within a layer the terms
+    keep their order, and the pieces of a term follow E's boxes.  Each
+    distinct box b of f is dilated only at the k of its own bracket.  For
+    diagonal A with a_i = |a_ii| >= 2, let R_i be E's largest
     |coordinate| on axis i and r = ``E.bounding_radii()[0]``, so every
-    point of E has sup norm at least r.  If a box b of f meets B^k E in
-    positive measure, then, with exact rational comparisons:
+    point of E has sup norm at least r.  If b meets B^k E in positive
+    measure, then, with exact rational comparisons:
 
     * on every axis, b's distance delta_i from 0 is at most a_i^k R_i,
       because B^k E lies within |xi_i| <= a_i^k R_i (bounds k below);
@@ -144,32 +143,34 @@ def _span_bracket(
       B^k E avoids: some axis has rho_i = max |b_i| >= a_i^k r (bounds k
       above when r > 0).
 
-    A side with no bound (delta_i = 0 on every axis, or r = 0) falls back
-    to the cap; an empty E or f gives an empty bracket (k_lo > k_hi).
+    A side with no bound (delta_i = 0 on every axis, or r = 0) is the
+    window's end.  The matrix is checked before any piece is built.
     """
+    if any(d != A.n for d in (E.dim, *(t.box.dim for t in f.terms))):
+        raise DimensionMismatch("matrix dimension mismatch")
+    if not A.is_diagonal:
+        raise NonDiagonalDilation("exact dilation needs a diagonal matrix; use the sampled path")
     if E.is_empty:
-        return cap + 1, cap
+        return {}
     a = [abs(A.entries[i][i]) for i in range(A.n)]
     reach = [max(max(abs(b.lo[i]), abs(b.hi[i])) for b in E.boxes) for i in range(A.n)]
     r = E.bounding_radii()[0]
-    lo, hi = cap + 1, -cap - 1
+    found: dict[tuple[Box, int], list[Box]] = {}
     for box in {t.box for t in f.terms}:
-        k_lo, k_hi = -cap, cap
+        k_lo, k_hi = k_min, k_max
         for ai, R, x, y in zip(a, reach, box.lo, box.hi):
             if not x <= 0 <= y:
-                k_lo = max(k_lo, -_floor_log(R / min(abs(x), abs(y)), ai, cap))
+                k_lo = max(k_lo, -_floor_log(R / min(abs(x), abs(y)), ai, -k_max, -k_min))
         if r:
             rho = (max(abs(x), abs(y)) for x, y in zip(box.lo, box.hi))
-            k_hi = max(_floor_log(c / r, ai, cap) for ai, c in zip(a, rho))
-        if k_lo <= min(k_hi, cap):
-            lo, hi = min(lo, k_lo), max(hi, k_hi)
-    return max(lo, -cap), min(hi, cap)
-
-
-def _pieces(box: Box, E: BoxSet, A: DilationMatrix, k: int) -> list[Box]:
-    """The k-th layer pieces of a box: B^{-k}(box) ∩ E, in the order of E's boxes."""
-    moved = box.dilate(A, -k)
-    return [c for eb in E.boxes if (c := moved.intersect(eb)) is not None]
+            k_hi = min(k_hi, max(_floor_log(c / r, ai, k_min, k_max) for ai, c in zip(a, rho)))
+        for k in range(k_lo, k_hi + 1):
+            moved = box.dilate(A, -k)
+            cs = [c for eb in E.boxes if (c := moved.intersect(eb)) is not None]
+            if cs:
+                found[box, k] = cs
+    ks = sorted({k for _, k in found})
+    return {k: [(t, c) for t in f.terms for c in found.get((t.box, k), ())] for k in ks}
 
 
 def isometry_path(f: ModulatedBoxSum) -> str:
@@ -200,15 +201,10 @@ def to_layers(
         k_max = auto[1] if k_max is None else k_max
     det = A.det_abs
     layers: dict[int, ModulatedBoxSum] = {}
-    for k in range(k_min, k_max + 1):
+    for k, pairs in _pieces(f, E, A, k_min, k_max).items():
         scale = float(det) ** (k / 2.0)
-        pieces = [
-            Term(t.coef * scale, t.beta.twist(-k), c)
-            for t in f.terms
-            for c in _pieces(t.box, E, A, k)
-        ]
-        if pieces:
-            layers[k] = ModulatedBoxSum(A, tuple(pieces))
+        terms = tuple(Term(t.coef * scale, t.beta.twist(-k), c) for t, c in pairs)
+        layers[k] = ModulatedBoxSum(A, terms)
     out = LayerFunction(A, k_min, k_max, layers)
     fn = f.norm_sq()
     if fn > 0:
@@ -253,17 +249,18 @@ def isometry_defect(
         k_max = auto[1] if k_max is None else k_max
     if isometry_path(f) == "exact":
         det = Fraction(A.det_abs)
+        # vol(box ∩ B^k E) = det^k * vol(B^{-k} box ∩ E); E's boxes and f's are disjoint
+        covered = dict.fromkeys((t.box for t in f.terms), Fraction(0))
+        for k, pairs in _pieces(f, E, A, k_min, k_max).items():
+            for t, c in pairs:
+                covered[t.box] += det**k * c.volume()
         pin = math.pi**A.n
         total = 0.0
         mapped = 0.0
         for t in f.terms:
             w = abs(t.coef) ** 2
-            covered = Fraction(0)
-            for k in range(k_min, k_max + 1):
-                # vol(box ∩ B^k E) = det^k * vol(B^{-k} box ∩ E); E's boxes are disjoint
-                covered += det**k * sum(c.volume() for c in _pieces(t.box, E, A, k))
             total += w * (float(t.box.volume()) * pin)
-            mapped += w * (float(covered) * pin)
+            mapped += w * (float(covered[t.box]) * pin)
         if total == 0.0:
             raise ZeroFunction("isometry defect of the zero function")
         return abs(mapped - total) / total

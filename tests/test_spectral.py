@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waverep.boxes import Box, BoxSet, interval_set, product_set
-from waverep.errors import AmbiguousScale, NotCovered, WindowTooSmall, ZeroFunction
+from waverep.errors import (
+    AmbiguousScale,
+    DimensionMismatch,
+    NonDiagonalDilation,
+    NotCovered,
+    WindowTooSmall,
+    ZeroFunction,
+)
 from waverep.funcs import ModulatedBoxSum
 from waverep.groups import AdicVector, RealPoint, validate_dilation
 from waverep.spectral import (
@@ -37,6 +44,7 @@ A2 = validate_dilation([[2]])
 A23 = validate_dilation([[2, 0], [0, 3]])
 E = shannon_set()
 E2 = product_set(shannon_set(), interval_set([(-3, -1)]))  # disjoint-dilate 2D set
+T2 = validate_dilation([[1, 1], [-1, 1]])  # expansive, not diagonal
 
 
 class TestProjectPoint:
@@ -313,3 +321,79 @@ class TestLayerSpan:
         monkeypatch.setattr(BoxSet, "dilate", counting)
         assert layer_span(f, E, A2) == want
         assert len(dilates) <= 4
+
+
+class TestPieceScan:
+    def test_set_of_another_dimension_raises(self):
+        # a 2-D set with a 1-D matrix: no 1-D piece of a 2-D box may come back
+        f = ModulatedBoxSum.indicator(A2, E)
+        with pytest.raises(DimensionMismatch):
+            layer_span(f, E2, A2)
+        with pytest.raises(DimensionMismatch):
+            to_layers(f, E2, A2, -1, 1)
+        with pytest.raises(DimensionMismatch):
+            isometry_defect(f, E2, A2, -1, 1)
+
+    @pytest.mark.parametrize("f", [ModulatedBoxSum.indicator(T2, E2), ModulatedBoxSum.zero(T2)])
+    def test_non_diagonal_matrix_raises_for_every_function(self, f):
+        text = "exact dilation needs a diagonal matrix; use the sampled path"
+        with pytest.raises(NonDiagonalDilation, match=text):
+            layer_span(f, E2, T2)
+        with pytest.raises(NonDiagonalDilation, match=text):
+            to_layers(f, E2, T2, 0, 0)
+
+    def test_empty_set_has_no_layers(self):
+        f = ModulatedBoxSum.indicator(A2, E)
+        assert layer_span(f, BoxSet.empty(1), A2) == (0, 0)
+        assert to_layers(f, BoxSet.empty(1), A2, -3, 3, tol=math.inf).layers == {}
+
+    def test_dilates_do_not_grow_with_the_window(self, monkeypatch):
+        # each box of f is dilated only within its own bracket, however wide the window
+        f = random_subordinate(random.Random(31), E, A2)  # 4 terms in layers -3..3
+        dilates = []
+        dilate = Box.dilate
+
+        def counting(self, A, j):
+            dilates.append(j)
+            return dilate(self, A, j)
+
+        monkeypatch.setattr(Box, "dilate", counting)
+        counts, layers = [], []
+        for w in (4, 40):
+            dilates.clear()
+            F = to_layers(f, E, A2, -w, w)
+            counts.append(len(dilates))
+            layers.append(terms_bits({k: layer.terms for k, layer in F.layers.items()}))
+        assert counts[0] == counts[1] <= 2 * len(f.terms)
+        assert layers[0] == layers[1]
+
+    @pytest.mark.parametrize(
+        "lo, hi, window, k",
+        [
+            (Fraction(2**60), Fraction(2**61), (55, 65), 60),
+            (Fraction(1, 2**61), Fraction(1, 2**60), (-65, -55), -61),
+        ],
+    )
+    def test_layer_past_the_cap(self, lo, hi, window, k):
+        # the bracket is clamped to the window asked for, not to layer_span's cap
+        f = ModulatedBoxSum.piecewise(A2, [(Box((lo,), (hi,)), 1.0)])
+        F = to_layers(f, E, A2, *window)
+        assert list(F.layers) == [k]
+        got = {j: layer.terms for j, layer in F.layers.items()}
+        assert terms_bits(got) == terms_bits(ref_layer_terms(f, E, A2, *window))
+        assert isometry_defect(f, E, A2, *window) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), data=st.data())
+    def test_windows_past_the_cap_match_the_per_k_loops(self, dim, data):
+        A = data.draw(diagonal_matrices(dim))
+        S = data.draw(box_sets(dim))
+        boxes = data.draw(st.lists(far_boxes(dim), min_size=1, max_size=3))
+        f = ModulatedBoxSum.piecewise(A, [(b, 1.0) for b in boxes])
+        lo = data.draw(st.integers(39, 85))
+        k_min, k_max = (lo, lo + 10) if data.draw(st.booleans()) else (-lo - 10, -lo)
+        F = to_layers(f, S, A, k_min, k_max, tol=math.inf)
+        got = {k: layer.terms for k, layer in F.layers.items()}
+        assert terms_bits(got) == terms_bits(ref_layer_terms(f, S, A, k_min, k_max))
+        defect = isometry_defect(f, S, A, k_min, k_max)
+        assert float_bits(defect) == float_bits(ref_isometry_defect(f, S, A, k_min, k_max))
