@@ -221,11 +221,6 @@ class BoxSet:
                     pieces.append(c)
         return normalize(self.dim, pieces)
 
-    def meets(self, other: "BoxSet") -> bool:
-        """Whether the intersection has positive measure; builds no box set."""
-        self._check(other)
-        return any(a.intersect(b) is not None for a in self.boxes for b in other.boxes)
-
     def subtract(self, other: "BoxSet") -> "BoxSet":
         self._check(other)
         pieces = list(self.boxes)

@@ -25,6 +25,7 @@ from . import linalg
 from .boxes import BoxSet
 from .funcs import ModulatedBoxSum
 from .groups import AdicVector, DilationMatrix
+from .spectral import meeting_gaps
 
 __all__ = ["GramSpec", "GramResult", "eval_msf_wavelet", "gram_matrix", "completeness_defect"]
 
@@ -109,7 +110,7 @@ def gram_matrix(spec: GramSpec) -> GramResult:
     evaluated once and every other entry with it is bit-identical.  The
     key's vector is held as A^M times it, M = max(m, m'), an integer
     vector (exact, and injective since A^M is invertible).  Blocks whose
-    supports do not meet (E against B^(m'-m) E) are the exact zero.
+    supports do not meet (m' - m no meeting gap of E) are the exact zero.
     """
     labels = spec.labels()
     k = len(labels)
@@ -133,7 +134,7 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
     A, E = spec.A, spec.E
     dilates, norm_sqs = _scales(spec)
     norms = {m: math.sqrt(s) for m, s in norm_sqs.items()}
-    meets = {d: E.meets(E.dilate(A, d)) for d in range(-2 * spec.m_max, 2 * spec.m_max + 1)}
+    gaps = set(meeting_gaps(E, A, -2 * spec.m_max, 2 * spec.m_max))
     # A^e v, 0 <= e <= 2 m_max: the key vector is lifts[i][M - m] - lifts[j][M - m']
     lifts = [
         [linalg.mat_vec(A.power(e)[0], v) for e in range(2 * spec.m_max + 1)] for _, v in labels
@@ -148,7 +149,7 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
             mp = labels[j][0]
             top = max(m, mp)
             w = None
-            if meets[mp - m]:
+            if mp - m in gaps:
                 w = tuple(a - b for a, b in zip(lifts[i][top - m], lifts[j][top - mp]))
             val = entries.get((m, mp, w))
             if val is None:

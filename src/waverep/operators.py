@@ -281,22 +281,16 @@ def orbit_shift_defect(
 def irreducibility_scan(
     x: RealPoint, A: DilationMatrix, M: int = 16
 ) -> tuple[bool, int | None]:
-    """Certify that no dilate of x within |m| <= M returns to x.
+    """Certify that no dilate of x within 1 <= |m| <= M returns to x.
 
     Aperiodicity of the orbit of the character over x is exactly the
-    irreducibility criterion for the induced representation; the scan is
-    exact for rational-pi points and is a finite certificate only.
-    Returns (passed, witness_m).
+    irreducibility criterion for the induced representation.  B^m - I is
+    invertible at every m != 0 for expansive B, so only the origin returns,
+    at m = 1; the test for it is exact.  Returns (passed, witness_m).
     """
-
-    def same(a: RealPoint, b: RealPoint) -> bool:
-        if a.pi_coords is not None and b.pi_coords is not None:
-            return a.pi_coords == b.pi_coords
-        return all(abs(p - q) <= 1e-12 for p, q in zip(a.coords, b.coords))
-
-    for m in range(1, M + 1):
-        if same(b_transform(A, x, -m), x) or same(b_transform(A, x, m), x):
-            return False, m
+    coords = x.pi_coords if x.pi_coords is not None else x.coords
+    if M >= 1 and not any(coords):
+        return False, 1
     return True, None
 
 

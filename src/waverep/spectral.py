@@ -12,10 +12,13 @@ On the exact carrier (modulated box sums, diagonal matrix) the pair of
 maps is an exact mutual inverse and an exact isometry; the sampled grid
 path covers general matrices with a reported quadrature defect.
 
-One scan, :func:`_pieces`, forms the layer pieces B^{-k}(box) ∩ E of f
-over a window, dilating each box of f only within its own exact bracket;
-:func:`layer_span`, :func:`to_layers` and the exact path of
-:func:`isometry_defect` all use it.
+On a diagonal matrix one exact bracket, :func:`_scale_bracket`, bounds
+the k at which a box or a point can meet B^k E; :func:`project_point`
+tries only the scales in an exact point's bracket.  One scan,
+:func:`_pieces`, forms the layer pieces B^{-k}(box) ∩ E of f over a
+window, each box of f dilated only within its bracket; :func:`layer_span`,
+:func:`to_layers`, the exact path of :func:`isometry_defect` and
+:func:`meeting_gaps` (for the tiling and Gram checks) all use it.
 """
 
 from __future__ import annotations
@@ -47,13 +50,8 @@ __all__ = [
     "isometry_path",
     "sampled_isometry_defect",
     "layer_span",
+    "meeting_gaps",
 ]
-
-
-def _inf_norm_exact(x: RealPoint) -> Fraction | float:
-    if x.pi_coords is not None:
-        return max(abs(c) for c in x.pi_coords)
-    return max(abs(c) for c in x.coords) / math.pi
 
 
 def project_point(
@@ -61,38 +59,25 @@ def project_point(
 ) -> tuple[RealPoint, int]:
     """Resolve xi to (representative in E, scale index p) with B^p xi in E.
 
-    The scan expands outward from p = 0 and keeps going after the first
-    hit so a disjointness failure shows up as AmbiguousScale with both
-    witnesses.  For a diagonal matrix the scan stops early once the
-    sup norm leaves the bounding annulus of E monotonically.
+    The scales p, |p| <= max_iter, are tried outward from p = 0, and the
+    scan keeps going after the first hit so a disjointness failure shows
+    up as AmbiguousScale with both witnesses.  For an exact point and a
+    diagonal matrix only the scales of the point's bracket are tried
+    (:func:`_scale_bracket`, with p = -k); every other scale misses E.
     """
-    r_min, r_max = E.bounding_radii()
-    diagonal = A.is_diagonal
+    scales = range(-max_iter, max_iter + 1)
+    if A.is_diagonal and xi.pi_coords is not None and xi.dim == E.dim == A.n:
+        scales = {-k for k in _scale_bracket(E, A, xi.pi_coords, xi.pi_coords, -max_iter, max_iter)}
     hits: list[tuple[int, RealPoint]] = []
-    pos_alive = neg_alive = True
-    for step in range(0, max_iter + 1):
-        candidates = [step] if step == 0 else [-step, step]
-        for p in candidates:
-            if p > 0 and not pos_alive:
-                continue
-            if p < 0 and not neg_alive:
-                continue
-            y = b_transform(A, xi, p)
-            if E.contains(y):
-                hits.append((p, y))
-                if len(hits) == 2:
-                    raise AmbiguousScale(
-                        f"scales {hits[0][0]} and {hits[1][0]} both resolve the point",
-                        [h[0] for h in hits],
-                    )
-            if diagonal and not E.is_empty:
-                norm = _inf_norm_exact(y)
-                if p > 0 and norm > r_max:
-                    pos_alive = False
-                if p < 0 and norm < r_min:
-                    neg_alive = False
-        if not pos_alive and not neg_alive:
-            break
+    for p in sorted(scales, key=lambda p: (abs(p), p)):
+        y = b_transform(A, xi, p)
+        if E.contains(y):
+            hits.append((p, y))
+            if len(hits) == 2:
+                raise AmbiguousScale(
+                    f"scales {hits[0][0]} and {hits[1][0]} both resolve the point",
+                    [h[0] for h in hits],
+                )
     if not hits:
         raise NotCovered(
             f"no scale in [-{max_iter}, {max_iter}] lands in the set"
@@ -124,6 +109,43 @@ def _floor_log(c: Fraction, a: int, lo: int, hi: int) -> int:
     return k
 
 
+def _scale_bracket(
+    E: BoxSet, A: DilationMatrix, lo: Sequence, hi: Sequence, k_min: int, k_max: int
+) -> range:
+    """The k in [k_min, k_max] at which the closed box [lo, hi] can meet B^k E; exact.
+
+    A point is the box with lo == hi.  For diagonal A with
+    a_i = |a_ii| >= 2, let R_i be E's largest |coordinate| on axis i and
+    r = ``E.bounding_radii()[0]``, so every point of E has sup norm at
+    least r.  If the box meets B^k E (a point: lies in it), then, with
+    exact rational comparisons:
+
+    * on every axis, the box's distance delta_i from 0 is at most
+      a_i^k R_i, because B^k E lies within |xi_i| <= a_i^k R_i (bounds k
+      below);
+    * the box does not lie inside the open box of half-widths a_i^k r,
+      which B^k E avoids: some axis has rho_i = max |xi_i| >= a_i^k r
+      over the box (bounds k above when r > 0).
+
+    A side with no bound (delta_i = 0 on every axis, or r = 0) is the
+    window's end.  This is the only code that bounds scales on the
+    diagonal path; an empty E meets nothing.
+    """
+    if E.is_empty:
+        return range(0)
+    a = [abs(A.entries[i][i]) for i in range(A.n)]
+    reach = [max(max(abs(b.lo[i]), abs(b.hi[i])) for b in E.boxes) for i in range(A.n)]
+    r = E.bounding_radii()[0]
+    k_lo, k_hi = k_min, k_max
+    for ai, R, x, y in zip(a, reach, lo, hi):
+        if not x <= 0 <= y:
+            k_lo = max(k_lo, -_floor_log(R / min(abs(x), abs(y)), ai, -k_max, -k_min))
+    if r:
+        rho = (max(abs(x), abs(y)) for x, y in zip(lo, hi))
+        k_hi = min(k_hi, max(_floor_log(c / r, ai, k_min, k_max) for ai, c in zip(a, rho)))
+    return range(k_lo, k_hi + 1)
+
+
 def _pieces(
     f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, k_min: int, k_max: int
 ) -> dict[int, list[tuple[Term, Box]]]:
@@ -131,46 +153,32 @@ def _pieces(
 
     Layers ascend and empty ones are left out; within a layer the terms
     keep their order, and the pieces of a term follow E's boxes.  Each
-    distinct box b of f is dilated only at the k of its own bracket.  For
-    diagonal A with a_i = |a_ii| >= 2, let R_i be E's largest
-    |coordinate| on axis i and r = ``E.bounding_radii()[0]``, so every
-    point of E has sup norm at least r.  If b meets B^k E in positive
-    measure, then, with exact rational comparisons:
-
-    * on every axis, b's distance delta_i from 0 is at most a_i^k R_i,
-      because B^k E lies within |xi_i| <= a_i^k R_i (bounds k below);
-    * b does not lie inside the open box of half-widths a_i^k r, which
-      B^k E avoids: some axis has rho_i = max |b_i| >= a_i^k r (bounds k
-      above when r > 0).
-
-    A side with no bound (delta_i = 0 on every axis, or r = 0) is the
-    window's end.  The matrix is checked before any piece is built.
+    distinct box of f is dilated only at the k of its own
+    :func:`_scale_bracket`.  The matrix is checked before any piece is
+    built.
     """
     if any(d != A.n for d in (E.dim, *(t.box.dim for t in f.terms))):
         raise DimensionMismatch("matrix dimension mismatch")
     if not A.is_diagonal:
         raise NonDiagonalDilation("exact dilation needs a diagonal matrix; use the sampled path")
-    if E.is_empty:
-        return {}
-    a = [abs(A.entries[i][i]) for i in range(A.n)]
-    reach = [max(max(abs(b.lo[i]), abs(b.hi[i])) for b in E.boxes) for i in range(A.n)]
-    r = E.bounding_radii()[0]
     found: dict[tuple[Box, int], list[Box]] = {}
     for box in {t.box for t in f.terms}:
-        k_lo, k_hi = k_min, k_max
-        for ai, R, x, y in zip(a, reach, box.lo, box.hi):
-            if not x <= 0 <= y:
-                k_lo = max(k_lo, -_floor_log(R / min(abs(x), abs(y)), ai, -k_max, -k_min))
-        if r:
-            rho = (max(abs(x), abs(y)) for x, y in zip(box.lo, box.hi))
-            k_hi = min(k_hi, max(_floor_log(c / r, ai, k_min, k_max) for ai, c in zip(a, rho)))
-        for k in range(k_lo, k_hi + 1):
+        for k in _scale_bracket(E, A, box.lo, box.hi, k_min, k_max):
             moved = box.dilate(A, -k)
             cs = [c for eb in E.boxes if (c := moved.intersect(eb)) is not None]
             if cs:
                 found[box, k] = cs
     ks = sorted({k for _, k in found})
     return {k: [(t, c) for t in f.terms for c in found.get((t.box, k), ())] for k in ks}
+
+
+def meeting_gaps(E: BoxSet, A: DilationMatrix, d_min: int, d_max: int) -> list[int]:
+    """The d in [d_min, d_max], ascending, at which E meets B^d E: the layers of 1_E.
+
+    B^j E meets B^k E exactly when E meets B^(k-j) E, so the gaps decide
+    which pairs of dilates overlap.
+    """
+    return list(_pieces(ModulatedBoxSum.indicator(A, E), E, A, d_min, d_max))
 
 
 def isometry_path(f: ModulatedBoxSum) -> str:

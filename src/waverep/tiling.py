@@ -32,6 +32,7 @@ from .boxes import Box, BoxSet, interval_set
 from .errors import BadAnnulus, DimensionMismatch
 from .groups import DilationMatrix, RealPoint, b_transform
 from .jsonio import boxset_json
+from .spectral import meeting_gaps
 
 __all__ = [
     "CheckResult",
@@ -247,18 +248,17 @@ def check_dilation_disjoint(
         return CheckResult(name, True, "exact", note="empty set, vacuous")
     if mode == "sampled" or not A.is_diagonal:
         return _sampled_checks(E, A, VerifyParams(j_max, annulus, samples, seed, mode))[0]
-    # B^j E meets B^k E iff E meets B^(k-j) E, so only the gap d = k - j
-    # matters; the first pair in (j, k) order is (-j_max, -j_max + d_min)
-    for d in range(1, 2 * j_max + 1):
-        if E.meets(E.dilate(A, d)):
-            j, k = -j_max, -j_max + d
-            inter = E.dilate(A, j).intersect(E.dilate(A, k))
-            return CheckResult(
-                name,
-                False,
-                "exact",
-                witness={"j": j, "k": k, "intersection": boxset_json(inter)},
-            )
+    # a pair overlaps by its gap d = k - j alone, so the first overlapping
+    # pair in (j, k) order is (-j_max, -j_max + d) for the least meeting gap d
+    if gaps := meeting_gaps(E, A, 1, 2 * j_max):
+        j, k = -j_max, -j_max + gaps[0]
+        inter = E.dilate(A, j).intersect(E.dilate(A, k))
+        return CheckResult(
+            name,
+            False,
+            "exact",
+            witness={"j": j, "k": k, "intersection": boxset_json(inter)},
+        )
     return CheckResult(name, True, "exact")
 
 

@@ -10,6 +10,7 @@ from waverep.boxes import interval_set, product_set
 from waverep.funcs import ModulatedBoxSum
 from waverep.gram import GramSpec, completeness_defect, eval_msf_wavelet, gram_matrix
 from waverep.groups import validate_dilation
+from waverep.spectral import meeting_gaps
 from waverep.tiling import shannon_set
 
 A2 = validate_dilation([[2]])
@@ -199,6 +200,17 @@ class TestGroupStructure:
         got = gram_matrix(spec)
         assert got.mode == "quadrature"
         assert np.max(np.abs(got.matrix - ref_gram_quadrature(spec))) <= 1e-14
+
+
+class TestMeetingGaps:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]), m_max=st.integers(0, 3))
+    def test_gaps_are_the_dilates_that_meet(self, data, dim, m_max):
+        # the gaps whose Gram blocks are evaluated, against intersecting E with every dilate
+        E, A = data.draw(box_sets(dim)), data.draw(diagonal_matrices(dim))
+        window = range(-2 * m_max, 2 * m_max + 1)
+        want = [d for d in window if not E.intersect(E.dilate(A, d)).is_empty]
+        assert meeting_gaps(E, A, -2 * m_max, 2 * m_max) == want
 
 
 class TestCompleteness:

@@ -14,6 +14,7 @@ from waverep.groups import (
     DilationMatrix,
     GroupElement,
     RealPoint,
+    b_transform,
     validate_dilation,
 )
 from waverep.operators import (
@@ -406,6 +407,33 @@ class TestIrreducibilityScan:
             x = random_point_in(rng, E)
             ok, _ = irreducibility_scan(x, A2, 16)
             assert ok
+
+
+class TestIrreducibilityIsExact:
+    """For expansive B, B^m - I is invertible at every m != 0: only the origin is periodic."""
+
+    @pytest.mark.parametrize("x, A", [([1e-13], A2), ([-5e-324], A2), ([0.0, 1e-20], A23)])
+    def test_tiny_float_point_is_aperiodic(self, x, A):
+        assert irreducibility_scan(RealPoint.from_floats(x), A, 16) == (True, None)
+
+    @pytest.mark.parametrize(
+        "x", [RealPoint.from_floats([-0.0, 0.0]), RealPoint.from_pi([0, 0])]
+    )
+    def test_origin_returns_at_once(self, x):
+        assert irreducibility_scan(x, A23, 16) == (False, 1)
+        assert irreducibility_scan(x, A23, 0) == (True, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(A=expansive(), data=st.data())
+    def test_exact_points_match_the_orbit_scan(self, A, data):
+        coords = st.lists(st.fractions(-4, 4, max_denominator=8), min_size=A.n, max_size=A.n)
+        x = RealPoint.from_pi(data.draw(coords))
+        M = data.draw(st.integers(0, 6))
+        back = [
+            m for m in range(1, M + 1)
+            if x.pi_coords in (b_transform(A, x, -m).pi_coords, b_transform(A, x, m).pi_coords)
+        ]
+        assert irreducibility_scan(x, A, M) == (not back, back[0] if back else None)
 
 
 class TestCommutant:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waverep import spectral
 from waverep.boxes import Box, BoxSet, interval_set, product_set
 from waverep.errors import (
     AmbiguousScale,
@@ -17,7 +18,7 @@ from waverep.errors import (
     ZeroFunction,
 )
 from waverep.funcs import ModulatedBoxSum
-from waverep.groups import AdicVector, RealPoint, validate_dilation
+from waverep.groups import AdicVector, RealPoint, b_transform, validate_dilation
 from waverep.spectral import (
     from_layers,
     isometry_defect,
@@ -37,6 +38,7 @@ from util import (
     ref_isometry_defect,
     ref_layer_span,
     ref_layer_terms,
+    ref_project_point,
     terms_bits,
 )
 
@@ -397,3 +399,55 @@ class TestPieceScan:
         assert terms_bits(got) == terms_bits(ref_layer_terms(f, S, A, k_min, k_max))
         defect = isometry_defect(f, S, A, k_min, k_max)
         assert float_bits(defect) == float_bits(ref_isometry_defect(f, S, A, k_min, k_max))
+
+
+def _projection(fn, *args):
+    """The result of fn as exact data, or the type, text and witnesses of its error."""
+    try:
+        y, p = fn(*args)
+    except (AmbiguousScale, NotCovered) as exc:
+        return type(exc), str(exc), getattr(exc, "witnesses", None)
+    return y.pi_coords, p
+
+
+class TestProjectPointBracket:
+    """An exact point on a diagonal matrix is tried only at the scales of its bracket."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]), max_iter=st.integers(0, 8))
+    def test_same_as_the_outward_scan(self, data, dim, max_iter):
+        # per axis an edge of a box of S, zero or an inner point, moved to a level
+        # that may lie beyond +-max_iter
+        A = data.draw(diagonal_matrices(dim))
+        S = data.draw(box_sets(dim))
+        box = data.draw(st.sampled_from(S.boxes))
+        level = data.draw(st.integers(-max_iter - 3, max_iter + 3))
+        coords = []
+        for lo, hi in zip(box.lo, box.hi):
+            t = data.draw(st.fractions(0, 1, max_denominator=16))
+            coords.append(data.draw(st.sampled_from([lo, hi, Fraction(0), lo + (hi - lo) * t])))
+        xi = b_transform(A, RealPoint.from_pi(coords), -level)
+        want = _projection(ref_project_point, xi, S, A, max_iter)
+        assert _projection(project_point, xi, S, A, max_iter) == want
+
+    @pytest.mark.parametrize("S", [interval_set([(a, a + 2)]) for a in (-2, -1, 0)])
+    @pytest.mark.parametrize("x", [0, 1, -1, Fraction(1, 2**70), Fraction(-3, 2**70), 2**70])
+    def test_sets_touching_the_origin(self, S, x):
+        xi = RealPoint.from_pi([x])
+        want = _projection(ref_project_point, xi, S, A2, 64)
+        assert _projection(project_point, xi, S, A2, 64) == want
+
+    def test_far_point_tries_one_scale(self, monkeypatch):
+        # 3 * 2^39 pi is 1.5 pi at p = -40: the bracket holds that scale alone,
+        # where the outward scan maps the point at 43 scales
+        calls = []
+        real = spectral.b_transform
+
+        def counting(A, x, k):
+            calls.append(k)
+            return real(A, x, k)
+
+        monkeypatch.setattr(spectral, "b_transform", counting)
+        y, p = project_point(RealPoint.from_pi([3 * 2**39]), E, A2)
+        assert (y.pi_coords, p) == ((Fraction(3, 2),), -40)
+        assert len(calls) <= 2

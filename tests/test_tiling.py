@@ -16,7 +16,7 @@ from util import (
     ref_sampled_disjoint,
 )
 from waverep import tiling
-from waverep.boxes import interval_set, product_set
+from waverep.boxes import Box, interval_set, product_set
 from waverep.errors import BadAnnulus
 from waverep.tiling import (
     _BLOCK,
@@ -90,6 +90,25 @@ class TestDisjointByGap:
     def test_gap_beyond_range_passes(self):
         E = interval_set([(1, Fraction(3, 2)), (8, 9)])
         assert check_dilation_disjoint(E, A2, j_max=1).passed
+
+
+class TestDisjointDilateCount:
+    def test_dilates_do_not_grow_with_j_max(self, monkeypatch):
+        # each box of E is dilated only within its own bracket, not at every gap up to 2 j_max
+        dilates = []
+        dilate = Box.dilate
+
+        def counting(self, A, j):
+            dilates.append(j)
+            return dilate(self, A, j)
+
+        monkeypatch.setattr(Box, "dilate", counting)
+        counts = []
+        for j_max in (4, 24):
+            dilates.clear()
+            assert check_dilation_disjoint(shannon_set(), A2, j_max=j_max).passed
+            counts.append(len(dilates))
+        assert counts[0] == counts[1]
 
 
 class TestCover:

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from waverep.boxes import Box, BoxSet, interval_set, normalize, product_set, unit_cube
-from waverep.errors import NotExpansive, SingularMatrix
+from waverep.errors import AmbiguousScale, NotCovered, NotExpansive, SingularMatrix
 from waverep.funcs import LayerFunction, ModulatedBoxSum, Term
 from waverep.gram import GramSpec
 from waverep.groups import (
@@ -391,6 +391,44 @@ def ref_fiber_phases(x: RealPoint, g: GroupElement, K: int) -> dict[int, complex
 def ref_induced_phases(x: RealPoint, g: GroupElement, K: int) -> dict[int, complex]:
     """The induced phase table evaluated at each k: e^{-i<x, A^{-k} beta>}, k in [-K, K]."""
     return {k: character_value(x, g.beta.twist(k)) for k in range(-K, K + 1)}
+
+
+def ref_project_point(xi: RealPoint, E: BoxSet, A: DilationMatrix, max_iter: int = 64):
+    """project_point by the outward scan over |p| <= max_iter, stopped on the sup norm.
+
+    On a diagonal matrix each side stops once B^p xi leaves the bounding
+    annulus of E: above r_max for p > 0, below r_min for p < 0.
+    """
+    r_min, r_max = E.bounding_radii()
+    hits = []
+    pos_alive = neg_alive = True
+    for step in range(0, max_iter + 1):
+        for p in [step] if step == 0 else [-step, step]:
+            if (p > 0 and not pos_alive) or (p < 0 and not neg_alive):
+                continue
+            y = b_transform(A, xi, p)
+            if E.contains(y):
+                hits.append((p, y))
+                if len(hits) == 2:
+                    raise AmbiguousScale(
+                        f"scales {hits[0][0]} and {hits[1][0]} both resolve the point",
+                        [h[0] for h in hits],
+                    )
+            if A.is_diagonal and not E.is_empty:
+                if y.pi_coords is not None:
+                    norm = max(abs(c) for c in y.pi_coords)
+                else:
+                    norm = max(abs(c) for c in y.coords) / math.pi
+                if p > 0 and norm > r_max:
+                    pos_alive = False
+                if p < 0 and norm < r_min:
+                    neg_alive = False
+        if not pos_alive and not neg_alive:
+            break
+    if not hits:
+        raise NotCovered(f"no scale in [-{max_iter}, {max_iter}] lands in the set")
+    p, y = hits[0]
+    return y, p
 
 
 def ref_layer_span(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, cap: int = 48):
