@@ -119,7 +119,6 @@ def approx_character(
     F: list[AdicVector],
     eps: float = 1e-10,
     E: BoxSet | None = None,
-    max_retries: int = 8,
 ) -> ApproxResult:
     """Point y of R^n whose character matches the target on F.
 
@@ -128,8 +127,8 @@ def approx_character(
     achieved error is zero up to phase-reduction rounding for every
     consistent target.  When a base set is supplied the point is also
     located inside the union of its dilates; a point falling on the
-    null set where that fails (e.g. the origin) is retried with a
-    lattice-shifted solve.
+    null set where that fails (e.g. the origin) is retried with up to
+    seven lattice-shifted solves.
     """
     A = target.A
     for beta in F:
@@ -151,7 +150,7 @@ def approx_character(
     y = build(shifts[0])
     membership = None
     if E is not None:
-        for shift in shifts[:max_retries]:
+        for shift in shifts[:8]:
             candidate = build(shift)
             try:
                 rep, p = project_point(candidate, E, A)
@@ -164,7 +163,6 @@ def approx_character(
             except (NotCovered, AmbiguousScale):
                 continue
         else:
-            y = build(shifts[0])
             membership = {"located": False}
     err = max(
         (abs(character_value(y, beta) - target.value(beta)) for beta in F),

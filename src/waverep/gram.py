@@ -163,10 +163,8 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
     return matrix
 
 
-def _gram_quadrature(
-    spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]], cells: int = 4096
-) -> np.ndarray:
-    """Riemann-sum Gram entries for a general integer matrix (n = 1 or 2).
+def _gram_quadrature(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]]) -> np.ndarray:
+    """Riemann-sum Gram entries for a general integer matrix (n = 1 or 2), on about 4096 cells.
 
     Column j is the product V conj(v_j) of the sampled vectors, one per
     label, so no conjugate copy of V is held.  Its summation order differs
@@ -187,7 +185,7 @@ def _gram_quadrature(
     r_max = max(
         abs(float(x)) for box in spec.E.boxes for x in (*box.lo, *box.hi)
     ) * math.pi * det ** spec.m_max
-    per_axis = max(8, int(round(cells ** (1 / n))))
+    per_axis = max(8, int(round(4096 ** (1 / n))))
     axes = [
         -r_max + 2 * r_max * (np.arange(per_axis) + 0.5) / per_axis for _ in range(n)
     ]

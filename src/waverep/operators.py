@@ -96,9 +96,9 @@ def commutation_defect(
     return worst
 
 
-def _random_mbs(rng: random.Random, A: DilationMatrix, n_terms: int = 3) -> ModulatedBoxSum:
+def _random_mbs(rng: random.Random, A: DilationMatrix) -> ModulatedBoxSum:
     terms = []
-    for _ in range(n_terms):
+    for _ in range(3):
         lo = tuple(Fraction(rng.randint(-16, 14), 4) for _ in range(A.n))
         hi = tuple(a + Fraction(rng.randint(1, 8), 4) for a in lo)
         beta = AdicVector.of(
@@ -138,7 +138,6 @@ def conjugation_defect(
     f: ModulatedBoxSum,
     E: BoxSet,
     A: DilationMatrix,
-    margin: int = 2,
 ) -> float:
     """Norm of (forward of the acted function) minus (layer action of the forward).
 
@@ -146,8 +145,8 @@ def conjugation_defect(
     the frequency-domain representation and its layered realization.
     """
     span = layer_span(f, E, A)
-    k_min = span[0] - abs(g.m) - margin
-    k_max = span[1] + abs(g.m) + margin
+    k_min = span[0] - abs(g.m) - 2
+    k_max = span[1] + abs(g.m) + 2
     lhs = to_layers(apply_group_element(g, f), E, A, k_min, k_max)
     rhs = apply_layer_rep(g, to_layers(f, E, A, k_min, k_max))
     return (lhs - rhs).norm_sq() ** 0.5
@@ -351,13 +350,12 @@ def find_noninvariant_witness(
     pieces: list[tuple[Box, complex]],
     A: DilationMatrix,
     j_span: int = 4,
-    threshold: float = 0.1,
     within: BoxSet | None = None,
 ) -> tuple[ModulatedBoxSum, float] | None:
     """Search for a vector exposing a multiplier outside the commutant.
 
     Tries indicators of the multiplier's pieces and of their dilates;
-    returns the first with dilation-commutator norm above the threshold.
+    returns the first with dilation-commutator norm above 0.1.
     ``within`` restricts candidates to a region (a finitely extended
     multiplier is only scale-invariant inside its extension range).
     """
@@ -367,6 +365,6 @@ def find_noninvariant_witness(
             continue
         f = ModulatedBoxSum.piecewise(A, [(box, 1.0)])
         norm = commutator_with_dilation(pieces, f)
-        if norm > threshold:
+        if norm > 0.1:
             return f, norm
     return None

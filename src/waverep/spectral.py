@@ -16,9 +16,10 @@ On a diagonal matrix one exact bracket, :func:`_scale_bracket`, bounds
 the k at which a box or a point can meet B^k E; :func:`project_point`
 tries only the scales in an exact point's bracket.  One scan,
 :func:`_pieces`, forms the layer pieces B^{-k}(box) ∩ E of f over a
-window, each box of f dilated only within its bracket; :func:`layer_span`,
-:func:`to_layers`, the exact path of :func:`isometry_defect` and
-:func:`meeting_gaps` (for the tiling and Gram checks) all use it.
+window, each box of f dilated only within its bracket; :func:`meeting_gaps`
+(for the tiling and Gram checks) uses it.  :func:`_window`, the one window
+rule, fills a missing end from the same scan that :func:`layer_span`,
+:func:`to_layers` and :func:`isometry_defect` take their pieces from.
 """
 
 from __future__ import annotations
@@ -86,16 +87,12 @@ def project_point(
     return y, p
 
 
-def layer_span(
-    f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, cap: int = 48
-) -> tuple[int, int]:
-    """Smallest window [k_min, k_max] with every box of f meeting the dilates.
+def layer_span(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix) -> tuple[int, int]:
+    """The default window: f's first and last layer with |k| <= 48, or (0, 0) if f has none.
 
-    Only the dilates B^k E with |k| <= cap (48) count; if f meets none, (0, 0).
-    The ends are the first and last layer of :func:`_pieces` over [-cap, cap].
+    A missing end of :func:`to_layers`' window is filled the same way.
     """
-    ks = list(_pieces(f, E, A, -cap, cap))
-    return (ks[0], ks[-1]) if ks else (0, 0)
+    return _window(f, E, A, None, None)[:2]
 
 
 def _floor_log(c: Fraction, a: int, lo: int, hi: int) -> int:
@@ -172,6 +169,36 @@ def _pieces(
     return {k: [(t, c) for t in f.terms for c in found.get((t.box, k), ())] for k in ks}
 
 
+def _window(
+    f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, k_min: int | None, k_max: int | None
+) -> tuple[int, int, dict[int, list[tuple[Term, Box]]]]:
+    """The window, a missing end f's first or last layer with |k| <= 48 (else 0), and its pieces.
+
+    Two given ends are scanned as they are: a box about the origin meets every k in between.
+    Otherwise one scan covers [-48, 48] and any given end; the exact bracket keeps each piece.
+    """
+    if k_min is not None and k_max is not None:
+        return k_min, k_max, _pieces(f, E, A, k_min, k_max)
+    lo = -48 if k_min is None else min(k_min, -48)
+    hi = 48 if k_max is None else max(k_max, 48)
+    layers = _pieces(f, E, A, lo, hi)
+    near = [k for k in layers if abs(k) <= 48] or [0]
+    k_min = near[0] if k_min is None else k_min
+    k_max = near[-1] if k_max is None else k_max
+    return k_min, k_max, {k: pairs for k, pairs in layers.items() if k_min <= k <= k_max}
+
+
+def _layer_sums(A: DilationMatrix, pieces: dict) -> dict[int, ModulatedBoxSum]:
+    """The layers of forward f from its pieces: each term scaled by |det|^{k/2}, twisted by -k."""
+    det = A.det_abs
+    layers: dict[int, ModulatedBoxSum] = {}
+    for k, pairs in pieces.items():
+        scale = float(det) ** (k / 2.0)
+        terms = tuple(Term(t.coef * scale, t.beta.twist(-k), c) for t, c in pairs)
+        layers[k] = ModulatedBoxSum(A, terms)
+    return layers
+
+
 def meeting_gaps(E: BoxSet, A: DilationMatrix, d_min: int, d_max: int) -> list[int]:
     """The d in [d_min, d_max], ascending, at which E meets B^d E: the layers of 1_E.
 
@@ -199,30 +226,17 @@ def to_layers(
 ) -> LayerFunction:
     """Forward map onto the layered space.
 
-    Window defaults to the exact span of f.  Mass of f outside the
-    union of windowed dilates is the truncation mass; exceeding
-    tol * ||f||^2 raises WindowTooSmall.
+    A missing window end is filled by the rule of :func:`layer_span`.
+    Mass of f outside the union of windowed dilates is the truncation
+    mass; exceeding tol * ||f||^2 raises WindowTooSmall.
     """
-    if k_min is None or k_max is None:
-        auto = layer_span(f, E, A)
-        k_min = auto[0] if k_min is None else k_min
-        k_max = auto[1] if k_max is None else k_max
-    det = A.det_abs
-    layers: dict[int, ModulatedBoxSum] = {}
-    for k, pairs in _pieces(f, E, A, k_min, k_max).items():
-        scale = float(det) ** (k / 2.0)
-        terms = tuple(Term(t.coef * scale, t.beta.twist(-k), c) for t, c in pairs)
-        layers[k] = ModulatedBoxSum(A, terms)
-    out = LayerFunction(A, k_min, k_max, layers)
+    k_min, k_max, pieces = _window(f, E, A, k_min, k_max)
+    layers = _layer_sums(A, pieces)
     fn = f.norm_sq()
-    if fn > 0:
-        trunc = max(fn - out.norm_sq(), 0.0)
-        if trunc > tol * fn:
-            raise WindowTooSmall(
-                f"truncation mass {trunc:.3e} exceeds {tol:.1e} of ||f||^2"
-            )
-        object.__setattr__(out, "truncation_mass", trunc)
-    return out
+    trunc = max(fn - sum(layer.norm_sq() for layer in layers.values()), 0.0) if fn > 0 else 0.0
+    if trunc > tol * fn:
+        raise WindowTooSmall(f"truncation mass {trunc:.3e} exceeds {tol:.1e} of ||f||^2")
+    return LayerFunction(A, k_min, k_max, layers, trunc)
 
 
 def from_layers(F: LayerFunction, E: BoxSet, A: DilationMatrix) -> ModulatedBoxSum:
@@ -247,19 +261,21 @@ def isometry_defect(
 
     On the piecewise-constant disjoint path the covered volume of each
     cell is accumulated as an exact rational, so a subordinate function
-    yields literally 0.0.  Other inputs use the closed-form norms.
+    yields literally 0.0.  Other inputs use the closed-form norms; with
+    a window given, a zero norm is reported before the matrix checks.
     """
     if not f.terms:
         raise ZeroFunction("isometry defect of the zero function")
-    if k_min is None or k_max is None:
-        auto = layer_span(f, E, A)
-        k_min = auto[0] if k_min is None else k_min
-        k_max = auto[1] if k_max is None else k_max
-    if isometry_path(f) == "exact":
+    exact = isometry_path(f) == "exact"
+    norm = None if exact or k_min is None or k_max is None else f.norm_sq()
+    if norm == 0.0:
+        raise ZeroFunction("isometry defect of the zero function")
+    k_min, k_max, pieces = _window(f, E, A, k_min, k_max)
+    if exact:
         det = Fraction(A.det_abs)
         # vol(box ∩ B^k E) = det^k * vol(B^{-k} box ∩ E); E's boxes and f's are disjoint
         covered = dict.fromkeys((t.box for t in f.terms), Fraction(0))
-        for k, pairs in _pieces(f, E, A, k_min, k_max).items():
+        for k, pairs in pieces.items():
             for t, c in pairs:
                 covered[t.box] += det**k * c.volume()
         pin = math.pi**A.n
@@ -272,10 +288,10 @@ def isometry_defect(
         if total == 0.0:
             raise ZeroFunction("isometry defect of the zero function")
         return abs(mapped - total) / total
-    norm = f.norm_sq()
+    norm = f.norm_sq() if norm is None else norm
     if norm == 0.0:
         raise ZeroFunction("isometry defect of the zero function")
-    F = to_layers(f, E, A, k_min, k_max, tol=float("inf"))
+    F = LayerFunction(A, k_min, k_max, _layer_sums(A, pieces))
     return abs(F.norm_sq() - norm) / norm
 
 

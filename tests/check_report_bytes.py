@@ -3,8 +3,10 @@
     python tests/check_report_bytes.py OLD_ROOT NEW_ROOT
 
 Takes every call of cycles 0-3 of the three workloads in
-``perfbench/workloads.py``, at seeds 3, 17 and 29, and compares the exit
-code and stdout of each call between the two trees.  Each tree runs in
+``perfbench/workloads.py``, at seeds 3, 17 and 29, and a fixed list of
+``decompose`` calls with and without window ends (none of the workload
+ops passes ``--k-min`` or ``--k-max``), and compares the exit code and
+stdout of each call between the two trees.  Each tree runs in
 its own subprocess, which imports ``waverep`` from ROOT/src and makes
 every call in-process through ``waverep.cli.run``, from a temporary
 working directory that holds the op's input files.  The workloads are
@@ -31,6 +33,71 @@ CYCLES = range(4)
 SHOWN = 5
 
 
+def _terms(*terms) -> str:
+    """A function file: each term (coefficient, lo, hi, beta or None) in pi units."""
+    out = []
+    for re, lo, hi, beta in terms:
+        term = {"re": re, "box": {"lo": lo, "hi": hi}}
+        out.append(term if beta is None else {**term, "beta": beta})
+    return json.dumps({"terms": out})
+
+
+# functions on Shannon with dilation by 2; the comments give their layers
+STEP = _terms(  # 1, 2 and 3
+    (1.0, ["2"], ["3"], None), (0.5, ["-6"], ["-5"], None), (-2.0, ["9"], ["15"], None)
+)
+FAR = _terms((1.0, [f"1/{2**52}"], [f"1/{2**51}"], None), (1.0, ["9"], ["10"], None))  # -52, 3
+BEYOND = _terms((1.0, [str(2**54)], [str(3 * 2**54)], None))  # 55 and 56, past the cap
+ORIGIN = _terms((1.0, ["-1/2"], ["1/3"], None), (0.5, ["3/2"], ["5"], None))  # every k <= 2
+MODULATED = _terms(  # every k <= 1
+    (1.0, ["2"], ["3"], {"v": [1], "j": 1}), (0.5, ["-7/4"], ["4"], {"v": [3], "j": 0})
+)
+WINDOWS = [
+    ("both-ends", STEP, ["--k-min", "-1", "--k-max", "3"]),
+    ("k-min-only", STEP, ["--k-min", "-3"]),
+    ("k-max-only", STEP, ["--k-max", "5"]),
+    ("windowless", STEP, []),
+    ("past-the-cap", FAR, ["--k-min", "-60", "--k-max", "60"]),
+    ("k-min-past-the-cap", FAR, ["--k-min", "-57"]),
+    ("k-max-past-the-cap", FAR, ["--k-max", "52"]),
+    ("beyond-the-cap-k-max-only", BEYOND, ["--k-max", "60"]),
+    ("beyond-the-cap-k-min-only", BEYOND, ["--k-min", "50"]),
+    ("one-sided-inverted", STEP, ["--k-max", "-2"]),
+    ("one-sided-inverted-up", STEP, ["--k-min", "5"]),
+    ("zero-function", _terms(), []),
+    ("zero-function-window", _terms(), ["--k-min", "-2", "--k-max", "2"]),
+    ("origin-box", ORIGIN, []),
+    ("origin-box-window", ORIGIN, ["--k-min", "-50", "--k-max", "6"]),
+    ("origin-box-short-window", ORIGIN, ["--k-min", "-5", "--k-max", "4"]),
+    ("modulated", MODULATED, []),
+    ("modulated-k-max-only", MODULATED, ["--k-max", "3"]),
+]
+# a 2-D set whose dilates by diag(2, 3) are disjoint, and a function in its layers 0, 1 and -1
+SET_2D = json.dumps(
+    {"dim": 2, "boxes": [{"lo": [x, "-3"], "hi": [y, "-1"]} for x, y in (("1", "2"), ("-2", "-1"))]}
+)
+STEP_2D = _terms(
+    (1.0, ["3/2", "-2"], ["7/4", "-1"], None),
+    (0.5, ["2", "-9"], ["4", "-4"], None),
+    (-1.0, ["-3/4", "-1"], ["-1/2", "-1/3"], None),
+)
+WINDOWS_2D = [
+    ("windowless", []),
+    ("k-min-only", ["--k-min", "-2"]),
+    ("both-ends", ["--k-min", "-1", "--k-max", "1"]),
+]
+
+
+def window_calls():
+    """(label, argv, files) for the decompose calls with and without window ends."""
+    base = ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "f.json"]
+    for name, function, ends in WINDOWS:
+        yield f"windows/{name}", [*base, *ends], {"f.json": function}
+    base = ["decompose", "--set", "e.json", "--dilation", "[[2,0],[0,3]]", "--function", "f.json"]
+    for name, ends in WINDOWS_2D:
+        yield f"windows/2d-{name}", [*base, *ends], {"e.json": SET_2D, "f.json": STEP_2D}
+
+
 def calls():
     """(label, argv, files) for every call, in a fixed order."""
     sys.path.insert(0, str(PERFBENCH))
@@ -42,6 +109,7 @@ def calls():
                 for op in workloads.make_cycle(name, seed, cycle, refs=False):
                     for i, argv in enumerate(op["calls"]):
                         yield f"{name}/seed{seed}/{op['id']}/{i}", argv, op["files"]
+    yield from window_calls()
 
 
 def run_tree(root: str) -> dict:

@@ -460,22 +460,23 @@ class TestDecompose:
         "term, path",
         [({}, "exact"), ({"beta": {"v": [1], "j": 1}}, "closed-form")],
     )
-    def test_one_window_per_call(self, term, path, tmp_path, monkeypatch, capsys):
-        spans = []
-        span = spectral.layer_span
+    def test_two_piece_scans_per_call(self, term, path, tmp_path, monkeypatch, capsys):
+        # one scan fills the window and maps f, one more gives the defect
+        scans = []
+        pieces = spectral._pieces
 
         def counting(*args):
-            spans.append(args)
-            return span(*args)
+            scans.append(args[3:])
+            return pieces(*args)
 
-        monkeypatch.setattr(spectral, "layer_span", counting)
+        monkeypatch.setattr(spectral, "_pieces", counting)
         fn = tmp_path / "f.json"
         box = {"lo": ["2"], "hi": ["3"]}
         fn.write_text(json.dumps({"terms": [{"re": 1.0, "box": box, **term}]}))
         argv = ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", str(fn)]
         code, out = run_capture(argv, capsys)
         assert code == 0 and json.loads(out)["path"] == path
-        assert len(spans) == 1
+        assert scans == [(-48, 48), (1, 1)]
 
 
 class TestRep:

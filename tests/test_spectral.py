@@ -39,6 +39,7 @@ from util import (
     ref_layer_span,
     ref_layer_terms,
     ref_project_point,
+    ref_window,
     terms_bits,
 )
 
@@ -344,6 +345,16 @@ class TestPieceScan:
         with pytest.raises(NonDiagonalDilation, match=text):
             to_layers(f, E2, T2, 0, 0)
 
+    def test_zero_norm_error_order(self):
+        # a given window reports the zero norm first, a missing one the matrix first
+        box = E2.boxes[0]
+        f = ModulatedBoxSum.piecewise(T2, [(box, 1.0), (box, -1.0)])
+        with pytest.raises(ZeroFunction, match="isometry defect of the zero function"):
+            isometry_defect(f, E2, T2, 0, 0)
+        for window in _WINDOWS[:3]:
+            with pytest.raises(NonDiagonalDilation):
+                isometry_defect(f, E2, T2, *window)
+
     def test_empty_set_has_no_layers(self):
         f = ModulatedBoxSum.indicator(A2, E)
         assert layer_span(f, BoxSet.empty(1), A2) == (0, 0)
@@ -399,6 +410,108 @@ class TestPieceScan:
         assert terms_bits(got) == terms_bits(ref_layer_terms(f, S, A, k_min, k_max))
         defect = isometry_defect(f, S, A, k_min, k_max)
         assert float_bits(defect) == float_bits(ref_isometry_defect(f, S, A, k_min, k_max))
+
+
+def _scans(monkeypatch) -> list:
+    """The windows of every ``spectral._pieces`` call from now on."""
+    scans = []
+    pieces = spectral._pieces
+
+    def counting(f, E, A, k_min, k_max):
+        scans.append((k_min, k_max))
+        return pieces(f, E, A, k_min, k_max)
+
+    monkeypatch.setattr(spectral, "_pieces", counting)
+    return scans
+
+
+def _defect(fn, *args):
+    """The bits of an isometry defect, or the type and text of its error."""
+    try:
+        return float_bits(fn(*args))
+    except ZeroFunction as exc:
+        return type(exc), str(exc)
+
+
+_WINDOWS = [(None, None), (-1, None), (None, 3), (-1, 3)]
+_END = st.none() | st.integers(-60, 60)
+
+
+class TestWindowRule:
+    """A missing end is f's first or last layer with |k| <= 48, from the one scan of the call."""
+
+    @pytest.mark.parametrize("kind", ["step", "modulated"])
+    @pytest.mark.parametrize("window", _WINDOWS)
+    def test_one_scan_per_call(self, kind, window, monkeypatch):
+        rng = random.Random(41)
+        if kind == "step":
+            f = random_disjoint_subordinate(rng, E, A2)
+        else:
+            f = random_subordinate(rng, E, A2)
+        assert spectral.isometry_path(f) == ("exact" if kind == "step" else "closed-form")
+        scans = _scans(monkeypatch)
+        calls = [
+            lambda: to_layers(f, E, A2, *window, tol=math.inf),
+            lambda: isometry_defect(f, E, A2, *window),
+        ]
+        if window == (None, None):
+            calls.append(lambda: layer_span(f, E, A2))
+        for call in calls:
+            scans.clear()
+            call()
+            assert len(scans) == 1
+
+    @pytest.mark.parametrize(
+        "k, window", [(55, (None, 60)), (55, (50, None)), (-55, (-60, None)), (-55, (None, None))]
+    )
+    def test_layers_past_the_cap_fill_no_end(self, k, window):
+        # f meets no dilate with |k| <= 48, so a missing end is 0
+        f = random_subordinate(random.Random(k), E, A2, k, k)
+        F = to_layers(f, E, A2, *window, tol=math.inf)
+        want = ref_window(f, E, A2, *window)
+        assert (F.k_min, F.k_max) == want and 0 in want
+        got = {j: layer.terms for j, layer in F.layers.items()}
+        assert terms_bits(got) == terms_bits(ref_layer_terms(f, E, A2, *want))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        kind=st.sampled_from(["zero", "step", "constant", "modulated"]),
+        seed=st.integers(0, 2**32 - 1),
+        k_min=_END,
+        k_max=_END,
+        data=st.data(),
+    )
+    def test_same_window_rule_as_before(self, dim, kind, seed, k_min, k_max, data):
+        # ends past the cap, layers of f past it and one-sided windows that end up inverted
+        A = data.draw(diagonal_matrices(dim))
+        S = data.draw(box_sets(dim))
+        rng = random.Random(seed)
+        c = data.draw(st.integers(-56, 56))
+        if kind == "zero":
+            f = ModulatedBoxSum.zero(A)
+        elif kind == "step":
+            f = random_disjoint_subordinate(rng, S, A, c - 2, c + 2)
+        else:
+            f = random_subordinate(rng, S, A, c - 2, c + 2, modulated=kind == "modulated")
+        window = ref_window(f, S, A, k_min, k_max)
+        want = ref_layer_terms(f, S, A, *window)
+        F = to_layers(f, S, A, k_min, k_max, tol=math.inf)
+        assert (F.k_min, F.k_max) == window
+        assert terms_bits({k: layer.terms for k, layer in F.layers.items()}) == terms_bits(want)
+        fn = f.norm_sq()
+        mapped = sum(ModulatedBoxSum(A, terms).norm_sq() for terms in want.values())
+        trunc = max(fn - mapped, 0.0) if fn > 0 else 0.0
+        assert float_bits(F.truncation_mass) == float_bits(trunc)
+        text = f"truncation mass {trunc:.3e} exceeds 1.0e-10 of ||f||^2"
+        if trunc > 1e-10 * fn:
+            with pytest.raises(WindowTooSmall) as err:
+                to_layers(f, S, A, k_min, k_max)
+            assert str(err.value) == text
+        else:
+            assert to_layers(f, S, A, k_min, k_max).k_min == window[0]
+        got = _defect(isometry_defect, f, S, A, k_min, k_max)
+        assert got == _defect(ref_isometry_defect, f, S, A, *window)
 
 
 def _projection(fn, *args):

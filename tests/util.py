@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from waverep.boxes import Box, BoxSet, interval_set, normalize, product_set, unit_cube
-from waverep.errors import AmbiguousScale, NotCovered, NotExpansive, SingularMatrix
+from waverep.errors import AmbiguousScale, NotCovered, NotExpansive, SingularMatrix, ZeroFunction
 from waverep.funcs import LayerFunction, ModulatedBoxSum, Term
 from waverep.gram import GramSpec
 from waverep.groups import (
@@ -443,6 +443,12 @@ def ref_layer_span(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, cap: int = 
     return min(ks), max(ks)
 
 
+def ref_window(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, k_min, k_max):
+    """The window with each missing (None) end taken from ref_layer_span."""
+    span = ref_layer_span(f, E, A)
+    return (span[0] if k_min is None else k_min), (span[1] if k_max is None else k_max)
+
+
 def ref_layer_terms(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, k_min: int, k_max: int):
     """The layers of to_layers as term tuples, each piece B^{-k}(box) ∩ E met in its own loop."""
     det = A.det_abs
@@ -462,7 +468,9 @@ def ref_layer_terms(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, k_min: int
 
 
 def ref_isometry_defect(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, k_min: int, k_max: int):
-    """isometry_defect on a nonzero f, with the covered volume summed piece by piece per k."""
+    """isometry_defect, with the covered volume summed piece by piece per k."""
+    if not f.terms:
+        raise ZeroFunction("isometry defect of the zero function")
     disjoint = all(s.box.intersect(t.box) is None for s, t in itertools.combinations(f.terms, 2))
     if all(t.beta.is_zero for t in f.terms) and disjoint:
         det = Fraction(A.det_abs)
