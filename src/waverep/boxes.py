@@ -5,6 +5,11 @@ the lattice 2*pi*Z^n and the cube [-pi, pi)^n are integer objects and
 every congruence check is exact.  All boxes are half-open products
 prod_k [lo_k, hi_k); boundaries are null sets and the whole module works
 modulo null sets.
+
+Canonical forms, unions and differences all come from one cell pass,
+:func:`difference`: the boxes are cut along one integer index grid of
+their endpoints, the cells that remain are kept, and the cells are fused
+back into boxes.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonDiagonalDilation
 from .groups import DilationMatrix, RealPoint
 
-__all__ = ["Box", "BoxSet", "normalize", "interval_set", "unit_cube"]
+__all__ = ["Box", "BoxSet", "normalize", "difference", "interval_set", "unit_cube"]
 
 
 def _frac(x) -> Fraction:
@@ -61,27 +66,6 @@ class Box:
         if any(a >= b for a, b in zip(lo, hi)):
             return None
         return Box(lo, hi)
-
-    def minus(self, cutter: "Box") -> list["Box"]:
-        """Set difference self \\ cutter as disjoint boxes."""
-        if self.intersect(cutter) is None:
-            return [self]
-        pieces = []
-        lo, hi = list(self.lo), list(self.hi)
-        for k in range(self.dim):
-            if lo[k] < cutter.lo[k]:
-                pieces.append(
-                    Box(tuple(lo[:k]) + (lo[k],) + tuple(lo[k + 1 :]),
-                        tuple(hi[:k]) + (cutter.lo[k],) + tuple(hi[k + 1 :]))
-                )
-                lo[k] = cutter.lo[k]
-            if cutter.hi[k] < hi[k]:
-                pieces.append(
-                    Box(tuple(lo[:k]) + (cutter.hi[k],) + tuple(lo[k + 1 :]),
-                        tuple(hi[:k]) + (hi[k],) + tuple(hi[k + 1 :]))
-                )
-                hi[k] = cutter.hi[k]
-        return pieces
 
     def contains_point(self, x: RealPoint) -> bool:
         if x.dim != self.dim:
@@ -157,29 +141,60 @@ def _merge_cells(
 
 
 def normalize(dim: int, boxes: Iterable[Box]) -> "BoxSet":
-    """Canonical disjoint representation of a union of boxes.
+    """Canonical disjoint representation of a union of boxes: :func:`difference` with no cutter."""
+    return difference(dim, boxes, ())
 
-    Works on integer indices into the per-axis endpoint grids: the index
-    map is monotone, so orders and equalities are those of the endpoints.
+
+def difference(dim: int, boxes: Iterable[Box], cutters: Iterable[Box]) -> "BoxSet":
+    """Canonical disjoint boxes of the union of ``boxes`` minus the union of ``cutters``.
+
+    The one cell pass of the module.  Each cutter is clipped to the hull
+    of ``boxes``, and one endpoint grid per axis holds the ends of the
+    boxes and of the clipped cutters.  The pass works on integer indices
+    into those grids: the index map is monotone, so orders and equalities
+    are those of the endpoints.  A cell is kept when some box holds it and
+    no cutter does, and the kept cells are fused by :func:`_merge_cells`.
+    A finer grid only splits cells that fuse back into the same boxes, so
+    the result depends on the set alone, not on the grid or on the order
+    of the boxes.
     """
-    boxes = list(boxes)
+    spans = []
     for b in boxes:
         if b.dim != dim:
             raise DimensionMismatch("box dimension mismatch")
-    if not boxes:
+        spans.append((b.lo, b.hi))
+    if not spans:
         return BoxSet(dim, ())
-    grids = [sorted({b.lo[k] for b in boxes} | {b.hi[k] for b in boxes}) for k in range(dim)]
+    ends = [{x for lo, hi in spans for x in (lo[k], hi[k])} for k in range(dim)]
+    hull_lo, hull_hi = [min(e) for e in ends], [max(e) for e in ends]
+    cuts = []
+    for c in cutters:
+        if c.dim != dim:
+            raise DimensionMismatch("box dimension mismatch")
+        lo = tuple(map(max, c.lo, hull_lo))
+        hi = tuple(map(min, c.hi, hull_hi))
+        if all(a < b for a, b in zip(lo, hi)):
+            cuts.append((lo, hi))
+            for k in range(dim):
+                ends[k].update((lo[k], hi[k]))
+    grids = [sorted(e) for e in ends]
     index = [{x: i for i, x in enumerate(g)} for g in grids]
-    cells: set[tuple[int, ...]] = set()
-    for b in boxes:
-        cells.update(
-            itertools.product(*(range(index[k][b.lo[k]], index[k][b.hi[k]]) for k in range(dim)))
-        )
+
+    def cells(lo, hi):
+        return itertools.product(*(range(index[k][lo[k]], index[k][hi[k]]) for k in range(dim)))
+
+    kept: set[tuple[int, ...]] = set()
+    for lo, hi in spans:
+        kept.update(cells(lo, hi))
+    for lo, hi in cuts:
+        if not kept:
+            break
+        kept.difference_update(cells(lo, hi))
     return BoxSet(
         dim,
         tuple(
             Box(tuple(g[i] for g, i in zip(grids, lo)), tuple(g[i] for g, i in zip(grids, hi)))
-            for lo, hi in _merge_cells(dim, cells)
+            for lo, hi in _merge_cells(dim, kept)
         ),
     )
 
@@ -223,10 +238,7 @@ class BoxSet:
 
     def subtract(self, other: "BoxSet") -> "BoxSet":
         self._check(other)
-        pieces = list(self.boxes)
-        for cutter in other.boxes:
-            pieces = [p for b in pieces for p in b.minus(cutter)]
-        return normalize(self.dim, pieces)
+        return difference(self.dim, self.boxes, other.boxes)
 
     def translate(self, v: Sequence[int]) -> "BoxSet":
         """The set shifted by the lattice vector 2*pi*v."""

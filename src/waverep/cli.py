@@ -44,8 +44,53 @@ def _load_set(arg: str, dim: int | None) -> BoxSet:
     return E
 
 
+# the float matrices of a gram report, written row by row by _matrix_text
+_MATRIX_KEYS = ("matrix_imag", "matrix_real")
+
+
+def _dumps(value) -> str:
+    """The one JSON encoding of a report value; a NaN or infinity raises json's ValueError."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _matrix_text(rows: list[list[float]]) -> str:
+    """A list of float rows as :func:`_dumps` writes it at depth 1, by one join per row.
+
+    Every value is checked before any text is formed; the first
+    non-finite one in row order raises json's own error.
+    """
+    for row in rows:
+        if not all(map(math.isfinite, row)):
+            _dumps(next(x for x in row if not math.isfinite(x)))
+    if not rows:
+        return "[]"
+    pad = "\n      "
+    body = ",\n    ".join(
+        "[" + pad + ("," + pad).join(map(float.__repr__, row)) + "\n    ]" if row else "[]"
+        for row in rows
+    )
+    return "[\n    " + body + "\n  ]"
+
+
+def _encode(report: dict) -> str:
+    """The report as indented JSON with sorted keys, the bytes of :func:`_dumps` plus a newline.
+
+    A gram report's matrices go through :func:`_matrix_text` and every
+    other key through :func:`_dumps`, key by key in sorted order, so the
+    first non-finite value raises the error that :func:`_dumps` would.
+    """
+    if not any(key in report for key in _MATRIX_KEYS):
+        return _dumps(report) + "\n"
+    items = []
+    for key in sorted(report):
+        value = report[key]
+        text = _matrix_text(value) if key in _MATRIX_KEYS else _dumps(value).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _encode(report)
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -233,33 +278,27 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    natural, positive = _int_at_least(0), _int_at_least(1)
-    parser = _Parser(
-        prog="waverep",
-        description="verification toolkit for wavelet sets and their scaling-group operators",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-set", help="run the three wavelet-set conditions")
+def _verify_set_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", required=True, help="set JSON file or builtin name (shannon)")
     p.add_argument("--dilation", required=True, help="integer matrix, inline JSON or file")
-    p.add_argument("--j-max", type=natural, default=8)
+    p.add_argument("--j-max", type=_int_at_least(0), default=8)
     p.add_argument("--annulus", type=_annulus, default="1/64,64", help="r_in,r_out in pi units")
-    p.add_argument("--samples", type=positive, default=100_000)
+    p.add_argument("--samples", type=_int_at_least(1), default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["auto", "exact", "sampled"], default="auto")
     p.set_defaults(handler=_cmd_verify_set)
 
-    p = sub.add_parser("gram", help="orthonormality certificate for the induced family")
+
+def _gram_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", required=True)
     p.add_argument("--dilation", required=True)
-    p.add_argument("--m", type=natural, default=2, help="scale range [-m, m]")
-    p.add_argument("--v", type=natural, default=8, help="translation range per axis")
+    p.add_argument("--m", type=_int_at_least(0), default=2, help="scale range [-m, m]")
+    p.add_argument("--v", type=_int_at_least(0), default=8, help="translation range per axis")
     p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.set_defaults(handler=_cmd_gram)
 
-    p = sub.add_parser("decompose", help="map a function to its layer decomposition")
+
+def _decompose_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", required=True)
     p.add_argument("--dilation", required=True)
     p.add_argument("--function", required=True, help="function JSON file")
@@ -267,14 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=None)
     p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("rep", help="fiber and induced operators over a point")
+
+def _rep_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dilation", required=True)
     p.add_argument("--x", required=True, help="comma-separated coords, e.g. '3/2 pi'")
     p.add_argument("--element", required=True, help='{"v":[...],"j":J,"m":M}')
-    p.add_argument("--K", type=natural, default=32)
+    p.add_argument("--K", type=_int_at_least(0), default=32)
     p.set_defaults(handler=_cmd_rep)
 
-    p = sub.add_parser("wavelet-eval", help="time-domain wavelet samples")
+
+def _wavelet_eval_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--points", dest="ts", type=_points, metavar="X,Y;X,Y", help="points to sample")
@@ -282,21 +323,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write samples to CSV")
     p.set_defaults(handler=_cmd_wavelet_eval)
 
-    p = sub.add_parser("density", help="match character targets with points")
+
+def _density_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dilation", required=True)
     p.add_argument("--targets", required=True, help="JSON list of targets")
     p.add_argument("--eps", type=_tolerance, default=1e-10)
     p.add_argument("--set", help="optional base set for membership checks")
     p.set_defaults(handler=_cmd_density)
 
-    p = sub.add_parser("mean-coef", help="decay table of the averaged character")
+
+def _mean_coef_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dilation", required=True)
     p.add_argument("--beta", required=True, help='{"v":[...],"j":J}')
-    p.add_argument("--j-max", type=natural, default=8)
+    p.add_argument("--j-max", type=_int_at_least(0), default=8)
     p.set_defaults(handler=_cmd_mean_coef)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--output", help="write the JSON report to a file")
+
+# subcommand -> (help, option builder); each builder binds its handler when it runs
+_SUBCOMMANDS = {
+    "verify-set": ("run the three wavelet-set conditions", _verify_set_options),
+    "gram": ("orthonormality certificate for the induced family", _gram_options),
+    "decompose": ("map a function to its layer decomposition", _decompose_options),
+    "rep": ("fiber and induced operators over a point", _rep_options),
+    "wavelet-eval": ("time-domain wavelet samples", _wavelet_eval_options),
+    "density": ("match character targets with points", _density_options),
+    "mean-coef": ("decay table of the averaged character", _mean_coef_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; for a known ``command``, with that subcommand's options alone.
+
+    Any other ``command`` (none, ``--help`` or an unknown name) builds
+    every subcommand, so the help and "choose from" texts list them all.
+    """
+    parser = _Parser(
+        prog="waverep",
+        description="verification toolkit for wavelet sets and their scaling-group operators",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    for name in names:
+        help_text, options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        options(p)
+        p.add_argument("--output", help="write the JSON report to a file")
     return parser
 
 
@@ -317,7 +388,7 @@ def _overflow_error(args, exc: OverflowError) -> str:
 def run(argv: list[str]) -> int:
     args = None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         code, report = args.handler(args)
     except SystemExit:  # only --help exits: every usage error raises InputError
         return 0

@@ -6,7 +6,10 @@ rational box.  The family is closed under modulation always and under
 the frequency-domain scaling operator when the frequency matrix is
 diagonal (or n == 1), and every L2 pairing factors into one-dimensional
 exponential integrals whose endpoint phases are rational multiples of
-pi, reduced exactly.
+pi, reduced exactly.  A pairing is formed as its :class:`TermPair` list
+(the boxes that meet, with their coefficients and phase offsets) and
+evaluated by :func:`pairing`, at the pairs' own phases or shifted by an
+extra exact modulation.
 
 A :class:`LayerFunction` is a finite window of k-indexed layers, each a
 modulated box sum supported in a base set; it carries the functions on
@@ -29,7 +32,15 @@ from .boxes import Box, BoxSet
 from .errors import DimensionMismatch
 from .groups import AdicVector, DilationMatrix, RealPoint, character_value, phase_exp
 
-__all__ = ["Term", "ModulatedBoxSum", "LayerFunction", "GridFunction", "axis_integral"]
+__all__ = [
+    "Term",
+    "TermPair",
+    "ModulatedBoxSum",
+    "LayerFunction",
+    "GridFunction",
+    "axis_integral",
+    "pairing",
+]
 
 
 @dataclass(frozen=True)
@@ -39,6 +50,15 @@ class Term:
     box: Box
 
 
+@dataclass(frozen=True)
+class TermPair:
+    """One term pair of an L2 pairing: c_s * conj(c_t), the common box, beta_s - beta_t."""
+
+    coef: complex
+    box: Box
+    phase: tuple[Fraction, ...]
+
+
 def axis_integral(a: Fraction, b: Fraction, theta: Fraction) -> complex:
     """Exact-phase evaluation of the integral of e^{-i theta t} over [a*pi, b*pi]."""
     if theta == 0:
@@ -46,6 +66,25 @@ def axis_integral(a: Fraction, b: Fraction, theta: Fraction) -> complex:
     hi = phase_exp(-theta * b)
     lo = phase_exp(-theta * a)
     return (hi - lo) / complex(0, -float(theta))
+
+
+def pairing(pairs: Iterable[TermPair], shift: Sequence[Fraction] | None = None) -> complex:
+    """Sum over the pairs of coef * prod_k of the integral of e^{-i theta_k t} over the box.
+
+    theta = phase + shift is the exact phase of the pair once the first
+    sum is modulated by e^{-i<shift, xi>}; no shift is the zero shift.
+    """
+    total = 0j
+    for pair in pairs:
+        box, phase = pair.box, pair.phase
+        prod = complex(1.0)
+        for k in range(len(phase)):
+            theta = phase[k] if shift is None else phase[k] + shift[k]
+            prod *= axis_integral(box.lo[k], box.hi[k], theta)
+            if prod == 0:
+                break
+        total += pair.coef * prod
+    return total
 
 
 @dataclass(frozen=True)
@@ -139,10 +178,19 @@ class ModulatedBoxSum:
     # --- analysis ---------------------------------------------------------
 
     def inner(self, other: "ModulatedBoxSum") -> complex:
-        """L2 pairing <self, other>, closed form per term pair."""
+        """L2 pairing <self, other>: its term pairs evaluated with no extra phase."""
+        return pairing(self.term_pairs(other))
+
+    def term_pairs(self, other: "ModulatedBoxSum") -> tuple[TermPair, ...]:
+        """The term pairs of <self, other> whose boxes meet, in pairing order.
+
+        These depend on the boxes and modulations alone, so a caller that
+        pairs the same two sums under many extra modulations forms them
+        once and evaluates them with :func:`pairing` per modulation.
+        """
         if self.A != other.A:
             raise DimensionMismatch("ambient matrices differ")
-        total = 0j
+        pairs = []
         for s in self.terms:
             sv = s.beta.values()
             for t in other.terms:
@@ -150,13 +198,9 @@ class ModulatedBoxSum:
                 if common is None:
                     continue
                 tv = t.beta.values()
-                prod = complex(1.0)
-                for k in range(self.dim):
-                    prod *= axis_integral(common.lo[k], common.hi[k], sv[k] - tv[k])
-                    if prod == 0:
-                        break
-                total += s.coef * t.coef.conjugate() * prod
-        return total
+                phase = tuple(a - b for a, b in zip(sv, tv))
+                pairs.append(TermPair(s.coef * t.coef.conjugate(), common, phase))
+        return tuple(pairs)
 
     def norm_sq(self) -> float:
         return max(self.inner(self).real, 0.0)

@@ -10,7 +10,9 @@ exactly reduced phases.  Completeness is reported as a defect curve
 over growing translation ranges, never as a boolean.
 
 Since D M_v = M_{Av} D, an entry depends only on the exact key
-(m, m', A^-m v - A^-m' v'), so each key is evaluated once.
+(m, m', A^-m v - A^-m' v'), so each key is evaluated once.  The boxes
+of D^m 1_E and D^m' 1_E that meet depend on (m, m') alone, so their term
+pairs are formed once per scale pair and evaluated at each key's phase.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .boxes import BoxSet
-from .funcs import ModulatedBoxSum
+from .funcs import ModulatedBoxSum, pairing
 from .groups import AdicVector, DilationMatrix
 from .spectral import meeting_gaps
 
@@ -111,6 +113,9 @@ def gram_matrix(spec: GramSpec) -> GramResult:
     key's vector is held as A^M times it, M = max(m, m'), an integer
     vector (exact, and injective since A^M is invertible).  Blocks whose
     supports do not meet (m' - m no meeting gap of E) are the exact zero.
+    The term pairs of D^m 1_E and D^m' 1_E are formed once per meeting
+    (m, m') and evaluated at the phase A^-M w of each key, with the same
+    float operations in the same order as the pairing of the two vectors.
     """
     labels = spec.labels()
     k = len(labels)
@@ -140,6 +145,7 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
         [linalg.mat_vec(A.power(e)[0], v) for e in range(2 * spec.m_max + 1)] for _, v in labels
     ]
     entries: dict = {}
+    pairs: dict = {}  # (m, m') -> term pairs of D^m 1_E and D^m' 1_E
     k = len(labels)
     matrix = np.zeros((k, k), dtype=complex)
     for i, (m, _) in enumerate(labels):
@@ -155,8 +161,10 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
             if val is None:
                 inner = 0j
                 if w is not None:
-                    beta = AdicVector(A, w, 0).twist(top)
-                    inner = dilates[m].modulated(beta).inner(dilates[mp])
+                    if (m, mp) not in pairs:
+                        pairs[m, mp] = dilates[m].term_pairs(dilates[mp])
+                    shift = AdicVector(A, w, 0).twist(top).values()
+                    inner = pairing(pairs[m, mp], shift)
                 val = entries[m, mp, w] = inner / (norms[m] * norms[mp])
             matrix[i, j] = val
             matrix[j, i] = val.conjugate()

@@ -6,17 +6,19 @@ frequency matrix, (ii) cover R^n by those dilates up to a null set, and
 
 (i) and (iii) are decided exactly on the box carrier.  (ii) is a limit
 statement, so it is certified only on a finite sup-norm annulus with a
-finite dilation range, and every report says so.  When the frequency
-matrix is not diagonal the exact set arithmetic is unavailable and
-(i)/(ii) downgrade to a seeded, reproducible sampling check: one pass
-over the draws of the annulus decides both.  The pass runs on NumPy
-blocks of draws, and its draws and images are bit-identical to the
-per-index definition: draw i is keyed by (seed, i) alone, and each image
-is rounded as :func:`b_transform` rounds it.  A sampled condition that
-passes N uniform draws carries ``fail_fraction_bound = ln(1/alpha)/N``
-with alpha = 0.05, the "rule of three" (Hanley & Lippman-Hand, JAMA
-1983): at confidence 1 - alpha it fails on less than that fraction of
-the annulus.
+finite dilation range, and every report says so; for a diagonal matrix
+its exact certificate is one cell pass over the integer index grid of
+the annulus and all dilates at once, not one set difference per dilate.
+When the frequency matrix is not diagonal the exact set arithmetic is
+unavailable and (i)/(ii) downgrade to a seeded, reproducible sampling
+check: one pass over the draws of the annulus decides both.  The pass
+runs on NumPy blocks of draws, and its draws and images are
+bit-identical to the per-index definition: draw i is keyed by (seed, i)
+alone, and each image is rounded as :func:`b_transform` rounds it.  A
+sampled condition that passes N uniform draws carries
+``fail_fraction_bound = ln(1/alpha)/N`` with alpha = 0.05, the "rule of
+three" (Hanley & Lippman-Hand, JAMA 1983): at confidence 1 - alpha it
+fails on less than that fraction of the annulus.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boxes import Box, BoxSet, interval_set
+from .boxes import Box, BoxSet, difference, interval_set
 from .errors import BadAnnulus, DimensionMismatch
 from .groups import DilationMatrix, RealPoint, b_transform
 from .jsonio import boxset_json
@@ -275,20 +277,19 @@ def check_dilation_cover(
 
     The full condition is a statement about all of R^n; the certificate
     here only covers the sup-norm annulus [r_in, r_out] with |j| <= j_max
-    and the report says exactly that.
+    and the report says exactly that.  On the exact path the uncovered part
+    is one cell pass (:func:`boxes.difference`): the outer box minus the
+    inner box and every box of every dilate, each clipped to the outer box.
     """
     name = "dilation_cover"
     r_in, r_out, note = _shell(annulus, j_max)
     if mode == "sampled" or not A.is_diagonal:
         return _sampled_checks(E, A, VerifyParams(j_max, annulus, samples, seed, mode))[1]
     dim = E.dim
-    outer = BoxSet(dim, (Box((-r_out,) * dim, (r_out,) * dim),))
-    inner = BoxSet(dim, (Box((-r_in,) * dim, (r_in,) * dim),))
-    remaining = outer.subtract(inner)
-    for j in range(-j_max, j_max + 1):
-        if remaining.is_empty:
-            break
-        remaining = remaining.subtract(E.dilate(A, j))
+    outer = Box((-r_out,) * dim, (r_out,) * dim)
+    inner = Box((-r_in,) * dim, (r_in,) * dim)
+    dilates = (b.dilate(A, j) for j in range(-j_max, j_max + 1) for b in E.boxes)
+    remaining = difference(dim, [outer], [inner, *dilates])
     if remaining.is_empty:
         return CheckResult(name, True, "exact", note=note)
     return CheckResult(

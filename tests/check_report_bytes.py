@@ -3,10 +3,13 @@
     python tests/check_report_bytes.py OLD_ROOT NEW_ROOT
 
 Takes every call of cycles 0-3 of the three workloads in
-``perfbench/workloads.py``, at seeds 3, 17 and 29, and a fixed list of
+``perfbench/workloads.py``, at seeds 3, 17 and 29, a fixed list of
 ``decompose`` calls with and without window ends (none of the workload
-ops passes ``--k-min`` or ``--k-max``), and compares the exit code and
-stdout of each call between the two trees.  Each tree runs in
+ops passes ``--k-min`` or ``--k-max``), and a fixed list of ``verify-set``
+and ``gram`` calls: exact 2-D covers that fail, sets that fail translation
+congruence, and Gram matrices of up to 507 labels in 1-D and 2-D, one
+of them written through ``--output``.  It compares the exit code and stdout
+of each call between the two trees, and the ``--output`` file with it.  Each tree runs in
 its own subprocess, which imports ``waverep`` from ROOT/src and makes
 every call in-process through ``waverep.cli.run``, from a temporary
 working directory that holds the op's input files.  The workloads are
@@ -98,6 +101,46 @@ def window_calls():
         yield f"windows/2d-{name}", [*base, *ends], {"e.json": SET_2D, "f.json": STEP_2D}
 
 
+def _set(*boxes) -> str:
+    """A set file: each box (lo, hi), coordinates as strings in pi units."""
+    dim = len(boxes[0][0])
+    return json.dumps({"dim": dim, "boxes": [{"lo": lo, "hi": hi} for lo, hi in boxes]})
+
+
+S = (("-2", "-1"), ("1", "2"))
+SXS = _set(*(([a, c], [b, d]) for a, b in S for c, d in S))
+SHELL = _set(  # [-2, 2)^2 minus [-1, 1)^2
+    (["-2", "-2"], ["2", "-1"]), (["-2", "1"], ["2", "2"]),
+    (["-2", "-1"], ["-1", "1"]), (["1", "-1"], ["2", "1"]),
+)
+HALF = _set((["0"], ["1"]), (["2"], ["3"]))  # folds onto [0, 1) twice: overlap and deficit
+HALF_2D = _set((["0", "-1"], ["1", "1"]),)  # half the cube: a deficit alone
+ANNULUS_14 = f"1/{2**14},{2**14}"
+# (label, argv, files) for the exact covers, congruence failures and Gram sizes
+CERTIFY = [
+    ("cover/SxS-2-minus-2", ["verify-set", "--set", "s.json", "--dilation", "[[2,0],[0,-2]]",
+                             "--j-max", "16", "--annulus", ANNULUS_14, "--mode", "exact"], SXS),
+    ("cover/shell-2-3", ["verify-set", "--set", "s.json", "--dilation", "[[2,0],[0,3]]"], SHELL),
+    ("cover/shell-2-3-exact", ["verify-set", "--set", "s.json", "--dilation", "[[2,0],[0,3]]",
+                               "--j-max", "12", "--annulus", "1/4096,4096", "--mode", "exact"], SHELL),
+    ("congruence/overlap-and-deficit", ["verify-set", "--set", "s.json", "--dilation", "[[2]]"], HALF),
+    ("congruence/deficit-2d", ["verify-set", "--set", "s.json", "--dilation", "[[2,0],[0,2]]"], HALF_2D),
+    ("gram/1d-m2-v32", ["gram", "--set", "shannon", "--dilation", "[[2]]", "--m", "2", "--v", "32"], None),
+    ("gram/1d-overlap-witness", ["gram", "--set", "s.json", "--dilation", "[[2]]", "--m", "2", "--v", "6"],
+     HALF),
+    ("gram/2d-m1-v6", ["gram", "--set", "s.json", "--dilation", "[[2,0],[0,-2]]", "--m", "1", "--v", "6"],
+     SXS),
+    ("gram/2d-half-cube-witness", ["gram", "--set", "s.json", "--dilation", "[[2,0],[0,3]]", "--m", "1",
+                                   "--v", "2", "--output", "out.json"], HALF_2D),
+]
+
+
+def certify_calls():
+    """(label, argv, files) for the fixed verify-set and gram calls."""
+    for label, argv, text in CERTIFY:
+        yield label, argv, {} if text is None else {"s.json": text}
+
+
 def calls():
     """(label, argv, files) for every call, in a fixed order."""
     sys.path.insert(0, str(PERFBENCH))
@@ -110,6 +153,7 @@ def calls():
                     for i, argv in enumerate(op["calls"]):
                         yield f"{name}/seed{seed}/{op['id']}/{i}", argv, op["files"]
     yield from window_calls()
+    yield from certify_calls()
 
 
 def run_tree(root: str) -> dict:
@@ -129,7 +173,12 @@ def run_tree(root: str) -> dict:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 code = cli.run(argv)
-            out[label] = (code, hashlib.sha256(stdout.getvalue().encode()).hexdigest(), argv)
+            text = stdout.getvalue()
+            if "--output" in argv:
+                report = Path(argv[argv.index("--output") + 1])
+                text += report.read_text() if report.exists() else ""
+                report.unlink(missing_ok=True)
+            out[label] = (code, hashlib.sha256(text.encode()).hexdigest(), argv)
     return out
 
 

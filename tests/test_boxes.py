@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import ref_normalize, ref_translation_reduce
-from waverep.boxes import Box, BoxSet, interval_set, normalize, product_set, unit_cube
+from util import ref_normalize, ref_subtract, ref_translation_reduce
+from waverep.boxes import Box, BoxSet, difference, interval_set, normalize, product_set, unit_cube
 from waverep.errors import DimensionMismatch, NonDiagonalDilation
 from waverep.groups import RealPoint, validate_dilation
+from waverep.jsonio import boxset_json
+from waverep.tiling import check_translation_congruent
 
 A2 = validate_dilation([[2]])
 SHANNON = interval_set([(-2, -1), (1, 2)])
@@ -23,8 +26,8 @@ _ENDS = st.fractions(-3, 3, max_denominator=3)
 
 
 @st.composite
-def box_lists(draw):
-    dim = draw(st.integers(1, 3))
+def box_lists(draw, dim=None):
+    dim = draw(st.integers(1, 3)) if dim is None else dim
     boxes = []
     for _ in range(draw(st.integers(0, 5))):
         lo, hi = [], []
@@ -141,6 +144,38 @@ class TestAlgebra:
                 assert ops["union"].contains(p) == (in1 or in2)
                 assert ops["intersect"].contains(p) == (in1 and in2)
                 assert ops["subtract"].contains(p) == (in1 and not in2)
+
+
+class TestSubtractByCells:
+    """The one cell pass against cutting by one box at a time: the same boxes, byte for byte."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_matches_box_by_box_reference(self, data, dim):
+        S = BoxSet.of(dim, data.draw(box_lists(dim))[1])
+        T = BoxSet.of(dim, data.draw(box_lists(dim))[1])
+        got = S.subtract(T)
+        assert json.dumps(boxset_json(got)) == json.dumps(boxset_json(ref_subtract(S, T)))
+        assert got.measure() == S.measure() - S.intersect(T).measure()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 2), scale=st.sampled_from([1, 2]))
+    def test_deficit_witness_matches_reference(self, data, dim, scale):
+        boxes = data.draw(box_lists(dim))[1]
+        boxes = [Box(tuple(scale * x for x in b.lo), tuple(scale * x for x in b.hi)) for b in boxes]
+        E = BoxSet.of(dim, boxes[:3])
+        res = check_translation_congruent(E)
+        want = ref_translation_reduce(E)[2]
+        if not res.passed:
+            assert json.dumps(res.witness["deficit"]) == json.dumps(boxset_json(want))
+        else:
+            assert want.is_empty
+
+    def test_difference_clips_cutters(self):
+        # a cutter reaching far outside the boxes cuts only their common part
+        got = difference(1, [Box((0,), (4,))], [Box((-100,), (1,)), Box((3,), (100,))])
+        assert got == interval_set([(1, 3)])
+        assert difference(2, [], [Box((0, 0), (1, 1))]).is_empty
 
 
 class TestTranslate:

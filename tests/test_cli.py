@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from util import ref_sampled_cover, ref_sampled_disjoint
-from waverep import operators, spectral
+from waverep import cli, operators, spectral
 from waverep.boxes import Box, BoxSet
 from waverep.cli import run
 from waverep.groups import phase_exp, validate_dilation
@@ -181,6 +181,88 @@ class TestGramCommand:
         assert code == 1
         report = json.loads(out)
         assert "witness" in report
+
+
+def json_text(report: dict) -> str:
+    """The reference encoding of a report: json's own indented encoder, sorted keys, no NaN."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def gram_report(real, imag, **extra) -> dict:
+    labels = [[0, [v]] for v in range(len(real))]
+    report = {"command": "gram", "mode": "closed-form", "labels": labels, "matrix_real": real}
+    return {**report, "matrix_imag": imag, "max_deviation": 0.0, "tolerance": 1e-12, **extra}
+
+
+_EDGE = [[1.0, -0.0, 5e-324], [1e16, 1e-07, -2.5e-05], [-1e16, 0.1, 1.7976931348623157e308]]
+_WITNESS = {"row": [0, [0]], "col": [1, [-2]], "entry": [0.5, -0.0]}
+_REPORTS = [
+    gram_report(_EDGE, [[-x for x in row] for row in _EDGE]),
+    gram_report([[1.0]], [[0.0]]),
+    gram_report(
+        [[1.0, 0.25], [0.25, 1.0]], [[0.0, -0.0], [0.0, 0.0]], warning="max deviation", witness=_WITNESS
+    ),
+    gram_report([], []),
+    gram_report([[], []], [[], []]),
+]
+
+
+class TestReportEncoder:
+    """The row writer of the gram matrices against json's own encoder: the same bytes."""
+
+    @pytest.mark.parametrize("report", _REPORTS, ids=["edge", "one-label", "witness", "empty", "empty-rows"])
+    def test_emit_matches_json(self, report, tmp_path, capsys):
+        cli._emit(report, None)
+        assert capsys.readouterr().out == json_text(report)
+        path = tmp_path / "report.json"
+        cli._emit(report, str(path))
+        assert path.read_text() == json_text(report)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--set", "shannon", "--dilation", "[[2]]", "--m", "1", "--v", "3"],
+            ["--set", "shannon", "--dilation", "[[2]]", "--m", "0", "--v", "0"],
+            ["--set", "ss.json", "--dilation", "[[2,0],[0,-2]]", "--m", "1", "--v", "1"],
+            ["--set", "bad.json", "--dilation", "[[2]]", "--m", "1", "--v", "2"],
+            ["--set", "ss.json", "--dilation", "[[0,2],[2,0]]", "--m", "1", "--v", "1", "--tol", "0"],
+        ],
+        ids=["shannon", "one-label", "2d", "witness", "quadrature"],
+    )
+    def test_gram_reports_match_json(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ss.json").write_text(json.dumps(_FILES["sxs.json"]))
+        (tmp_path / "bad.json").write_text(json.dumps({"dim": 1, "boxes": [{"lo": ["0"], "hi": ["2"]}]}))
+        code, out = run_capture(["gram", *argv], capsys)
+        assert code in (0, 1)
+        assert out == json_text(json.loads(out))
+        assert run(["gram", *argv, "--output", "out.json"]) == code
+        assert (tmp_path / "out.json").read_text() == out
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key, row", [("matrix_real", 0), ("matrix_imag", 1)])
+    def test_non_finite_matrix_exits_two(self, bad, key, row, tmp_path, monkeypatch, capsys):
+        report = gram_report([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]])
+        report[key][row][1] = bad
+        with pytest.raises(ValueError) as err:
+            json_text(report)
+        monkeypatch.setattr("waverep.cli._cmd_gram", lambda args: (0, report))
+        argv = ["gram", "--set", "shannon", "--dilation", "[[2]]"]
+        code, out = run_capture(argv, capsys)
+        assert (code, out) == (2, json_text({"error": str(err.value)}))
+        code, out = run_capture([*argv, "--output", str(tmp_path / "out.json")], capsys)
+        assert (code, out) == (2, json_text({"error": str(err.value)}))
+        assert not (tmp_path / "out.json").exists()
+
+    def test_first_non_finite_value_in_key_and_row_order(self, monkeypatch, capsys):
+        # matrix_imag sorts first, so its infinity is named, not the NaN of matrix_real
+        report = gram_report([[math.nan, 0.0]], [[0.0, 0.0], [0.0, -math.inf]])
+        monkeypatch.setattr("waverep.cli._cmd_gram", lambda args: (0, report))
+        code, out = run_capture(["gram", "--set", "shannon", "--dilation", "[[2]]"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "Out of range float values are not JSON compliant: -inf"
 
 
 # input files named by the boundary cases and the fuzz below
@@ -380,6 +462,19 @@ class TestInputBoundary:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: waverep")
+
+    def test_parser_builds_the_named_subcommand_alone(self):
+        def subcommands(parser):
+            return parser._subparsers._group_actions[0].choices
+
+        full = subcommands(cli.build_parser())
+        assert len(full) == 7
+        for name, sub in full.items():
+            one = subcommands(cli.build_parser(name))
+            assert list(one) == [name]
+            assert one[name].format_help() == sub.format_help()
+        for command in (None, "--help", "nosuch"):
+            assert list(subcommands(cli.build_parser(command))) == list(full)
 
     @pytest.mark.parametrize(
         "extra",

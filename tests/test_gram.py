@@ -1,12 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import box_sets, diagonal_matrices, ref_gram_closed_form, ref_gram_quadrature
-from waverep.boxes import interval_set, product_set
+from util import box_sets, diagonal_matrices, ref_gram_closed_form, ref_gram_keyed, ref_gram_quadrature
+from waverep.boxes import Box, interval_set, product_set
 from waverep.funcs import ModulatedBoxSum
 from waverep.gram import GramSpec, completeness_defect, eval_msf_wavelet, gram_matrix
 from waverep.groups import validate_dilation
@@ -200,6 +201,56 @@ class TestGroupStructure:
         got = gram_matrix(spec)
         assert got.mode == "quadrature"
         assert np.max(np.abs(got.matrix - ref_gram_quadrature(spec))) <= 1e-14
+
+
+_OVERLAPPING = [
+    # B E meets E for A = -2, and B^2 E does not
+    (interval_set([(-3, -1), (1, 3)]), [[-2]]),
+    # every dilate by 2 meets E
+    (interval_set([(Fraction(1, 3), 3)]), [[2]]),
+    (product_set(interval_set([(0, 2)]), interval_set([(-1, 1)])), [[2, 0], [0, 3]]),
+    (product_set(interval_set([(-3, -1), (1, 3)]), interval_set([(0, 2)])), [[-2, 0], [0, 2]]),
+]
+
+
+class TestTermPairsPerScalePair:
+    """Term pairs formed once per (m, m') against one pairing per key: equal to the byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(E=box_sets(1), A=diagonal_matrices(1), m_max=st.integers(0, 2), v_max=st.integers(0, 8))
+    def test_bytes_equal_keyed_reference_1d(self, E, A, m_max, v_max):
+        spec = GramSpec(E, A, m_max, v_max)
+        assert gram_matrix(spec).matrix.tobytes() == ref_gram_keyed(spec).tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(E=box_sets(2), A=diagonal_matrices(2), m_max=st.integers(0, 1), v_max=st.integers(0, 2))
+    def test_bytes_equal_keyed_reference_2d(self, E, A, m_max, v_max):
+        spec = GramSpec(E, A, m_max, v_max)
+        assert gram_matrix(spec).matrix.tobytes() == ref_gram_keyed(spec).tobytes()
+
+    @pytest.mark.parametrize("E, A", _OVERLAPPING)
+    def test_overlapping_dilates(self, E, A):
+        spec = GramSpec(E, validate_dilation(A), m_max=2 if len(A) == 1 else 1, v_max=3)
+        got = gram_matrix(spec).matrix
+        assert got.tobytes() == ref_gram_keyed(spec).tobytes()
+        assert cross_scale_blocks(spec, got)[1]  # some gap meets, so some cross-scale entry is not 0
+
+    @pytest.mark.parametrize("E, A", _OVERLAPPING)
+    def test_box_intersections_do_not_grow_with_v_max(self, E, A, monkeypatch):
+        calls = []
+        intersect = Box.intersect
+
+        def counting(self, other):
+            calls.append(1)
+            return intersect(self, other)
+
+        monkeypatch.setattr(Box, "intersect", counting)
+        counts = []
+        for v_max in (2, 8):
+            calls.clear()
+            gram_matrix(GramSpec(E, validate_dilation(A), m_max=1, v_max=v_max))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestMeetingGaps:

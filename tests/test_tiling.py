@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from util import (
     box_sets,
     diagonal_matrices,
+    ref_dilation_cover,
     ref_disjoint_witness,
     ref_sample_annulus,
     ref_sampled_cover,
     ref_sampled_disjoint,
 )
 from waverep import tiling
-from waverep.boxes import Box, interval_set, product_set
+from waverep.boxes import Box, BoxSet, interval_set, product_set, unit_cube
 from waverep.errors import BadAnnulus
 from waverep.tiling import (
     _BLOCK,
@@ -142,6 +144,48 @@ class TestCover:
     def test_bad_annulus(self):
         with pytest.raises(BadAnnulus):
             check_dilation_cover(shannon_set(), A2, annulus=(Fraction(0), Fraction(8)))
+
+
+_RADII = st.fractions(Fraction(1, 64), 4, max_denominator=64)
+
+
+class TestCoverByCells:
+    """The one cell pass against the annulus minus one dilate at a time: the same witness bytes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.sampled_from([1, 2]),
+        j_max=st.integers(0, 8),
+        r_in=_RADII,
+        ratio=st.fractions(Fraction(17, 16), 256, max_denominator=16),
+    )
+    def test_same_witness_as_subtract_loop(self, data, dim, j_max, r_in, ratio):
+        E, A = data.draw(box_sets(dim)), data.draw(diagonal_matrices(dim))
+        annulus = (r_in, r_in * ratio)
+        res = check_dilation_cover(E, A, annulus=annulus, j_max=j_max)
+        want = ref_dilation_cover(E, A, annulus, j_max)
+        event("uncovered" if want else "covered")
+        assert res.mode == "exact" and res.passed == (want is None)
+        assert json.dumps(res.witness) == json.dumps(want)
+
+    @pytest.mark.parametrize(
+        "E, A, j_max, k",
+        [
+            # the dilates of S x S scale both axes alike: points with axes at different scales stay uncovered
+            (product_set(shannon_set(), shannon_set()), [[2, 0], [0, -2]], 16, 14),
+            # the shell [-2, 2)^2 minus [-1, 1)^2 under diag(2, 3): the axes scale apart
+            (BoxSet.of(2, [Box((-2, -2), (2, 2))]).subtract(unit_cube(2)), [[2, 0], [0, 3]], 8, 6),
+            # Shannon under -2: covers, so the witness is absent on both sides
+            (shannon_set(), [[-2]], 8, 6),
+        ],
+    )
+    def test_fixed_sets(self, E, A, j_max, k):
+        annulus = (Fraction(1, 2**k), Fraction(2**k))
+        res = check_dilation_cover(E, validate_dilation(A), annulus=annulus, j_max=j_max)
+        want = ref_dilation_cover(E, validate_dilation(A), annulus, j_max)
+        assert json.dumps(res.witness) == json.dumps(want)
+        assert (want is None) == (A == [[-2]])
 
 
 class TestCongruent:

@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from waverep.boxes import Box, BoxSet, interval_set, normalize, product_set, unit_cube
+from waverep.boxes import Box, BoxSet, interval_set, product_set, unit_cube
 from waverep.errors import AmbiguousScale, NotCovered, NotExpansive, SingularMatrix, ZeroFunction
-from waverep.funcs import LayerFunction, ModulatedBoxSum, Term
+from waverep.funcs import LayerFunction, ModulatedBoxSum, Term, axis_integral
 from waverep.gram import GramSpec
 from waverep.groups import (
     AdicVector,
@@ -27,6 +27,7 @@ from waverep.groups import (
 )
 from waverep.jsonio import boxset_json
 from waverep.linalg import mat_mul, mat_pow, mat_vec, transpose
+from waverep.spectral import meeting_gaps
 from waverep.tiling import CheckResult
 
 
@@ -148,19 +149,74 @@ def ref_b_transform(A: DilationMatrix, x, k: int) -> tuple[Fraction, ...]:
 # --- brute-force references for the group-structure shortcuts -------------
 
 
+def ref_inner(f: ModulatedBoxSum, g: ModulatedBoxSum) -> complex:
+    """<f, g> by one loop over the term pairs, each phase taken from the two modulations."""
+    total = 0j
+    for s in f.terms:
+        sv = s.beta.values()
+        for t in g.terms:
+            common = s.box.intersect(t.box)
+            if common is None:
+                continue
+            tv = t.beta.values()
+            prod = complex(1.0)
+            for k in range(f.dim):
+                prod *= axis_integral(common.lo[k], common.hi[k], sv[k] - tv[k])
+                if prod == 0:
+                    break
+            total += s.coef * t.coef.conjugate() * prod
+    return total
+
+
 def ref_gram_closed_form(spec: GramSpec) -> np.ndarray:
     """Closed-form Gram matrix by evaluating all k^2 / 2 pairings, one basis vector per label."""
     labels = spec.labels()
     base = ModulatedBoxSum.indicator(spec.A, spec.E)
     vectors = [base.modulated(AdicVector.of(spec.A, v)).dilated(m) for m, v in labels]
-    norm_sqs = [b.inner(b).real for b in vectors]
+    norm_sqs = [ref_inner(b, b).real for b in vectors]
     norms = [math.sqrt(s) for s in norm_sqs]
     k = len(labels)
     matrix = np.zeros((k, k), dtype=complex)
     for i in range(k):
         matrix[i, i] = norm_sqs[i] / norm_sqs[i]
         for j in range(i + 1, k):
-            val = vectors[i].inner(vectors[j]) / (norms[i] * norms[j])
+            val = ref_inner(vectors[i], vectors[j]) / (norms[i] * norms[j])
+            matrix[i, j] = val
+            matrix[j, i] = val.conjugate()
+    return matrix
+
+
+def ref_gram_keyed(spec: GramSpec) -> np.ndarray:
+    """Closed-form Gram matrix with one pairing per key (m, m', A^M w), the modulated D^m 1_E with D^m' 1_E.
+
+    The per-key evaluation that the term pairs per scale pair replace:
+    each key modulates D^m 1_E and pairs it with D^m' 1_E from scratch.
+    """
+    A, labels = spec.A, spec.labels()
+    base = ModulatedBoxSum.indicator(A, spec.E)
+    dilates = {m: base.dilated(m) for m in range(-spec.m_max, spec.m_max + 1)}
+    norm_sqs = {m: ref_inner(f, f).real for m, f in dilates.items()}
+    norms = {m: math.sqrt(x) for m, x in norm_sqs.items()}
+    gaps = set(meeting_gaps(spec.E, A, -2 * spec.m_max, 2 * spec.m_max))
+    lifts = [[mat_vec(A.power(e)[0], v) for e in range(2 * spec.m_max + 1)] for _, v in labels]
+    entries: dict = {}
+    k = len(labels)
+    matrix = np.zeros((k, k), dtype=complex)
+    for i, (m, _) in enumerate(labels):
+        matrix[i, i] = norm_sqs[m] / norm_sqs[m]
+        for j in range(i + 1, k):
+            mp = labels[j][0]
+            top = max(m, mp)
+            w = None
+            if mp - m in gaps:
+                w = tuple(a - b for a, b in zip(lifts[i][top - m], lifts[j][top - mp]))
+            val = entries.get((m, mp, w))
+            if val is None:
+                inner = 0j
+                if w is not None:
+                    beta = AdicVector(A, w, 0).twist(top)
+                    inner = ref_inner(dilates[m].modulated(beta), dilates[mp])
+                val = entries[m, mp, w] = inner / (norms[m] * norms[mp])
             matrix[i, j] = val
             matrix[j, i] = val.conjugate()
     return matrix
@@ -308,6 +364,44 @@ def ref_normalize(dim: int, boxes) -> tuple[Box, ...]:
     return tuple(current)
 
 
+def ref_minus(box: Box, cutter: Box) -> list[Box]:
+    """box minus cutter as disjoint boxes, peeled off axis by axis."""
+    if box.intersect(cutter) is None:
+        return [box]
+    pieces = []
+    lo, hi = list(box.lo), list(box.hi)
+    for k in range(box.dim):
+        if lo[k] < cutter.lo[k]:
+            pieces.append(Box(tuple(lo), tuple(hi[:k]) + (cutter.lo[k],) + tuple(hi[k + 1 :])))
+            lo[k] = cutter.lo[k]
+        if cutter.hi[k] < hi[k]:
+            pieces.append(Box(tuple(lo[:k]) + (cutter.hi[k],) + tuple(lo[k + 1 :]), tuple(hi)))
+            hi[k] = cutter.hi[k]
+    return pieces
+
+
+def ref_subtract(S: BoxSet, T: BoxSet) -> BoxSet:
+    """S minus T by cutting every piece with each box of T in turn, then the Fraction-grid canonical form."""
+    pieces = list(S.boxes)
+    for cutter in T.boxes:
+        pieces = [p for b in pieces for p in ref_minus(b, cutter)]
+    return BoxSet(S.dim, ref_normalize(S.dim, pieces))
+
+
+def ref_dilation_cover(E: BoxSet, A: DilationMatrix, annulus, j_max: int) -> dict | None:
+    """Exact condition (ii): the annulus minus one dilate at a time; the uncovered witness or None."""
+    r_in, r_out = annulus
+    dim = E.dim
+    outer = BoxSet(dim, (Box((-r_out,) * dim, (r_out,) * dim),))
+    inner = BoxSet(dim, (Box((-r_in,) * dim, (r_in,) * dim),))
+    remaining = ref_subtract(outer, inner)
+    for j in range(-j_max, j_max + 1):
+        if remaining.is_empty:
+            break
+        remaining = ref_subtract(remaining, E.dilate(A, j))
+    return None if remaining.is_empty else {"uncovered": boxset_json(remaining)}
+
+
 def ref_translation_reduce(E: BoxSet):
     """translation_reduce by cutting each box at every odd integer inside it, axis by axis."""
     fragments = []
@@ -342,8 +436,8 @@ def ref_translation_reduce(E: BoxSet):
             c = images[i].intersect(images[j])
             if c is not None:
                 overlap_pieces.append(c)
-    overlap = normalize(E.dim, overlap_pieces)
-    deficit = unit_cube(E.dim).subtract(normalize(E.dim, images))
+    overlap = BoxSet(E.dim, ref_normalize(E.dim, overlap_pieces))
+    deficit = ref_subtract(unit_cube(E.dim), BoxSet(E.dim, ref_normalize(E.dim, images)))
     return fragments, overlap, deficit
 
 
