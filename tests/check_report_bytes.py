@@ -8,7 +8,11 @@ Takes every call of cycles 0-3 of the three workloads in
 ops passes ``--k-min`` or ``--k-max``), and a fixed list of ``verify-set``
 and ``gram`` calls: exact 2-D covers that fail, sets that fail translation
 congruence, and Gram matrices of up to 507 labels in 1-D and 2-D, one
-of them written through ``--output``.  It compares the exit code and stdout
+of them written through ``--output``.  It also makes the usage calls of
+``argv_cases.py`` beside this script: every argv of the CLI tests that must
+exit 2, and the argv grammar (``=`` values, prefixes, option-like values,
+repeats, missing and unknown options and commands); ``--help`` is left out,
+since its text is not a JSON report.  It compares the exit code and stdout
 of each call between the two trees, and the ``--output`` file with it.  Each tree runs in
 its own subprocess, which imports ``waverep`` from ROOT/src and makes
 every call in-process through ``waverep.cli.run``, from a temporary
@@ -29,6 +33,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import argv_cases
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEEDS = (3, 17, 29)
@@ -141,6 +147,15 @@ def certify_calls():
         yield label, argv, {} if text is None else {"s.json": text}
 
 
+def usage_calls():
+    """(label, argv, files) for the calls that must exit 2 and the argv grammar cases."""
+    files = {name: json.dumps(data) for name, data in argv_cases.FILES.items()}
+    for i, argv in enumerate(argv_cases.BAD_ARGV):
+        yield f"usage/bad/{i}", argv, files
+    for name, argv in argv_cases.USAGE_ARGV.items():
+        yield f"usage/grammar/{name}", argv, files
+
+
 def calls():
     """(label, argv, files) for every call, in a fixed order."""
     sys.path.insert(0, str(PERFBENCH))
@@ -154,6 +169,7 @@ def calls():
                         yield f"{name}/seed{seed}/{op['id']}/{i}", argv, op["files"]
     yield from window_calls()
     yield from certify_calls()
+    yield from usage_calls()
 
 
 def run_tree(root: str) -> dict:
@@ -174,7 +190,7 @@ def run_tree(root: str) -> dict:
             with contextlib.redirect_stdout(stdout):
                 code = cli.run(argv)
             text = stdout.getvalue()
-            if "--output" in argv:
+            if "--output" in argv[:-1]:
                 report = Path(argv[argv.index("--output") + 1])
                 text += report.read_text() if report.exists() else ""
                 report.unlink(missing_ok=True)

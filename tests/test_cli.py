@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from argv_cases import BAD_ARGV, FILES, write_files
 from util import ref_sampled_cover, ref_sampled_disjoint
 from waverep import cli, operators, spectral
 from waverep.boxes import Box, BoxSet
@@ -232,7 +233,7 @@ class TestReportEncoder:
     )
     def test_gram_reports_match_json(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "ss.json").write_text(json.dumps(_FILES["sxs.json"]))
+        (tmp_path / "ss.json").write_text(json.dumps(FILES["sxs.json"]))
         (tmp_path / "bad.json").write_text(json.dumps({"dim": 1, "boxes": [{"lo": ["0"], "hi": ["2"]}]}))
         code, out = run_capture(["gram", *argv], capsys)
         assert code in (0, 1)
@@ -263,99 +264,6 @@ class TestReportEncoder:
         code, out = run_capture(["gram", "--set", "shannon", "--dilation", "[[2]]"], capsys)
         assert code == 2
         assert json.loads(out)["error"] == "Out of range float values are not JSON compliant: -inf"
-
-
-# input files named by the boundary cases and the fuzz below
-_FILES = {
-    "f1d.json": {"terms": [{"re": 1.0, "box": {"lo": ["1"], "hi": ["2"]}}]},
-    "f2d.json": {"terms": [{"re": 1.0, "box": {"lo": ["1", "1"], "hi": ["2", "2"]}}]},
-    "fbad.json": {"terms": [{"re": "x", "box": {"lo": ["1"]}}]},
-    "ss.json": {"dim": 2, "boxes": [{"lo": ["1", "1"], "hi": ["2", "2"]}]},
-    "empty.json": {"dim": 1, "boxes": []},
-    "fracdim.json": {"dim": 1.5, "boxes": [{"lo": ["1"], "hi": ["2"]}, {"lo": ["-2"], "hi": ["-1"]}]},
-    "targets.json": [{"phases": [{"v": [1], "j": 1, "t": "-1/2"}]}],
-    "nophases.json": [{"test_set": [{"v": [1]}]}],
-    "not.json": [{"phases": [{"v": [1], "j": 1}]}],
-    "tdict.json": {"phases": []},
-    "sxs.json": {
-        "dim": 2,
-        "boxes": [
-            {"lo": [a, b], "hi": [c, d]}
-            for a, c in (("-2", "-1"), ("1", "2"))
-            for b, d in (("-2", "-1"), ("1", "2"))
-        ],
-    },
-    "fbig.json": {
-        "terms": [
-            {"re": 1e308, "box": {"lo": ["1"], "hi": ["3/2"]}},
-            {"re": 1e308, "box": {"lo": ["3/2"], "hi": ["2"]}},
-        ]
-    },
-    "finf.json": {"terms": [{"re": "inf", "box": {"lo": ["1"], "hi": ["2"]}}]},
-}
-
-
-def _write_files(directory):
-    for name, data in _FILES.items():
-        (directory / name).write_text(json.dumps(data))
-
-
-_X = ["--dilation", "[[2]]", "--x", "1/2 pi"]
-_BAD_ARGV = [
-    # malformed values and a missing option
-    ["wavelet-eval", "--set", "shannon"],
-    ["wavelet-eval", "--set", "shannon", "--points", "1,a"],
-    ["wavelet-eval", "--set", "shannon", "--grid", "1:2"],
-    ["wavelet-eval", "--set", "shannon", "--points", "1,2"],
-    ["rep", *_X, "--element", "{bad"],
-    ["mean-coef", "--dilation", "[[2]]", "--beta", "x"],
-    ["rep", *_X, "--element", '{"v": [1], "j": -1}'],
-    ["mean-coef", "--dilation", "[[2]]", "--beta", '{"v": [1], "j": -1}'],
-    ["density", "--dilation", "[[2]]", "--targets", "nophases.json"],
-    ["density", "--dilation", "[[2]]", "--targets", "not.json"],
-    # values that do not fit the matrix or the window
-    ["rep", *_X, "--element", '{"v": [1, 2]}'],
-    ["rep", "--dilation", "[[2]]", "--x", "1/2 pi,1", "--element", '{"v": [1]}'],
-    ["mean-coef", "--dilation", "[[2]]", "--beta", '{"v": [1, 2]}'],
-    ["verify-set", "--set", "shannon", "--dilation", "[[2,0],[0,2]]"],
-    ["decompose", "--set", "shannon", "--dilation", "[[2,0],[0,2]]", "--function", "f2d.json"],
-    ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "f2d.json"],
-    ["rep", *_X, "--element", '{"v": [1]}', "--K", "-3"],
-    ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "f1d.json",
-     "--k-min", "3", "--k-max", "1"],
-    # counts out of range, which would run no check at all
-    ["verify-set", "--set", "shannon", "--dilation", "[[0,2],[2,0]]", "--samples", "0"],
-    ["mean-coef", "--dilation", "[[2]]", "--beta", '{"v": [1]}', "--j-max", "-1"],
-    # unknown options and non-integer values
-    ["verify-set", "--set", "shannon", "--dilation", "[[2]]", "--bogus", "1"],
-    ["gram", "--set", "shannon", "--dilation", "[[2]]", "--m", "x"],
-    # unusable files, sets and numbers
-    ["verify-set", "--set", "ss.json", "--dilation", "[[0,2],[2,0]]", "--mode", "exact"],
-    ["verify-set", "--set", ".", "--dilation", "[[2]]"],
-    ["wavelet-eval", "--set", "empty.json", "--points", "1"],
-    ["verify-set", "--set", "empty.json", "--dilation", "[[2]]"],
-    ["verify-set", "--set", "fracdim.json", "--dilation", "[[2]]"],
-    ["wavelet-eval", "--set", "shannon", "--points", "1e308"],
-    ["density", "--dilation", "[[2]]", "--targets", "tdict.json"],
-    ["density", "--dilation", "[[2]]", "--targets", "targets.json", "--set", "ss.json"],
-    ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "fbad.json"],
-    ["rep", "--dilation", "[[2]]", "--x", "nan", "--element", '{"v": [1]}'],
-    ["rep", *_X, "--element", '{"v": [1.5]}'],
-    ["wavelet-eval", "--set", "shannon", "--points", "1", "--csv", "missing/psi.csv"],
-    ["mean-coef", "--dilation", "[[2]]", "--beta", '{"v": [1]}', "--output", "missing/out.json"],
-    # values out of float range
-    ["verify-set", "--set", "shannon", "--dilation", "[[2]]", "--mode", "sampled", "--j-max", "1100",
-     "--samples", "3"],
-    ["gram", "--set", "shannon", "--dilation", "[[2]]", "--m", "2100", "--v", "0"],
-    ["gram", "--set", "sxs.json", "--dilation", "[[0,2],[2,0]]", "--m", "520", "--v", "0"],
-    ["rep", "--dilation", "[[2]]", "--x", "0.3", "--element", '{"v":[1],"j":1,"m":0}', "--K", "1100"],
-    ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "fbig.json"],
-    # numbers that are not finite, and a negative tolerance
-    ["gram", "--set", "shannon", "--dilation", "[[2]]", "--m", "0", "--v", "0", "--tol", "nan"],
-    ["density", "--dilation", "[[2]]", "--targets", "targets.json", "--eps", "nan"],
-    ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "finf.json"],
-    ["gram", "--set", "shannon", "--dilation", "[[2]]", "--m", "0", "--v", "0", "--tol", "-1"],
-]
 
 
 _MATRICES = ["[[2]]", "[[-3]]", "[[2,0],[0,2]]", "[[0,2],[2,0]]", "[[1]]", "[[2", "[]", "x.json"]
@@ -403,9 +311,9 @@ _FUZZ = {
 class TestInputBoundary:
     """Bad arguments exit 2 with a JSON error before any check runs."""
 
-    @pytest.mark.parametrize("argv", _BAD_ARGV, ids=" ".join)
+    @pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
     def test_exit_two_with_json_error(self, argv, tmp_path, monkeypatch, capsys):
-        _write_files(tmp_path)
+        write_files(tmp_path)
         monkeypatch.chdir(tmp_path)
         code = run(argv)
         captured = capsys.readouterr()
@@ -420,7 +328,7 @@ class TestInputBoundary:
     )
     @given(data=st.data())
     def test_fuzz_argv(self, data, tmp_path, monkeypatch, capsys):
-        _write_files(tmp_path)
+        write_files(tmp_path)
         monkeypatch.chdir(tmp_path)
         command, options = data.draw(st.sampled_from(sorted(_FUZZ.items())), label="command")
         argv = [command]
