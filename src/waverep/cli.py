@@ -10,15 +10,33 @@ float (an ``OverflowError`` anywhere in a check) is an input error too,
 and a NaN or infinity never reaches stdout: a report that still holds
 one is replaced by an error, with exit 2.
 Reports are deterministic byte-for-byte for identical inputs and seed.
+
+The argv grammar is ``waverep COMMAND [OPTION VALUE]...``, read from one
+table, ``_COMMANDS``, as argparse reads the same options:
+
+- a value follows its option as the next word (``--K 4``) or after ``=``
+  (``--K=4``, ``--x=`` for an empty value); the next word is taken as a
+  value unless it looks like an option, so ``--x -0.3`` and
+  ``--x '-1/2 pi'`` work, and ``--x -1/2`` needs ``--x=-1/2``;
+- an option may be shortened to any unique prefix (``--sam`` for
+  ``--samples``); a prefix that fits several options is an error;
+- an option given twice takes its last value, and each value is checked;
+- ``-h`` or ``--help`` anywhere prints the help of the command (or of
+  every command, before the command) and exits 0;
+- words after ``--``, and words no option takes, are errors, reported
+  after any missing required option;
+- ``wavelet-eval`` takes exactly one of ``--points`` and ``--grid``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,78 +62,86 @@ def _load_set(arg: str, dim: int | None) -> BoxSet:
     return E
 
 
-# the float matrices of a gram report, written row by row by _matrix_text
-_MATRIX_KEYS = ("matrix_imag", "matrix_real")
+
+_STRING = json.encoder.encode_basestring_ascii
 
 
-def _dumps(value) -> str:
-    """The one JSON encoding of a report value; a NaN or infinity raises json's ValueError."""
-    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+def _json(value, pad: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` writes it.
 
-
-def _matrix_text(rows: list[list[float]]) -> str:
-    """A list of float rows as :func:`_dumps` writes it at depth 1, by one join per row.
-
-    Every value is checked before any text is formed; the first
-    non-finite one in row order raises json's own error.
+    ``pad`` is a newline and the indentation of ``value``'s own line.  The
+    bytes and errors are json's: the first NaN or infinity in key and row
+    order raises its ``ValueError``, any other type its ``TypeError``.  A
+    list of floats, such as a row of a gram matrix, is written by one join.
+    Keys are strings, as in every report.
     """
-    for row in rows:
-        if not all(map(math.isfinite, row)):
-            _dumps(next(x for x in row if not math.isfinite(x)))
-    if not rows:
-        return "[]"
-    pad = "\n      "
-    body = ",\n    ".join(
-        "[" + pad + ("," + pad).join(map(float.__repr__, row)) + "\n    ]" if row else "[]"
-        for row in rows
-    )
-    return "[\n    " + body + "\n  ]"
-
-
-def _encode(report: dict) -> str:
-    """The report as indented JSON with sorted keys, the bytes of :func:`_dumps` plus a newline.
-
-    A gram report's matrices go through :func:`_matrix_text` and every
-    other key through :func:`_dumps`, key by key in sorted order, so the
-    first non-finite value raises the error that :func:`_dumps` would.
-    """
-    if not any(key in report for key in _MATRIX_KEYS):
-        return _dumps(report) + "\n"
-    items = []
-    for key in sorted(report):
-        value = report[key]
-        text = _matrix_text(value) if key in _MATRIX_KEYS else _dumps(value).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}\n"
+    if isinstance(value, str):
+        return _STRING(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            body = sep.join(map(float.__repr__, value))
+        except TypeError:  # not a list of floats
+            body = sep.join([_json(item, inner) for item in value])
+        else:
+            if not all(map(math.isfinite, value)):
+                _json(next(x for x in value if not math.isfinite(x)))
+        return f"[{inner}{body}{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_STRING(key)}: {_json(value[key], inner)}" for key in sorted(value)])
+        return f"{{{inner}{body}{pad}}}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = _encode(report)
+    text = _json(report)
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            print(text, file=fh)
     else:
-        sys.stdout.write(text)
+        print(text)
 
 
-# --- option types: argparse turns a ValueError or ArgumentTypeError into a usage error
+# --- option types: a ValueError or TypeError reads "invalid <name> value", a _Rejected
+# its own message, and an InputError passes through unchanged
+
+
+class _Rejected(Exception):
+    """A value of the right type that an option does not take."""
 
 
 def _int_at_least(lo: int):
     def convert(text: str) -> int:
         value = int(text)
         if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+            raise _Rejected(f"must be >= {lo}, got {value}")
         return value
 
-    convert.__name__ = "int"  # names the type in argparse's "invalid int value" message
+    convert.__name__ = "int"  # names the type in the "invalid int value" message
     return convert
 
 
 def _tolerance(text: str) -> float:
     value = float(text)
     if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+        raise _Rejected(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -223,21 +249,22 @@ def _cmd_rep(args) -> tuple[int, dict]:
 
 def _cmd_wavelet_eval(args) -> tuple[int, dict]:
     E = _load_set(args.set, None)
-    if any(len(t) != E.dim for t in args.ts):
+    ts = args.grid if args.points is None else args.points
+    if any(len(t) != E.dim for t in ts):
         raise InputError(f"every point needs {E.dim} coordinates, the dimension of the set")
     reach = float(E.bounding_radii()[1]) * math.pi
-    if not all(math.isfinite(reach * c) for t in args.ts for c in t):
+    if not all(math.isfinite(reach * c) for t in ts for c in t):
         raise InputError("a point is not finite, or too large for its phases over the set")
-    values = [eval_msf_wavelet(E, t) for t in args.ts]
+    values = [eval_msf_wavelet(E, t) for t in ts]
     out = {
         "command": "wavelet-eval",
-        "points": args.ts,
+        "points": ts,
         "values": [jsonio.complex_json(v) for v in values],
     }
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("t,re,im\n")
-            for t, v in zip(args.ts, values):
+            for t, v in zip(ts, values):
                 fh.write(f"{' '.join(map(str, t))},{v.real!r},{v.imag!r}\n")
         out["csv"] = args.csv
     return 0, out
@@ -272,113 +299,275 @@ def _cmd_mean_coef(args) -> tuple[int, dict]:
     return 0, {"command": "mean-coef", "beta": jsonio.adic_json(beta), "table": table}
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        """Report a usage error as an input error (JSON, exit 2) instead of exiting."""
-        raise InputError(message)
+
+# --- the option table and its parser
 
 
-def _verify_set_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--set", required=True, help="set JSON file or builtin name (shannon)")
-    p.add_argument("--dilation", required=True, help="integer matrix, inline JSON or file")
-    p.add_argument("--j-max", type=_int_at_least(0), default=8)
-    p.add_argument("--annulus", type=_annulus, default="1/64,64", help="r_in,r_out in pi units")
-    p.add_argument("--samples", type=_int_at_least(1), default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["auto", "exact", "sampled"], default="auto")
-    p.set_defaults(handler=_cmd_verify_set)
+_REQUIRED = object()  # the default of an option that must be given
 
 
-def _gram_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--set", required=True)
-    p.add_argument("--dilation", required=True)
-    p.add_argument("--m", type=_int_at_least(0), default=2, help="scale range [-m, m]")
-    p.add_argument("--v", type=_int_at_least(0), default=8, help="translation range per axis")
-    p.add_argument("--tol", type=_tolerance, default=1e-12)
-    p.set_defaults(handler=_cmd_gram)
+class _Option(NamedTuple):
+    flag: str
+    help: str
+    convert: Callable[[str], object] = str
+    default: object = None  # _REQUIRED, or the value when absent (a str is converted)
+    choices: tuple[str, ...] | None = None
 
 
-def _decompose_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--set", required=True)
-    p.add_argument("--dilation", required=True)
-    p.add_argument("--function", required=True, help="function JSON file")
-    p.add_argument("--k-min", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-    p.set_defaults(handler=_cmd_decompose)
+class _Command(NamedTuple):
+    help: str
+    options: tuple[_Option, ...]
+    # the option that sets how far the command raises powers of A, which is what
+    # usually leaves float range there
+    scale: str | None = None
+    exclusive: tuple[str, ...] = ()  # options of which exactly one must be given
 
 
-def _rep_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dilation", required=True)
-    p.add_argument("--x", required=True, help="comma-separated coords, e.g. '3/2 pi'")
-    p.add_argument("--element", required=True, help='{"v":[...],"j":J,"m":M}')
-    p.add_argument("--K", type=_int_at_least(0), default=32)
-    p.set_defaults(handler=_cmd_rep)
+_SET = _Option("--set", "set JSON file or builtin name (shannon)", default=_REQUIRED)
+_DILATION = _Option("--dilation", "integer matrix, inline JSON or file", default=_REQUIRED)
+_OUTPUT = _Option("--output", "write the JSON report to a file")
 
-
-def _wavelet_eval_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--set", required=True)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--points", dest="ts", type=_points, metavar="X,Y;X,Y", help="points to sample")
-    g.add_argument("--grid", dest="ts", type=_grid, metavar="LO:HI:COUNT", help="1-D grid")
-    p.add_argument("--csv", help="write samples to CSV")
-    p.set_defaults(handler=_cmd_wavelet_eval)
-
-
-def _density_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dilation", required=True)
-    p.add_argument("--targets", required=True, help="JSON list of targets")
-    p.add_argument("--eps", type=_tolerance, default=1e-10)
-    p.add_argument("--set", help="optional base set for membership checks")
-    p.set_defaults(handler=_cmd_density)
-
-
-def _mean_coef_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dilation", required=True)
-    p.add_argument("--beta", required=True, help='{"v":[...],"j":J}')
-    p.add_argument("--j-max", type=_int_at_least(0), default=8)
-    p.set_defaults(handler=_cmd_mean_coef)
-
-
-# subcommand -> (help, option builder); each builder binds its handler when it runs
-_SUBCOMMANDS = {
-    "verify-set": ("run the three wavelet-set conditions", _verify_set_options),
-    "gram": ("orthonormality certificate for the induced family", _gram_options),
-    "decompose": ("map a function to its layer decomposition", _decompose_options),
-    "rep": ("fiber and induced operators over a point", _rep_options),
-    "wavelet-eval": ("time-domain wavelet samples", _wavelet_eval_options),
-    "density": ("match character targets with points", _density_options),
-    "mean-coef": ("decay table of the averaged character", _mean_coef_options),
+# subcommand -> its options, in the order that help, "required" and "could match" list them;
+# the handler of each subcommand is _cmd_<name>
+_COMMANDS = {
+    "verify-set": _Command(
+        "run the three wavelet-set conditions",
+        (
+            _SET,
+            _DILATION,
+            _Option("--j-max", "largest dilation exponent", _int_at_least(0), 8),
+            _Option("--annulus", "r_in,r_out in pi units", _annulus, "1/64,64"),
+            _Option("--samples", "draws on the sampled path", _int_at_least(1), 100_000),
+            _Option("--seed", "seed of the draws", int, 0),
+            _Option("--mode", "exact needs a diagonal matrix", str, "auto", ("auto", "exact", "sampled")),
+            _OUTPUT,
+        ),
+        scale="--j-max",
+    ),
+    "gram": _Command(
+        "orthonormality certificate for the induced family",
+        (
+            _SET,
+            _DILATION,
+            _Option("--m", "scale range [-m, m]", _int_at_least(0), 2),
+            _Option("--v", "translation range per axis", _int_at_least(0), 8),
+            _Option("--tol", "largest deviation from the identity that passes", _tolerance, 1e-12),
+            _OUTPUT,
+        ),
+        scale="--m",
+    ),
+    "decompose": _Command(
+        "map a function to its layer decomposition",
+        (
+            _SET,
+            _DILATION,
+            _Option("--function", "function JSON file", default=_REQUIRED),
+            _Option("--k-min", "lowest layer", int),
+            _Option("--k-max", "highest layer", int),
+            _OUTPUT,
+        ),
+    ),
+    "rep": _Command(
+        "fiber and induced operators over a point",
+        (
+            _DILATION,
+            _Option("--x", "comma-separated coords, e.g. '3/2 pi'", default=_REQUIRED),
+            _Option("--element", '{"v":[...],"j":J,"m":M}', default=_REQUIRED),
+            _Option("--K", "phase window [-K, K]", _int_at_least(0), 32),
+            _OUTPUT,
+        ),
+        scale="--K",
+    ),
+    "wavelet-eval": _Command(
+        "time-domain wavelet samples",
+        (
+            _SET,
+            _Option("--points", "points to sample, X,Y;X,Y", _points),
+            _Option("--grid", "1-D grid, LO:HI:COUNT", _grid),
+            _Option("--csv", "write samples to CSV"),
+            _OUTPUT,
+        ),
+        exclusive=("--points", "--grid"),
+    ),
+    "density": _Command(
+        "match character targets with points",
+        (
+            _DILATION,
+            _Option("--targets", "JSON list of targets", default=_REQUIRED),
+            _Option("--eps", "largest character error that passes", _tolerance, 1e-10),
+            _Option("--set", "optional base set for membership checks"),
+            _OUTPUT,
+        ),
+    ),
+    "mean-coef": _Command(
+        "decay table of the averaged character",
+        (
+            _DILATION,
+            _Option("--beta", '{"v":[...],"j":J}', default=_REQUIRED),
+            _Option("--j-max", "largest averaging depth", _int_at_least(0), 8),
+            _OUTPUT,
+        ),
+    ),
 }
+_HELP = "-h/--help"  # the option that -h and --help name in an error
+_TOP_FLAGS = {"-h": _HELP, "--help": _HELP}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; for a known ``command``, with that subcommand's options alone.
+class _Help(Exception):
+    """-h or --help was given: print the help of the command in ``args[0]`` (None: every command)."""
 
-    Any other ``command`` (none, ``--help`` or an unknown name) builds
-    every subcommand, so the help and "choose from" texts list them all.
+
+def _reading(word: str, flags: dict):
+    """How one word before ``--`` reads against ``flags``, as argparse reads it.
+
+    None for a value; else ``(flag, text)``, with the text after ``=`` or
+    None, and flag None for a word that looks like an unknown option.  A
+    word that looks like a negative number or holds a space is a value.
     """
-    parser = _Parser(
-        prog="waverep",
-        description="verification toolkit for wavelet sets and their scaling-group operators",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
-    for name in names:
-        help_text, options = _SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        options(p)
-        p.add_argument("--output", help="write the JSON report to a file")
-    return parser
+    if not word.startswith("-"):
+        return None
+    if word in flags:
+        return word, None
+    if len(word) == 1:
+        return None
+    flag, eq, text = word.partition("=")
+    if eq and flag in flags:
+        return flag, text
+    if word[1] == "-":  # a unique prefix of a long option
+        matches = [(f, text if eq else None) for f in flags if f.startswith(flag)]
+        if len(matches) > 1:
+            names = ", ".join(f for f, _ in matches)
+            raise InputError(f"ambiguous option: {word} could match {names}")
+        if matches:
+            return matches[0]
+    elif word.startswith("-h"):  # -h is the only short option: the rest is its value
+        return "-h", word[2:]
+    if re.match(r"-\d+$|-\d*\.\d+$", word) or " " in word:
+        return None
+    return None, None
 
 
-# the option that sets how far a subcommand raises powers of A, which is what
-# usually leaves float range there
-_SCALE_OPTIONS = {"verify-set": "--j-max", "gram": "--m", "rep": "--K"}
+def _help_flag(flag: str, text: str | None, command: str | None):
+    """Raise ``_Help``, or argparse's error for a value given to -h or --help."""
+    if flag == "-h" and text:  # -hh is -h twice, and -hx gives x to -h
+        text = text.lstrip("h") or None
+    if text is not None:
+        raise InputError(f"argument {_HELP}: ignored explicit argument {text!r}")
+    raise _Help(command)
+
+
+def _convert(option: _Option, text: str):
+    try:
+        value = option.convert(text)
+    except _Rejected as exc:
+        raise InputError(f"argument {option.flag}: {exc}") from None
+    except (TypeError, ValueError):
+        kind = option.convert.__name__
+        raise InputError(f"argument {option.flag}: invalid {kind} value: {text!r}") from None
+    if option.choices is not None and value not in option.choices:
+        choices = ", ".join(map(repr, option.choices))
+        raise InputError(f"argument {option.flag}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _parse_options(name: str, words: list[str]) -> tuple[dict, list[str]]:
+    """The option values of ``name`` by flag, defaults included, and the words left over."""
+    spec = _COMMANDS[name]
+    flags = {**_TOP_FLAGS, **{o.flag: o for o in spec.options}}
+    end = words.index("--") if "--" in words else len(words)
+    readings = [_reading(word, flags) for word in words[:end]]
+    given, extras = {}, []
+    i = 0
+    while i < end:
+        reading = readings[i]
+        if reading is None or reading[0] is None:
+            extras.append(words[i])
+            i += 1
+            continue
+        flag, text = reading
+        option = flags[flag]
+        if option is _HELP:
+            _help_flag(flag, text, name)
+        i += 1
+        if text is None:
+            if i == end or readings[i] is not None:
+                raise InputError(f"argument {option.flag}: expected one argument")
+            text = words[i]
+            i += 1
+        given[option.flag] = _convert(option, text)
+        clash = [other for other in spec.exclusive if other != option.flag and other in given]
+        if option.flag in spec.exclusive and clash:
+            raise InputError(f"argument {option.flag}: not allowed with argument {clash[0]}")
+    values, missing = dict(given), []
+    for option in spec.options:
+        if option.flag in given:
+            continue
+        if option.default is _REQUIRED:
+            missing.append(option.flag)
+        elif isinstance(option.default, str):
+            values[option.flag] = _convert(option, option.default)
+        else:
+            values[option.flag] = option.default
+    if missing:
+        raise InputError(f"the following arguments are required: {', '.join(missing)}")
+    if spec.exclusive and not any(flag in given for flag in spec.exclusive):
+        raise InputError(f"one of the arguments {' '.join(spec.exclusive)} is required")
+    return values, extras + words[end:]
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and its option values (as attributes named after the flags) from argv."""
+    extras = []
+    for i, word in enumerate(argv):
+        reading = None if word == "--" else _reading(word, _TOP_FLAGS)
+        if reading is None and argv[i:] != ["--"]:  # the command, which takes every word after it
+            if word not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                raise InputError(f"argument command: invalid choice: {word!r} (choose from {choices})")
+            values, left = _parse_options(word, argv[i + 1 :])
+            if extras + left:
+                raise InputError(f"unrecognized arguments: {' '.join(extras + left)}")
+            names = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+            return SimpleNamespace(command=word, **names)
+        if reading is not None and reading[0] is not None:
+            _help_flag(*reading, None)
+        extras.append(word)
+    raise InputError("the following arguments are required: command")
+
+
+def _help(command: str | None) -> str:
+    """The --help text of ``command``, or an overview and then the text of every command."""
+    if command is None:
+        width = max(map(len, _COMMANDS))
+        listing = "".join(f"  {name:<{width}}  {spec.help}\n" for name, spec in _COMMANDS.items())
+        sections = "\n".join(map(_help, _COMMANDS))
+        return (
+            "usage: waverep COMMAND [OPTION VALUE]...\n\n"
+            "verification toolkit for wavelet sets and their scaling-group operators;\n"
+            "each command writes one JSON report and exits 0 when every check passes,\n"
+            "1 when a check fails and 2 on a usage or input error\n\n"
+            f"commands:\n{listing}\n{sections}"
+        )
+    spec = _COMMANDS[command]
+    rows = []
+    for o in spec.options:
+        meta = "{" + ",".join(o.choices) + "}" if o.choices else o.flag[2:].upper().replace("-", "_")
+        if o.default is _REQUIRED:
+            note = " (required)"
+        elif o.flag in spec.exclusive:
+            note = f" (exactly one of {', '.join(spec.exclusive)})"
+        else:
+            note = "" if o.default is None else f" (default {o.default})"
+        rows.append((f"{o.flag} {meta}", o.help + note))
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    lines = "".join(f"  {left:<{width}}  {right}\n" for left, right in rows)
+    return f"usage: waverep {command} [OPTION VALUE]...\n\n{spec.help}\n\n{lines}"
 
 
 def _overflow_error(args, exc: OverflowError) -> str:
     """The error text for a value out of float range, naming the scale option and its value."""
-    flag = _SCALE_OPTIONS.get(getattr(args, "command", None))
+    flag = None if args is None else _COMMANDS[args.command].scale
     if flag is None:
         return f"a value is out of float range: {exc}"
     value = getattr(args, flag[2:].replace("-", "_"))
@@ -388,9 +577,10 @@ def _overflow_error(args, exc: OverflowError) -> str:
 def run(argv: list[str]) -> int:
     args = None
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-        code, report = args.handler(args)
-    except SystemExit:  # only --help exits: every usage error raises InputError
+        args = _parse(argv)
+        code, report = globals()[f"_cmd_{args.command.replace('-', '_')}"](args)
+    except _Help as exc:
+        sys.stdout.write(_help(exc.args[0]))
         return 0
     except (InputError, OSError) as exc:  # an OSError comes from a file named by the user
         code, report = 2, {"error": str(exc)}

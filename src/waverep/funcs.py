@@ -59,13 +59,32 @@ class TermPair:
     phase: tuple[Fraction, ...]
 
 
+# the phase width |theta| (b - a), in units of pi, below which axis_integral takes its sine form
+_THIN = 2.0**-10
+
+
 def axis_integral(a: Fraction, b: Fraction, theta: Fraction) -> complex:
-    """Exact-phase evaluation of the integral of e^{-i theta t} over [a*pi, b*pi]."""
+    """Exact-phase evaluation of the integral of e^{-i theta t} over [a*pi, b*pi].
+
+    The integral is the difference of the two endpoint phases, each reduced
+    exactly, over -i theta.  That difference cancels as the phase width
+    w = |theta| (b - a) shrinks: its error is about 13 u / |theta|
+    (u = 2^-53), against an integral of about w pi / |theta|.  Below
+    ``_THIN`` the integral is 2 sin(theta (b - a) pi / 2) / theta times
+    the exactly reduced phase e^{-i theta (a + b) pi / 2}, whose relative
+    error stays below 16 u at any width, since the sine is well conditioned
+    there.  Wider boxes keep the difference form and its bits; its error
+    there is below 13 u / (pi _THIN), about 5e-13, of the integral's scale
+    w pi / |theta|.
+    """
     if theta == 0:
         return complex(float(b - a) * math.pi)
-    hi = phase_exp(-theta * b)
-    lo = phase_exp(-theta * a)
-    return (hi - lo) / complex(0, -float(theta))
+    gap = phase_exp(-theta * b) - phase_exp(-theta * a)
+    if abs(gap) < 4 * _THIN:  # |gap| = 2 |sin(w pi / 2)|, below 4 w when w is small
+        width = float(theta * (b - a))
+        if abs(width) < _THIN:
+            return 2 * math.sin(width * math.pi / 2) / float(theta) * phase_exp(-theta * (a + b) / 2)
+    return gap / complex(0, -float(theta))
 
 
 def pairing(pairs: Iterable[TermPair], shift: Sequence[Fraction] | None = None) -> complex:

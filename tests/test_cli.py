@@ -10,11 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from argv_cases import BAD_ARGV, FILES, write_files
-from util import ref_sampled_cover, ref_sampled_disjoint
+from argv_cases import BAD_ARGV, FILES, USAGE_ARGV, write_files
+from util import ref_parse, ref_sampled_cover, ref_sampled_disjoint
 from waverep import cli, operators, spectral
 from waverep.boxes import Box, BoxSet
 from waverep.cli import run
+from waverep.errors import InputError
 from waverep.groups import phase_exp, validate_dilation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -308,6 +309,96 @@ _FUZZ = {
 }
 
 
+_COMMANDS = ["verify-set", "gram", "decompose", "rep", "wavelet-eval", "density", "mean-coef"]
+_FLAGS = [
+    "--set", "--dilation", "--j-max", "--annulus", "--samples", "--seed", "--mode", "--output",
+    "--m", "--v", "--tol", "--function", "--k-min", "--k-max", "--x", "--element", "--K",
+    "--points", "--grid", "--csv", "--targets", "--eps", "--beta", "--help",
+    # prefixes, unique or not, and words that look like options
+    "--s", "--sa", "--d", "--j", "--k", "--k-m", "--t", "--e", "--he", "--o", "---", "--bogus",
+]
+_WORDS = [
+    "-h", "-hh", "-hx", "-h=", "-x", "-", "--", "1", "0", "-1", "-0.3", "-.5", "-1e3", "x", "",
+    "1/2 pi", "-1/2", "-1/2 pi", "fast", "auto", "exact", "1,2", "1/64,64", "2,1", "0:1:3", "1:2",
+    "0;0.5", "1,a", "nan", "extra", "shannon",
+]
+
+
+def table_parse(argv: list[str]) -> tuple:
+    """The option table's reading of argv, in the form of ``util.ref_parse``."""
+    try:
+        return "ok", vars(cli._parse(argv))
+    except cli._Help as exc:
+        return "help", exc.args[0]
+    except InputError as exc:
+        return "error", str(exc)
+
+
+class TestOptionTable:
+    """The option table reads argv as argparse read the same options, and imports neither."""
+
+    @pytest.mark.parametrize("argv", [*USAGE_ARGV.values(), *BAD_ARGV], ids=" ".join)
+    def test_reads_the_cases_as_argparse(self, argv):
+        assert table_parse(argv) == ref_parse(argv)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        first=st.sampled_from([*_COMMANDS, "nosuch", "", "--", "-h", "--bogus", "-5"]),
+        rest=st.lists(
+            st.one_of(
+                st.sampled_from(_FLAGS + _WORDS),
+                # "--opt=--" is left out: argparse read it as an empty list (see below)
+                st.builds("{}={}".format, st.sampled_from(_FLAGS), st.sampled_from(_WORDS[7:])),
+            ),
+            max_size=10,
+        ),
+    )
+    def test_reads_argv_as_argparse(self, first, rest):
+        argv = [first, *rest]
+        assert table_parse(argv) == ref_parse(argv)
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["mean-coef", "--dilation", "[[2]]", "--beta", '{"v": [1]}', "--j-max=--"], "j_max"),
+            (["rep", "--dilation", "[[2]]", "--x=--", "--element", '{"v": [1]}'], "x"),
+        ],
+    )
+    def test_double_dash_after_equals_is_a_value(self, argv, name, capsys):
+        # argparse read "--opt=--" as an empty list, which the handler met with a traceback
+        assert ref_parse(argv)[1][name] == []
+        code, out = run_capture(argv, capsys)
+        assert code == 2
+        assert list(json.loads(out)) == ["error"]
+
+    def test_help_has_one_section_per_command(self, capsys):
+        assert run(["--help"]) == 0
+        full = capsys.readouterr().out
+        assert full.startswith("usage: waverep")
+        at = 0
+        for name in _COMMANDS:
+            assert run([name, "--help"]) == 0
+            section = capsys.readouterr().out
+            assert section.startswith(f"usage: waverep {name} ")
+            assert full.count(section) == 1
+            assert full.index(section) > at
+            at = full.index(section)
+        assert full.endswith(section)
+
+    def test_cli_imports_no_argparse_gettext_or_locale(self):
+        script = (
+            "import sys\n"
+            "from waverep import cli\n"
+            "cli.run(['rep', '--dilation', '[[2]]', '--x', '1/2 pi', '--element', '{\"v\": [1]}', '--K', '2'])\n"
+            "cli.run(['verify-set', '--set', 'shannon', '--dilation', '[[2]]', '--j-max', '2'])\n"
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+
 class TestInputBoundary:
     """Bad arguments exit 2 with a JSON error before any check runs."""
 
@@ -370,19 +461,6 @@ class TestInputBoundary:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: waverep")
-
-    def test_parser_builds_the_named_subcommand_alone(self):
-        def subcommands(parser):
-            return parser._subparsers._group_actions[0].choices
-
-        full = subcommands(cli.build_parser())
-        assert len(full) == 7
-        for name, sub in full.items():
-            one = subcommands(cli.build_parser(name))
-            assert list(one) == [name]
-            assert one[name].format_help() == sub.format_help()
-        for command in (None, "--help", "nosuch"):
-            assert list(subcommands(cli.build_parser(command))) == list(full)
 
     @pytest.mark.parametrize(
         "extra",

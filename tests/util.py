@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import cmath
+import contextlib
+import functools
+import io
 import itertools
 import math
 import random
@@ -12,8 +16,9 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
+from waverep import cli
 from waverep.boxes import Box, BoxSet, interval_set, product_set, unit_cube
-from waverep.errors import AmbiguousScale, NotCovered, NotExpansive, SingularMatrix, ZeroFunction
+from waverep.errors import AmbiguousScale, InputError, NotCovered, NotExpansive, SingularMatrix, ZeroFunction
 from waverep.funcs import LayerFunction, ModulatedBoxSum, Term, axis_integral
 from waverep.gram import GramSpec
 from waverep.groups import (
@@ -595,6 +600,55 @@ def float_bits(z: complex | float) -> tuple[str, str]:
 def terms_bits(layers: dict[int, tuple[Term, ...]]) -> dict:
     """Layer terms with each coefficient replaced by its bits."""
     return {k: [(float_bits(t.coef), t.beta, t.box) for t in terms] for k, terms in layers.items()}
+
+
+# --- argparse as the reference reader of the CLI option table ------------
+
+
+class _ArgparseParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise InputError(message)
+
+
+def _argparse_type(convert):
+    """The table's converter with its own rejection as argparse's ArgumentTypeError."""
+
+    def typed(text: str):
+        try:
+            return convert(text)
+        except cli._Rejected as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    typed.__name__ = convert.__name__  # names the type in the "invalid ... value" message
+    return typed
+
+
+@functools.cache
+def _argparse_reader() -> argparse.ArgumentParser:
+    """The options of ``cli._COMMANDS`` in an argparse parser, built as the CLI built it before."""
+    parser = _ArgparseParser(prog="waverep")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, spec in cli._COMMANDS.items():
+        p = sub.add_parser(name)
+        group = p.add_mutually_exclusive_group(required=True) if spec.exclusive else None
+        for o in spec.options:
+            owner = group if o.flag in spec.exclusive else p
+            given = {"required": True} if o.default is cli._REQUIRED else {"default": o.default}
+            owner.add_argument(o.flag, type=_argparse_type(o.convert), choices=o.choices, **given)
+    return parser
+
+
+def ref_parse(argv: list[str]) -> tuple:
+    """argparse's reading of argv: ("ok", values), ("help", command or None) or ("error", text)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "ok", vars(_argparse_reader().parse_args(argv))
+    except SystemExit:
+        command = out.getvalue().split()[2]  # "usage: waverep [-h]" or "usage: waverep rep [-h]"
+        return "help", command if command in cli._COMMANDS else None
+    except InputError as exc:
+        return "error", str(exc)
 
 
 # --- hypothesis strategies: diagonal matrices and candidate sets ----------
