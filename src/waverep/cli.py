@@ -62,7 +62,6 @@ def _load_set(arg: str, dim: int | None) -> BoxSet:
     return E
 
 
-
 _STRING = json.encoder.encode_basestring_ascii
 
 
@@ -414,7 +413,7 @@ _TOP_FLAGS = {"-h": _HELP, "--help": _HELP}
 
 
 class _Help(Exception):
-    """-h or --help was given: print the help of the command in ``args[0]`` (None: every command)."""
+    """-h or --help: print the help of the command in ``args[0]``, or of all when it is None."""
 
 
 def _reading(word: str, flags: dict):
