@@ -209,8 +209,33 @@ _REPORTS = [
 ]
 
 
+def _outcome(encode, value) -> tuple:
+    try:
+        return "ok", encode(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.fractions(max_denominator=3) | st.complex_numbers(max_magnitude=2)
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids)
+    | st.lists(st.floats(), max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    max_leaves=24,
+)
+
+
 class TestReportEncoder:
-    """The row writer of the gram matrices against json's own encoder: the same bytes."""
+    """The report writer against json's own encoder: the same bytes, and the same errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=_VALUES)
+    def test_writer_matches_json(self, value):
+        want = _outcome(lambda v: json.dumps(v, indent=2, sort_keys=True, allow_nan=False), value)
+        assert _outcome(cli._json, value) == want
 
     @pytest.mark.parametrize("report", _REPORTS, ids=["edge", "one-label", "witness", "empty", "empty-rows"])
     def test_emit_matches_json(self, report, tmp_path, capsys):
