@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import struct
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -71,51 +72,106 @@ def _json(value, pad: str = "\n") -> str:
     ``pad`` is a newline and the indentation of ``value``'s own line.  The
     bytes and errors are json's: the first NaN or infinity in key and row
     order raises its ``ValueError``, any other type its ``TypeError``.  A
-    list of floats, such as a row of a gram matrix, is written by one join.
-    Keys are strings, as in every report.
+    list of floats is written by one join.  A numpy array is written as its
+    ``tolist()``; a finite 2-D float64 array, such as a gram matrix, is
+    written from the text of each distinct value, formed once (see
+    :func:`_matrix_rows`).  Keys are strings, as in every report.  The text
+    is gathered in pieces and joined once, so a large report is not copied
+    at every level of nesting.
     """
+    out: list[str] = []
+    _write(value, pad, out)
+    return "".join(out)
+
+
+def _write(value, pad: str, out: list[str]) -> None:
+    """Append the pieces of the text of ``value`` to ``out``."""
     if isinstance(value, str):
-        return _STRING(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    inner = pad + "  "
-    sep = "," + inner
-    if isinstance(value, (list, tuple)):
+        out.append(_STRING(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
         if not value:
-            return "[]"
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = pad + "  "
+        sep = "," + inner
+        if isinstance(value, dict):
+            out.append("{" + inner)
+            for i, key in enumerate(sorted(value)):
+                out.append(f"{sep if i else ''}{_STRING(key)}: ")
+                _write(value[key], inner, out)
+            out.append(pad + "}")
+            return
         try:
             body = sep.join(map(float.__repr__, value))
         except TypeError:  # not a list of floats
-            body = sep.join([_json(item, inner) for item in value])
+            out.append("[" + inner)
+            for i, item in enumerate(value):
+                if i:
+                    out.append(sep)
+                _write(item, inner, out)
+            out.append(pad + "]")
         else:
             if not all(map(math.isfinite, value)):
-                _json(next(x for x in value if not math.isfinite(x)))
-        return f"[{inner}{body}{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = sep.join([f"{_STRING(key)}: {_json(value[key], inner)}" for key in sorted(value)])
-        return f"{{{inner}{body}{pad}}}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+                _write(next(x for x in value if not math.isfinite(x)), pad, out)
+            out.append(f"[{inner}{body}{pad}]")
+    elif isinstance(value, np.ndarray):
+        if value.ndim == 2 and value.dtype == np.float64 and value.size and np.isfinite(value).all():
+            _matrix_rows(value, pad, out)
+        else:
+            _write(value.tolist(), pad, out)  # and so json's error at the first NaN or infinity
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+class _FloatTexts(dict):
+    """The text of a float64, keyed by its bit pattern and formed on first use.
+
+    Keys are bit patterns, not floats, so 0.0 and -0.0, which compare
+    equal, keep their own texts.
+    """
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = float.__repr__(struct.unpack("=d", struct.pack("=Q", bits))[0])
+        return text
+
+
+def _matrix_rows(matrix: np.ndarray, pad: str, out: list[str]) -> None:
+    """Append a finite, nonempty 2-D float64 array as ``_write`` appends its ``tolist()``.
+
+    A gram matrix holds few distinct values, so each row is joined from the
+    text of each distinct value, formed once, and read one row at a time.
+    """
+    texts = _FloatTexts()
+    inner = pad + "  "
+    item = "," + inner + "  "
+    out.append("[" + inner)
+    for i, row in enumerate(np.ascontiguousarray(matrix).view(np.uint64)):
+        out.append(f"{',' + inner if i else ''}[{inner}  {item.join(map(texts.__getitem__, row.tolist()))}{inner}]")
+    out.append(pad + "]")
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = _json(report)
+    """Write the report's text and a newline, piece by piece: no copy of the whole text is made."""
+    pieces: list[str] = []
+    _write(report, "\n", pieces)  # raises before anything is written
+    pieces.append("\n")
     if output:
         with open(output, "w") as fh:
-            print(text, file=fh)
+            fh.writelines(pieces)
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
 
 
 # --- option types: a ValueError or TypeError reads "invalid <name> value", a _Rejected
@@ -189,8 +245,8 @@ def _cmd_gram(args) -> tuple[int, dict]:
         "command": "gram",
         "mode": res.mode,
         "labels": labels,
-        "matrix_real": np.round(res.matrix.real, 15).tolist(),
-        "matrix_imag": np.round(res.matrix.imag, 15).tolist(),
+        "matrix_real": np.round(res.matrix.real, 15),
+        "matrix_imag": np.round(res.matrix.imag, 15),
         "max_deviation": res.max_deviation,
         "tolerance": args.tol,
     }

@@ -17,15 +17,16 @@ pairs are formed once per scale pair and evaluated at each key's phase.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .boxes import BoxSet
-from .funcs import ModulatedBoxSum, pairing
+from .funcs import ModulatedBoxSum, TermPair, pairing
 from .groups import AdicVector, DilationMatrix
 from .spectral import meeting_gaps
 
@@ -90,11 +91,15 @@ class GramResult:
     warning: str | None = None
 
 
-def _scales(spec: GramSpec) -> tuple[dict[int, ModulatedBoxSum], dict[int, float]]:
-    """D^m 1_E and its squared norm per scale m (M_v is unitary: the norm of every (m, v))."""
+def _scales(spec: GramSpec) -> tuple[dict[int, ModulatedBoxSum], dict[int, tuple[TermPair, ...]], dict[int, float]]:
+    """D^m 1_E, the term pairs of its pairing with itself, and its squared norm, per scale m.
+
+    M_v is unitary, so the norm is that of every (m, v).
+    """
     base = ModulatedBoxSum.indicator(spec.A, spec.E)
     dilates = {m: base.dilated(m) for m in range(-spec.m_max, spec.m_max + 1)}
-    return dilates, {m: f.inner(f).real for m, f in dilates.items()}
+    pairs = {m: f.term_pairs(f) for m, f in dilates.items()}
+    return dilates, pairs, {m: pairing(p).real for m, p in pairs.items()}
 
 
 def gram_matrix(spec: GramSpec) -> GramResult:
@@ -135,60 +140,103 @@ def gram_matrix(spec: GramSpec) -> GramResult:
     return GramResult(labels, matrix, dev, mode, warning)
 
 
+def _key_ids(A: DilationMatrix, d: int, vs: range) -> tuple[np.ndarray, list[list[int]]]:
+    """Ids of the key vectors A^max(d,0) v - A^max(-d,0) v' of gap d, one per pair (v, v').
+
+    A is diagonal, so component k is a_k^max(d,0) v_k - a_k^max(-d,0) v'_k,
+    a function of (v_k, v'_k) alone.  Per axis, each distinct exact integer
+    gets a small id, its index in that axis's value list; the axis ids
+    combine in mixed radix, first axis slowest, into one id per (v, v'), an
+    (L, L) array over the L = len(vs)^n vectors in label order.  Returns
+    the ids and the value lists that decode them.  The ids stay below L^2,
+    the size of one Gram block, however far the exact components leave the
+    int64 range.
+    """
+    n, side = A.n, len(vs)
+    ids, values = 0, []
+    for k in range(n):
+        a = A.entries[k][k]
+        lo, hi = a ** max(d, 0), a ** max(-d, 0)
+        index: dict[int, int] = {}
+        axis = [index.setdefault(lo * x - hi * y, len(index)) for x in vs for y in vs]
+        shape = [1] * 2 * n
+        shape[k] = shape[n + k] = side
+        axis_ids = np.array(axis, dtype=np.int64).reshape(shape)
+        ids = axis_ids if k == 0 else ids * len(index) + axis_ids
+        values.append(list(index))
+    return ids.reshape(side**n, side**n), values
+
+
 def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]]) -> np.ndarray:
-    A, E = spec.A, spec.E
-    dilates, norm_sqs = _scales(spec)
+    A, mm = spec.A, spec.m_max
+    dilates, same, norm_sqs = _scales(spec)
     norms = {m: math.sqrt(s) for m, s in norm_sqs.items()}
-    gaps = set(meeting_gaps(E, A, -2 * spec.m_max, 2 * spec.m_max))
-    # A^e v, 0 <= e <= 2 m_max: the key vector is lifts[i][M - m] - lifts[j][M - m']
-    lifts = [
-        [linalg.mat_vec(A.power(e)[0], v) for e in range(2 * spec.m_max + 1)] for _, v in labels
-    ]
-    entries: dict = {}
-    pairs: dict = {}  # (m, m') -> term pairs of D^m 1_E and D^m' 1_E
-    k = len(labels)
-    matrix = np.zeros((k, k), dtype=complex)
-    for i, (m, _) in enumerate(labels):
-        # the diagonal normalizer is the norm square itself: exactly 1
-        matrix[i, i] = norm_sqs[m] / norm_sqs[m]
-        for j in range(i + 1, k):
-            mp = labels[j][0]
-            top = max(m, mp)
-            w = None
-            if mp - m in gaps:
-                w = tuple(a - b for a, b in zip(lifts[i][top - m], lifts[j][top - mp]))
-            val = entries.get((m, mp, w))
-            if val is None:
-                inner = 0j
-                if w is not None:
-                    if (m, mp) not in pairs:
-                        pairs[m, mp] = dilates[m].term_pairs(dilates[mp])
-                    shift = AdicVector(A, w, 0).twist(top).values()
-                    inner = pairing(pairs[m, mp], shift)
-                val = entries[m, mp, w] = inner / (norms[m] * norms[mp])
-            matrix[i, j] = val
-            matrix[j, i] = val.conjugate()
+    scales = range(-mm, mm + 1)
+    k, S = len(labels), len(scales)
+    L = k // S  # label p S + s is (scales[s], v_p): v runs slowest
+    keyed = {d: _key_ids(A, d, range(-spec.v_max, spec.v_max + 1))
+             for d in meeting_gaps(spec.E, A, -2 * mm, 2 * mm)}
+    # the phase of key w in block (m, m') is A^-M w, M = max(m, m'): w_k a_k^-M, exactly
+    twist = {m: [Fraction(A.entries[i][i]) ** -m for i in range(A.n)] for m in scales}
+    # one id space for the keys (m, m', w) of all blocks: block (s, t) owns the ids from
+    # first[s S + t] on, the key ids of its gap, or one id, its exact zero, if the gap does not meet
+    cell = np.empty((L, S, L, S), dtype=np.int64)
+    first, total = [], 0
+    for s, m in enumerate(scales):
+        for t, mp in enumerate(scales):
+            hit = keyed.get(mp - m)
+            cell[:, s, :, t] = total if hit is None else total + hit[0]
+            first.append(total)
+            total += 1 if hit is None else math.prod(map(len, hit[1]))
+    upper = np.arange(k)[:, None] < np.arange(k)
+    ids = cell.reshape(k, k)[upper]
+    del cell
+    # the ids in use, and each entry's index among them: np.unique would do, but its first call
+    # in a process costs about 0.2 ms, a share of a small Gram
+    used = np.zeros(total, dtype=bool)
+    used[ids] = True
+    pairs = {(m, m): p for m, p in same.items()}  # (m, m') -> term pairs of D^m 1_E and D^m' 1_E
+    vals = []
+    for key in np.flatnonzero(used).tolist():
+        b = bisect.bisect_right(first, key) - 1
+        m, mp = scales[b // S], scales[b % S]
+        inner = 0j
+        hit = keyed.get(mp - m)
+        if hit is not None:
+            rest, w = key - first[b], []
+            for axis in reversed(hit[1]):
+                rest, r = divmod(rest, len(axis))
+                w.append(axis[r])
+            if (m, mp) not in pairs:
+                pairs[m, mp] = dilates[m].term_pairs(dilates[mp])
+            shift = tuple(x * f for x, f in zip(reversed(w), twist[max(m, mp)]))
+            inner = pairing(pairs[m, mp], shift)
+        vals.append(inner / (norms[m] * norms[mp]))
+    entries = np.array(vals, dtype=complex)[(np.cumsum(used) - 1)[ids]]
+    del ids
+    matrix = np.empty((k, k), dtype=complex)
+    matrix[upper] = entries
+    matrix.T[upper] = np.conj(entries, out=entries)
+    # the diagonal normalizer is the norm square itself: exactly 1
+    np.fill_diagonal(matrix, [norm_sqs[m] / norm_sqs[m] for m in scales] * L)
     return matrix
 
 
 def _gram_quadrature(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]]) -> np.ndarray:
     """Riemann-sum Gram entries for a general integer matrix (n = 1 or 2), on about 4096 cells.
 
-    Column j is the product V conj(v_j) of the sampled vectors, one per
-    label, so no conjugate copy of V is held.  Its summation order differs
-    from a per-entry ``np.sum`` by rounding only: |delta| <= 1e-14.
+    The (m, v) vector at the grid points x is |det|^(-m/2) 1_E(y) e^{-i<y, v>}
+    with y = B^{-m} x.  The points y and the weight |det|^(-m/2) 1_E(y)
+    depend on m alone, so they are formed once per scale, and each label
+    forms only its phase and the product weight * phase: the operations of
+    sampling each label on its own, in the same order, so the samples keep
+    their bits.  Column j is the product V conj(v_j) of the sampled
+    vectors, one per label, so no conjugate copy of V is held.  Its
+    summation order differs from a per-entry ``np.sum`` by rounding only:
+    |delta| <= 1e-14.
     """
     n = spec.A.n
     det = float(spec.A.det_abs)
-
-    def sample(m, v, pts):
-        # value of the (m, v) basis vector at points (rows): ys = B^{-m} pts
-        p, d = spec.A.power(-m)
-        ys = pts @ (np.array(p, dtype=float) / d)
-        inside = spec.E.contains_rows(ys)
-        phase = np.exp(-1j * (ys @ np.asarray(v, dtype=float)))
-        return det ** (-m / 2.0) * inside * phase
-
     # integration region: union of the dilates touched by the family
     r_max = max(
         abs(float(x)) for box in spec.E.boxes for x in (*box.lo, *box.hi)
@@ -200,9 +248,14 @@ def _gram_quadrature(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]]) 
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     vol = (2 * r_max / per_axis) ** n
+    ys, weights = {}, {}
+    for m in range(-spec.m_max, spec.m_max + 1):
+        p, d = spec.A.power(-m)
+        ys[m] = pts @ (np.array(p, dtype=float) / d)
+        weights[m] = det ** (-m / 2.0) * spec.E.contains_rows(ys[m])
     vals = np.empty((len(labels), len(pts)), dtype=complex)
     for i, (m, v) in enumerate(labels):
-        vals[i] = sample(m, v, pts)
+        vals[i] = weights[m] * np.exp(-1j * (ys[m] @ np.asarray(v, dtype=float)))
     mu = float(spec.E.measure()) * math.pi**n
     return np.array([vals @ row.conj() for row in vals]).T * vol / mu
 
@@ -222,11 +275,14 @@ def completeness_defect(
     outside the scanned dilates keeps its entire norm as defect.
     """
     spec = GramSpec(E, A, m_max, v_max)
-    dilates, norm_sqs = _scales(spec)
+    dilates, _, norm_sqs = _scales(spec)
+    pairs = {m: f.term_pairs(g) for m, g in dilates.items()}
     total = f.norm_sq()
     captured = 0.0
     for m, v in spec.labels():
-        b = dilates[m].modulated(AdicVector.of(A, v).twist(m))
-        coef = f.inner(b) / math.sqrt(norm_sqs[m])
+        # <f, D^m M_v 1_E>: the pairs of f with D^m 1_E, whose modulation beta = A^-m v
+        # enters the phases of f's terms as -beta
+        shift = tuple(-x for x in AdicVector.of(A, v).twist(m).values())
+        coef = pairing(pairs[m], shift) / math.sqrt(norm_sqs[m])
         captured += abs(coef) ** 2
     return total - captured
