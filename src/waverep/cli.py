@@ -157,8 +157,9 @@ def _matrix_rows(matrix: np.ndarray, pad: str, out: list[str]) -> None:
     inner = pad + "  "
     item = "," + inner + "  "
     out.append("[" + inner)
-    for i, row in enumerate(np.ascontiguousarray(matrix).view(np.uint64)):
-        out.append(f"{',' + inner if i else ''}[{inner}  {item.join(map(texts.__getitem__, row.tolist()))}{inner}]")
+    for i, row in enumerate(matrix.view(np.uint64)):
+        body = item.join(map(texts.__getitem__, row.tolist()))
+        out.append(f"{',' + inner if i else ''}[{inner}  {body}{inner}]")
     out.append(pad + "]")
 
 

@@ -13,6 +13,11 @@ Since D M_v = M_{Av} D, an entry depends only on the exact key
 (m, m', A^-m v - A^-m' v'), so each key is evaluated once.  The boxes
 of D^m 1_E and D^m' 1_E that meet depend on (m, m') alone, so their term
 pairs are formed once per scale pair and evaluated at each key's phase.
+A is diagonal there, so a key splits by axis into exact integers that
+take few values; each gets a small integer id, and the matrix is filled
+from id arrays instead of entry by entry.  The quadrature that serves
+other matrices samples the set once per scale, and each label only its
+phase.
 """
 
 from __future__ import annotations
@@ -91,7 +96,9 @@ class GramResult:
     warning: str | None = None
 
 
-def _scales(spec: GramSpec) -> tuple[dict[int, ModulatedBoxSum], dict[int, tuple[TermPair, ...]], dict[int, float]]:
+def _scales(
+    spec: GramSpec,
+) -> tuple[dict[int, ModulatedBoxSum], dict[int, tuple[TermPair, ...]], dict[int, float]]:
     """D^m 1_E, the term pairs of its pairing with itself, and its squared norm, per scale m.
 
     M_v is unitary, so the norm is that of every (m, v).
@@ -115,12 +122,16 @@ def gram_matrix(spec: GramSpec) -> GramResult:
     m and m' and the exact phase difference A^-m v - A^-m' v'.  So it is
     a function of the key (m, m', A^-m v - A^-m' v'): each key is
     evaluated once and every other entry with it is bit-identical.  The
-    key's vector is held as A^M times it, M = max(m, m'), an integer
-    vector (exact, and injective since A^M is invertible).  Blocks whose
-    supports do not meet (m' - m no meeting gap of E) are the exact zero.
-    The term pairs of D^m 1_E and D^m' 1_E are formed once per meeting
-    (m, m') and evaluated at the phase A^-M w of each key, with the same
-    float operations in the same order as the pairing of the two vectors.
+    key's vector is held as w = A^M times it, M = max(m, m'), the integer
+    vector A^(M-m) v - A^(M-m') v' (exact, and injective since A^M is
+    invertible), which a diagonal A splits by axis (:func:`_key_ids`).
+    Blocks whose supports do not meet (m' - m no meeting gap of E) are the
+    exact zero.  The term pairs of D^m 1_E and D^m' 1_E are formed once per
+    meeting (m, m') and evaluated at the phase A^-M w of each key, with the
+    same float operations in the same order as the pairing of the two
+    vectors.  The upper triangle is scattered from the distinct values and
+    the lower triangle is their conjugate, so every entry has the bits of
+    its own evaluation.
     """
     labels = spec.labels()
     k = len(labels)
@@ -168,6 +179,14 @@ def _key_ids(A: DilationMatrix, d: int, vs: range) -> tuple[np.ndarray, list[lis
 
 
 def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]]) -> np.ndarray:
+    """The closed form on a diagonal A, filled from integer key ids.
+
+    All blocks share one id space, so one pass over the upper triangle
+    finds the ids in use; each is decoded to its key (m, m', w) and
+    evaluated once, and the entries are scattered from those values.  The
+    term pairs of D^m 1_E with itself, formed for its norm, serve the
+    same-scale blocks as well.
+    """
     A, mm = spec.A, spec.m_max
     dilates, same, norm_sqs = _scales(spec)
     norms = {m: math.sqrt(s) for m, s in norm_sqs.items()}

@@ -6,9 +6,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from argv_cases import BAD_ARGV, FILES, USAGE_ARGV, write_files
 from util import ref_parse, ref_sampled_cover, ref_sampled_disjoint
@@ -206,7 +208,14 @@ _REPORTS = [
     ),
     gram_report([], []),
     gram_report([[], []], [[], []]),
+    # arrays, as the gram command passes them: 0.0 and -0.0 are equal floats with different texts
+    gram_report(np.array(_EDGE), np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0], [0.0, 0.0, -0.0]])),
 ]
+
+
+def listed(report: dict) -> dict:
+    """The report with each array replaced by its ``tolist()``, which json can encode."""
+    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in report.items()}
 
 
 def _outcome(encode, value) -> tuple:
@@ -227,6 +236,21 @@ _VALUES = st.recursive(
     max_leaves=24,
 )
 
+_FINITE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1.0, 0.1, -2.5e-05])
+_FINITE |= st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _float_arrays(draw) -> np.ndarray:
+    """float64 arrays of shape 0x0, 1x1, kx0 or kxk, with NaN or an infinity anywhere in some."""
+    k = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(0, 0), (1, 1), (k, 0), (k, k)]))
+    elements = _FINITE | st.sampled_from([math.nan, math.inf, -math.inf]) if draw(st.booleans()) else _FINITE
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+_ARRAYS = _float_arrays()
+
 
 class TestReportEncoder:
     """The report writer against json's own encoder: the same bytes, and the same errors."""
@@ -237,13 +261,23 @@ class TestReportEncoder:
         want = _outcome(lambda v: json.dumps(v, indent=2, sort_keys=True, allow_nan=False), value)
         assert _outcome(cli._json, value) == want
 
-    @pytest.mark.parametrize("report", _REPORTS, ids=["edge", "one-label", "witness", "empty", "empty-rows"])
+    @settings(max_examples=300, deadline=None)
+    @given(arr=_ARRAYS)
+    def test_array_writer_matches_json_of_its_list(self, arr):
+        nested = ({"b": arr, "a": [arr]}, {"b": arr.tolist(), "a": [arr.tolist()]})
+        for value, plain in ((arr, arr.tolist()), (arr.T, arr.T.tolist()), nested):
+            want = _outcome(lambda v: json.dumps(v, indent=2, sort_keys=True, allow_nan=False), plain)
+            assert _outcome(cli._json, value) == want
+
+    @pytest.mark.parametrize(
+        "report", _REPORTS, ids=["edge", "one-label", "witness", "empty", "empty-rows", "arrays"]
+    )
     def test_emit_matches_json(self, report, tmp_path, capsys):
         cli._emit(report, None)
-        assert capsys.readouterr().out == json_text(report)
+        assert capsys.readouterr().out == json_text(listed(report))
         path = tmp_path / "report.json"
         cli._emit(report, str(path))
-        assert path.read_text() == json_text(report)
+        assert path.read_text() == json_text(listed(report))
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import box_sets, diagonal_matrices, ref_gram_closed_form, ref_gram_keyed, ref_gram_quadrature
+from util import (
+    box_sets,
+    diagonal_matrices,
+    random_subordinate,
+    ref_completeness_defect,
+    ref_gram_closed_form,
+    ref_gram_keyed,
+    ref_gram_quadrature,
+    ref_gram_sampled_per_label,
+)
+from waverep import gram
 from waverep.boxes import Box, interval_set, product_set
 from waverep.funcs import ModulatedBoxSum
 from waverep.gram import GramSpec, completeness_defect, eval_msf_wavelet, gram_matrix
@@ -203,6 +214,23 @@ class TestGroupStructure:
         assert np.max(np.abs(got.matrix - ref_gram_quadrature(spec))) <= 1e-14
 
 
+
+class TestQuadratureSamplesPerScale:
+    """Masks and weights formed once per scale against every label sampled on its own: equal to the byte."""
+
+    @pytest.mark.parametrize("m_max", [0, 1, 2])  # at m_max 2 several scales share the grid
+    @pytest.mark.parametrize(
+        "A",
+        [[[0, 2], [2, 0]], [[0, -2], [2, 0]], [[1, 1], [-1, 1]], [[1, -1], [1, 1]]],
+        ids=["swap", "rotation", "twist", "twist-t"],
+    )
+    def test_bytes_equal_per_label_reference(self, A, m_max):
+        spec = GramSpec(product_set(E, E), validate_dilation(A), m_max=m_max, v_max=1)
+        got = gram_matrix(spec)
+        assert got.mode == "quadrature"
+        assert got.matrix.tobytes() == ref_gram_sampled_per_label(spec).tobytes()
+
+
 _OVERLAPPING = [
     # B E meets E for A = -2, and B^2 E does not
     (interval_set([(-3, -1), (1, 3)]), [[-2]]),
@@ -253,6 +281,23 @@ class TestTermPairsPerScalePair:
         assert counts[0] == counts[1] > 0
 
 
+    def test_keys_beyond_int64_stay_exact(self):
+        # every gap |d| <= 42 meets, and the key 3^42 v - v' of gap 42 passes 2^63
+        A = validate_dilation([[3]])
+        spec = GramSpec(interval_set([(Fraction(1, 3**21), 3**21)]), A, m_max=21, v_max=2)
+        _, values = gram._key_ids(A, 42, range(-2, 3))
+        assert max(map(abs, values[0])) == 2 * 3**42 + 2 > 2**63
+        assert all(type(x) is int for x in values[0])
+        assert gram_matrix(spec).matrix.tobytes() == ref_gram_keyed(spec).tobytes()
+
+    def test_mixed_sign_axes(self):
+        E2 = product_set(interval_set([(Fraction(1, 16), 16)]), interval_set([(-27, 27)]))
+        spec = GramSpec(E2, validate_dilation([[2, 0], [0, -3]]), m_max=2, v_max=2)
+        got = gram_matrix(spec).matrix
+        assert got.tobytes() == ref_gram_keyed(spec).tobytes()
+        assert cross_scale_blocks(spec, got)[1]
+
+
 class TestMeetingGaps:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([1, 2]), m_max=st.integers(0, 3))
@@ -283,6 +328,17 @@ class TestCompleteness:
         tail = (4 / math.pi) * sum(1 / v**2 for v in range(65, 2_000_001, 2))
         assert d == pytest.approx(tail, abs=1e-6)
         assert d == pytest.approx(0.0099464, abs=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(), dim=st.sampled_from([1, 2]), m_max=st.integers(0, 2), v_max=st.integers(0, 3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_bits_equal_label_by_label_reference(self, data, dim, m_max, v_max, seed):
+        E, A = data.draw(box_sets(dim)), data.draw(diagonal_matrices(dim))
+        f = random_subordinate(random.Random(seed), E, A, -m_max - 1, m_max + 1)
+        got = completeness_defect(E, A, f, m_max, v_max)
+        assert got.hex() == ref_completeness_defect(E, A, f, m_max, v_max).hex()
 
     def test_out_of_window_function_keeps_norm(self):
         f = ModulatedBoxSum.indicator(A2, E.dilate(A2, 5))

@@ -262,6 +262,53 @@ def ref_gram_quadrature(spec: GramSpec, cells: int = 4096) -> np.ndarray:
     return out
 
 
+def ref_gram_sampled_per_label(spec: GramSpec) -> np.ndarray:
+    """Quadrature Gram matrix with every label sampled on its own, as before the per-scale samples.
+
+    Each label forms B^-m of the grid, the mask of E and the weight again;
+    the columns are the same row products V conj(v_j).
+    """
+    n = spec.A.n
+    det = float(spec.A.det_abs)
+
+    def sample(m, v, pts):
+        p, d = spec.A.power(-m)
+        ys = pts @ (np.array(p, dtype=float) / d)
+        inside = spec.E.contains_rows(ys)
+        phase = np.exp(-1j * (ys @ np.asarray(v, dtype=float)))
+        return det ** (-m / 2.0) * inside * phase
+
+    r_max = max(
+        abs(float(x)) for box in spec.E.boxes for x in (*box.lo, *box.hi)
+    ) * math.pi * det ** spec.m_max
+    per_axis = max(8, int(round(4096 ** (1 / n))))
+    axes = [-r_max + 2 * r_max * (np.arange(per_axis) + 0.5) / per_axis for _ in range(n)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    vol = (2 * r_max / per_axis) ** n
+    labels = spec.labels()
+    vals = np.empty((len(labels), len(pts)), dtype=complex)
+    for i, (m, v) in enumerate(labels):
+        vals[i] = sample(m, v, pts)
+    mu = float(spec.E.measure()) * math.pi**n
+    return np.array([vals @ row.conj() for row in vals]).T * vol / mu
+
+
+def ref_completeness_defect(E: BoxSet, A: DilationMatrix, f: ModulatedBoxSum, m_max: int, v_max: int):
+    """The completeness defect by one pairing of f with each modulated dilate, label by label."""
+    spec = GramSpec(E, A, m_max, v_max)
+    base = ModulatedBoxSum.indicator(A, E)
+    dilates = {m: base.dilated(m) for m in range(-m_max, m_max + 1)}
+    norm_sqs = {m: g.inner(g).real for m, g in dilates.items()}
+    total = f.norm_sq()
+    captured = 0.0
+    for m, v in spec.labels():
+        b = dilates[m].modulated(AdicVector.of(A, v).twist(m))
+        coef = f.inner(b) / math.sqrt(norm_sqs[m])
+        captured += abs(coef) ** 2
+    return total - captured
+
+
 def ref_disjoint_witness(E: BoxSet, A: DilationMatrix, j_max: int) -> dict | None:
     """First overlapping pair (j, k) of dilates in (j, k) order, scanning all O(j^2) pairs."""
     dilates = {j: E.dilate(A, j) for j in range(-j_max, j_max + 1)}
