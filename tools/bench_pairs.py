@@ -1,6 +1,6 @@
 """Paired benchmark runs of two revisions, written to one BENCH_*.json file.
 
-    python3 tools/bench_pairs.py BASE HEAD --pairs 10 --seconds 15 --seed 11 --out BENCH_17.json
+    python3 tools/bench_pairs.py BASE HEAD --pairs 10 --seconds 15 --seed 11 --out BENCH_<n>.json
 
 Exports the committed files of the git revisions BASE and HEAD into two
 temporary directories, then runs ``python3 perfbench/run.py --workload
