@@ -2,6 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the
 report carries a machine-readable witness), 2 usage or input error.
+The exit codes of ``gram`` and ``density`` come from the library's
+result: 1 when the ``GramResult`` has a witness, or when
+``approx_character`` raises ``InconsistentTarget`` above eps.
 Every outcome, usage errors included, is one JSON object on stdout (an
 input error is ``{"error": ...}``); the text of ``--help`` is the only
 stdout that is not JSON.  All input values are decoded by ``jsonio`` and
@@ -251,13 +254,13 @@ def _cmd_gram(args) -> tuple[int, dict]:
         "max_deviation": res.max_deviation,
         "tolerance": args.tol,
     }
-    if res.warning:
-        out["warning"] = res.warning
-        dev = np.abs(res.matrix - np.eye(len(labels)))
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        entry = jsonio.complex_json(res.matrix[i, j])
-        out["witness"] = {"row": labels[i], "col": labels[j], "entry": entry}
-    return (0 if res.max_deviation <= args.tol else 1), out
+    if res.witness is None:
+        return 0, out
+    i, j = res.witness
+    entry = jsonio.complex_json(res.matrix[i, j])
+    out["warning"] = res.warning
+    out["witness"] = {"row": labels[i], "col": labels[j], "entry": entry}
+    return 1, out
 
 
 def _cmd_decompose(args) -> tuple[int, dict]:
@@ -344,7 +347,7 @@ def _cmd_density(args) -> tuple[int, dict]:
         ],
         "max_error": worst,
     }
-    return (0 if worst <= args.eps else 1), out
+    return 0, out
 
 
 def _cmd_mean_coef(args) -> tuple[int, dict]:

@@ -71,20 +71,16 @@ class CharacterTarget:
         constraint.
         """
         level = max((b.j for b in phases), default=0)
-        gens = [
-            AdicVector.of(A, [1 if i == k else 0 for i in range(A.n)], level)
+        gens = {
+            AdicVector.of(A, [1 if i == k else 0 for i in range(A.n)], level): k
             for k in range(A.n)
-        ]
+        }
         gen_phases = [Fraction(0)] * A.n
         constraints = []
         for beta, t in phases.items():
-            matched = False
-            for k, g in enumerate(gens):
-                if beta == g:
-                    gen_phases[k] = Fraction(t)
-                    matched = True
-                    break
-            if not matched:
+            if beta in gens:
+                gen_phases[gens[beta]] = Fraction(t)
+            else:
                 constraints.append((beta, Fraction(t)))
         return cls(A, level, tuple(gen_phases), tuple(constraints))
 

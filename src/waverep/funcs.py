@@ -275,14 +275,6 @@ class LayerFunction:
                 layers[k] = diff
         return LayerFunction(self.A, k_min, k_max, layers)
 
-    def collect(self) -> "LayerFunction":
-        layers = {}
-        for k, layer in self.layers.items():
-            c = layer.collect()
-            if c.terms:
-                layers[k] = c
-        return LayerFunction(self.A, self.k_min, self.k_max, layers, self.truncation_mass)
-
     def __repr__(self) -> str:
         return (
             f"LayerFunction(window=[{self.k_min}, {self.k_max}], "

@@ -17,7 +17,7 @@ A is diagonal there, so a key splits by axis into exact integers that
 take few values; each gets a small integer id, and the matrix is filled
 from id arrays instead of entry by entry.  The quadrature that serves
 other matrices samples the set once per scale, and each label only its
-phase.
+phase.  Deviation, witness and verdict come from one array, |G - I|.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ class GramResult:
     max_deviation: float
     mode: str
     warning: str | None = None
+    # (i, j) of the first largest |G - I| in row-major order, set exactly when warning is
+    witness: tuple[int, int] | None = None
 
 
 def _scales(
@@ -132,6 +134,10 @@ def gram_matrix(spec: GramSpec) -> GramResult:
     vectors.  The upper triangle is scattered from the distinct values and
     the lower triangle is their conjugate, so every entry has the bits of
     its own evaluation.
+
+    Deviation, witness and verdict come from one float array: |G| with
+    its diagonal |G_ii - 1|, the bits of |G - I|.  Unless the deviation is
+    within tolerance (a NaN is not), the warning and witness are set.
     """
     labels = spec.labels()
     k = len(labels)
@@ -141,14 +147,17 @@ def gram_matrix(spec: GramSpec) -> GramResult:
     else:
         matrix = _gram_quadrature(spec, labels)
         mode = "quadrature"
-    dev = float(np.max(np.abs(matrix - np.eye(k))))
-    warning = None
-    if dev > spec.tolerance:
-        warning = (
-            f"max deviation {dev:.3e} exceeds tolerance {spec.tolerance:.1e}: "
-            "the family is not orthonormal (the set is not a wavelet set)"
-        )
-    return GramResult(labels, matrix, dev, mode, warning)
+    dist = np.abs(matrix)
+    np.fill_diagonal(dist, np.abs(matrix.diagonal() - 1))
+    i, j = divmod(int(np.argmax(dist)), k)
+    dev = float(dist[i, j])
+    if dev <= spec.tolerance:
+        return GramResult(labels, matrix, dev, mode)
+    warning = (
+        f"max deviation {dev:.3e} exceeds tolerance {spec.tolerance:.1e}: "
+        "the family is not orthonormal (the set is not a wavelet set)"
+    )
+    return GramResult(labels, matrix, dev, mode, warning, (i, j))
 
 
 def _key_ids(A: DilationMatrix, d: int, vs: range) -> tuple[np.ndarray, list[list[int]]]:

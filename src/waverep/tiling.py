@@ -86,6 +86,12 @@ class VerifyParams:
     def to_json(self) -> dict:
         return {**asdict(self), "annulus": [str(r) for r in self.annulus]}
 
+    def sampled(self, A: DilationMatrix) -> bool:
+        """Whether (i) and (ii) are sampled: asked for, or A not diagonal (then exact mode fails)."""
+        if self.mode == "exact" and not A.is_diagonal:
+            raise ValueError("exact mode requested but the frequency matrix is not diagonal")
+        return self.mode == "sampled" or not A.is_diagonal
+
 
 @dataclass
 class TilingReport:
@@ -206,8 +212,6 @@ def _sampled_checks(E: BoxSet, A: DilationMatrix, p: VerifyParams) -> tuple[Chec
     both conditions have their witness.  Images that overflow to inf or
     NaN lie in no box and raise no warning.
     """
-    if p.mode == "exact":
-        raise ValueError("exact mode requested but the frequency matrix is not diagonal")
     if E.dim != A.n:
         raise DimensionMismatch("point and matrix dimensions differ")
     r_in, r_out, cover_note = _shell(p.annulus, p.j_max)
@@ -235,25 +239,21 @@ def _sampled_checks(E: BoxSet, A: DilationMatrix, p: VerifyParams) -> tuple[Chec
     return disjoint, cover
 
 
-def check_dilation_disjoint(
-    E: BoxSet,
-    A: DilationMatrix,
-    j_max: int = 8,
-    mode: str = "auto",
-    samples: int = 10_000,
-    seed: int = 0,
-    annulus: tuple[Fraction, Fraction] = (Fraction(1, 64), Fraction(64)),
-) -> CheckResult:
-    """Condition (i): dilates of E in the range |j| <= j_max are pairwise disjoint."""
+def check_dilation_disjoint(E: BoxSet, A: DilationMatrix, **params) -> CheckResult:
+    """Condition (i): dilates of E in the range |j| <= j_max are pairwise disjoint.
+
+    ``params`` are the fields of :class:`VerifyParams`, with its defaults.
+    """
     name = "dilation_disjoint"
+    p = VerifyParams(**params)
     if E.is_empty:
         return CheckResult(name, True, "exact", note="empty set, vacuous")
-    if mode == "sampled" or not A.is_diagonal:
-        return _sampled_checks(E, A, VerifyParams(j_max, annulus, samples, seed, mode))[0]
+    if p.sampled(A):
+        return _sampled_checks(E, A, p)[0]
     # a pair overlaps by its gap d = k - j alone, so the first overlapping
     # pair in (j, k) order is (-j_max, -j_max + d) for the least meeting gap d
-    if gaps := meeting_gaps(E, A, 1, 2 * j_max):
-        j, k = -j_max, -j_max + gaps[0]
+    if gaps := meeting_gaps(E, A, 1, 2 * p.j_max):
+        j, k = -p.j_max, -p.j_max + gaps[0]
         inter = E.dilate(A, j).intersect(E.dilate(A, k))
         return CheckResult(
             name,
@@ -264,17 +264,10 @@ def check_dilation_disjoint(
     return CheckResult(name, True, "exact")
 
 
-def check_dilation_cover(
-    E: BoxSet,
-    A: DilationMatrix,
-    annulus: tuple[Fraction, Fraction] = (Fraction(1, 64), Fraction(64)),
-    j_max: int = 8,
-    samples: int = 10_000,
-    seed: int = 0,
-    mode: str = "auto",
-) -> CheckResult:
+def check_dilation_cover(E: BoxSet, A: DilationMatrix, **params) -> CheckResult:
     """Condition (ii) on a finite annulus: the dilates cover every tested point.
 
+    ``params`` are the fields of :class:`VerifyParams`, with its defaults.
     The full condition is a statement about all of R^n; the certificate
     here only covers the sup-norm annulus [r_in, r_out] with |j| <= j_max
     and the report says exactly that.  On the exact path the uncovered part
@@ -282,13 +275,14 @@ def check_dilation_cover(
     inner box and every box of every dilate, each clipped to the outer box.
     """
     name = "dilation_cover"
-    r_in, r_out, note = _shell(annulus, j_max)
-    if mode == "sampled" or not A.is_diagonal:
-        return _sampled_checks(E, A, VerifyParams(j_max, annulus, samples, seed, mode))[1]
+    p = VerifyParams(**params)
+    r_in, r_out, note = _shell(p.annulus, p.j_max)
+    if p.sampled(A):
+        return _sampled_checks(E, A, p)[1]
     dim = E.dim
     outer = Box((-r_out,) * dim, (r_out,) * dim)
     inner = Box((-r_in,) * dim, (r_in,) * dim)
-    dilates = (b.dilate(A, j) for j in range(-j_max, j_max + 1) for b in E.boxes)
+    dilates = (b.dilate(A, j) for j in range(-p.j_max, p.j_max + 1) for b in E.boxes)
     remaining = difference(dim, [outer], [inner, *dilates])
     if remaining.is_empty:
         return CheckResult(name, True, "exact", note=note)
@@ -329,11 +323,11 @@ def verify_wavelet_set(
     the wavelet-set certificate at the tested resolution.
     """
     p = params or VerifyParams()
-    if p.mode != "sampled" and A.is_diagonal:
-        disjoint = check_dilation_disjoint(E, A, j_max=p.j_max, mode=p.mode)
-        cover = check_dilation_cover(E, A, annulus=p.annulus, j_max=p.j_max, mode=p.mode)
-    else:
+    if p.sampled(A):
         disjoint, cover = _sampled_checks(E, A, p)
+    else:
+        disjoint = check_dilation_disjoint(E, A, **vars(p))
+        cover = check_dilation_cover(E, A, **vars(p))
     congruent = check_translation_congruent(E)
     report = TilingReport(
         disjoint=disjoint,

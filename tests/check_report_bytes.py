@@ -8,9 +8,10 @@ Takes every call of cycles 0-3 of the three workloads in
 ops passes ``--k-min`` or ``--k-max``), and a fixed list of ``verify-set``
 and ``gram`` calls: exact 2-D covers that fail, sets that fail translation
 congruence, and Gram matrices of up to 507 labels in 1-D and 2-D, one
-of them written through ``--output``.  It also makes the usage calls of
-``argv_cases.py`` beside this script: every argv of the CLI tests that must
-exit 2, and the argv grammar (``=`` values, prefixes, option-like values,
+of them written through ``--output``, and failing ones whose witness is
+a diagonal entry (quadrature) or the first of tied maxima (closed form).
+It also makes the usage calls of ``argv_cases.py`` beside this script:
+every argv of the CLI tests that must exit 2, and the argv grammar (``=`` values, prefixes, option-like values,
 repeats, missing and unknown options and commands); ``--help`` is left out,
 since its text is not a JSON report.  It compares the exit code and stdout
 of each call between the two trees, and the ``--output`` file with it.  Each tree runs in
@@ -121,6 +122,7 @@ SHELL = _set(  # [-2, 2)^2 minus [-1, 1)^2
 )
 HALF = _set((["0"], ["1"]), (["2"], ["3"]))  # folds onto [0, 1) twice: overlap and deficit
 HALF_2D = _set((["0", "-1"], ["1", "1"]),)  # half the cube: a deficit alone
+OVERLAP = _set((["-3"], ["-1"]), (["1"], ["3"]))  # B E meets E: at --m 1 --v 20, 84 Gram entries tie
 ANNULUS_14 = f"1/{2**14},{2**14}"
 # (label, argv, files) for the exact covers, congruence failures and Gram sizes
 CERTIFY = [
@@ -138,6 +140,10 @@ CERTIFY = [
      SXS),
     ("gram/2d-half-cube-witness", ["gram", "--set", "s.json", "--dilation", "[[2,0],[0,3]]", "--m", "1",
                                    "--v", "2", "--output", "out.json"], HALF_2D),
+    ("gram/1d-overlap-tied-witness",
+     ["gram", "--set", "s.json", "--dilation", "[[2]]", "--m", "1", "--v", "20"], OVERLAP),
+    ("gram/2d-quadrature-diagonal-witness",
+     ["gram", "--set", "s.json", "--dilation", "[[0,2],[2,0]]", "--m", "2", "--v", "0"], SXS),
 ]
 
 

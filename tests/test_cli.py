@@ -576,6 +576,57 @@ class TestInputBoundary:
         assert json.loads(out)["matrix_real"] == [[1.0]]
 
 
+class TestInputDecoding:
+    """Inputs the CLI decodes through jsonio: what it accepts, and the error text of what it refuses."""
+
+    def run_set(self, tmp_path, capsys, text):
+        f = tmp_path / "s.json"
+        f.write_text(text)
+        return run_capture(["verify-set", "--set", str(f), "--dilation", "[[2]]"], capsys)
+
+    def test_integer_ratios(self, tmp_path, capsys):
+        text = json.dumps({"dim": 1, "boxes": [{"lo": [-2], "hi": [-1]}, {"lo": [1], "hi": [2]}]})
+        code, out = self.run_set(tmp_path, capsys, text)
+        assert code == 0
+        boxes = [{"lo": ["-2"], "hi": ["-1"]}, {"lo": ["1"], "hi": ["2"]}]
+        assert json.loads(out)["set"] == {"dim": 1, "boxes": boxes}
+
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            (
+                {"dim": 1, "boxes": [{"lo": [1.5], "hi": ["2"]}]},
+                "bad rational 1.5 (use 'p/q' strings or integers)",
+            ),
+            ({"dim": 1}, "malformed set definition: 'boxes'"),
+            ({"dim": 1, "boxes": [{"lo": ["1"]}]}, "malformed set definition: 'hi'"),
+        ],
+    )
+    def test_bad_set(self, data, error, tmp_path, capsys):
+        code, out = self.run_set(tmp_path, capsys, json.dumps(data))
+        assert code == 2
+        assert json.loads(out) == {"error": error}
+
+    def test_invalid_json_file(self, tmp_path, capsys):
+        code, out = self.run_set(tmp_path, capsys, '{"dim": 1,\n "boxes": [}')
+        assert code == 2
+        assert json.loads(out)["error"] == f"{tmp_path / 's.json'}: invalid JSON at line 2: Expecting value"
+
+    def test_float_point(self, capsys):
+        argv = ["rep", "--dilation", "[[2]]", "--x", "0.3", "--element", '{"v": [1], "j": 1}', "--K", "2"]
+        code, out = run_capture(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["point"] == ["0.3"]
+
+    @pytest.mark.parametrize("element", ["[1]", "3", '{"v": 1}'])
+    def test_element_that_is_not_an_object(self, element, capsys):
+        argv = ["rep", "--dilation", "[[2]]", "--x", "1/2 pi", "--element", element, "--K", "2"]
+        code, out = run_capture(argv, capsys)
+        assert code == 2
+        got = json.loads(element)
+        assert json.loads(out) == {"error": f'an A-adic element is {{"v": [...], "j": J}}, got {got!r}'}
+
+
 class TestDecompose:
     def test_indicator(self, tmp_path, capsys):
         fn = tmp_path / "f.json"
@@ -735,6 +786,23 @@ class TestDensity:
         )
         assert code == 1
         assert json.loads(out)["kind"] == "InconsistentTarget"
+
+    def test_error_above_eps_is_the_library_verdict(self, tmp_path, monkeypatch, capsys):
+        # every consistent target is met exactly, so only a perturbed character reaches eps
+        from waverep import density
+
+        value = density.character_value
+        monkeypatch.setattr(density, "character_value", lambda y, beta: value(y, beta) + 1e-3)
+        targets = tmp_path / "targets.json"
+        target = {"phases": [{"v": [1], "j": 1, "t": "-1/2"}], "test_set": [{"v": [1], "j": 1}]}
+        targets.write_text(json.dumps([target]))
+        argv = ["density", "--dilation", "[[2]]", "--targets", str(targets)]
+        code, out = run_capture([*argv, "--eps", "0.01"], capsys)
+        assert code == 0 and json.loads(out)["max_error"] == pytest.approx(1e-3)
+        code, out = run_capture([*argv, "--eps", "1e-4"], capsys)
+        assert code == 1
+        error = "achieved error 1.000e-03 exceeds eps 1.0e-04"
+        assert json.loads(out) == {"error": error, "kind": "InconsistentTarget"}
 
 
 class TestMeanCoef:

@@ -298,6 +298,71 @@ class TestTermPairsPerScalePair:
         assert cross_scale_blocks(spec, got)[1]
 
 
+def witness_reference(matrix: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """The deviation and the first largest |G - I| in row-major order, from the complex difference."""
+    dev = np.abs(matrix - np.eye(len(matrix)))
+    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    return float(np.max(dev)), (int(i), int(j))
+
+
+def assert_witness(res, tolerance: float):
+    dev, at = witness_reference(res.matrix)
+    assert res.max_deviation.hex() == dev.hex()
+    assert (res.witness is None) == (res.warning is None) == (dev <= tolerance)
+    if res.witness is not None:
+        assert res.witness == at
+
+
+class TestWitness:
+    """Deviation, witness and verdict from one array against |G - I| formed as a complex difference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(), dim=st.sampled_from([1, 2]), m_max=st.integers(0, 2), v_max=st.integers(0, 3),
+        tolerance=st.sampled_from([1e-12, 0.1, 0.5, 2.0]),
+    )
+    def test_closed_form_matches_reference(self, data, dim, m_max, v_max, tolerance):
+        E, A = data.draw(box_sets(dim)), data.draw(diagonal_matrices(dim))
+        res = gram_matrix(GramSpec(E, A, min(m_max, 3 - dim), min(v_max, 4 - 2 * dim), tolerance))
+        assert_witness(res, tolerance)
+
+    @pytest.mark.parametrize("A", [[[0, 2], [2, 0]], [[0, -2], [2, 0]], [[1, 1], [-1, 1]]])
+    @pytest.mark.parametrize("m_max, v_max", [(0, 1), (1, 1), (2, 0)])
+    def test_quadrature_matches_reference(self, A, m_max, v_max):
+        res = gram_matrix(GramSpec(product_set(E, E), validate_dilation(A), m_max, v_max))
+        assert res.mode == "quadrature"
+        assert_witness(res, 1e-12)
+
+    def test_closed_form_overlap_ties_take_the_first(self):
+        # B E meets E: 84 entries share the largest deviation; the first in row-major order is a
+        # cross-scale one, and so is its transpose, which comes later
+        res = gram_matrix(GramSpec(interval_set([(-3, -1), (1, 3)]), A2, m_max=1, v_max=20))
+        dev = np.abs(res.matrix - np.eye(len(res.labels)))
+        assert np.count_nonzero(dev == dev.max()) == 84
+        assert res.witness == (1, 30) and res.labels[1] == (0, (-20,)) and res.labels[30] == (-1, (-10,))
+        assert_witness(res, 1e-12)
+
+    def test_quadrature_diagonal_witness(self):
+        # the quadrature's m = -2 diagonal reads 16.0 (a known defect of its grid); it is the witness
+        A = validate_dilation([[0, 2], [2, 0]])
+        res = gram_matrix(GramSpec(product_set(E, E), A, m_max=2, v_max=0))
+        assert res.witness == (0, 0) and res.labels[0] == (-2, (0, 0))
+        assert res.matrix[0, 0] == 16.0 and res.max_deviation == 15.0
+        assert_witness(res, 1e-12)
+
+    def test_passing_family_has_no_witness(self):
+        res = gram_matrix(GramSpec(E, A2, m_max=2, v_max=8))
+        assert res.witness is None and res.warning is None and res.max_deviation == 0.0
+
+    def test_nan_fails(self, monkeypatch):
+        def nan(spec, labels):
+            return np.full((len(labels), len(labels)), complex("nan"))
+
+        monkeypatch.setattr(gram, "_gram_closed_form", nan)
+        res = gram_matrix(GramSpec(E, A2, m_max=0, v_max=1))
+        assert math.isnan(res.max_deviation) and res.witness == (0, 0) and res.warning is not None
+
+
 class TestMeetingGaps:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([1, 2]), m_max=st.integers(0, 3))

@@ -18,6 +18,7 @@ from waverep.groups import (
     validate_dilation,
 )
 from waverep.operators import (
+    FiberOperator,
     apply_group_element,
     apply_layer_rep,
     commutation_defect,
@@ -495,3 +496,20 @@ class TestCommutant:
         g = multiply_step(pieces, f)
         assert g.support().same_set(interval_set([(1, 2)]))
         assert g.norm_sq() == pytest.approx(4 * math.pi)
+
+
+class TestInteriorGuards:
+    def test_different_shifts_differ_by_the_diameter(self):
+        phases = {k: 1 + 0j for k in range(-2, 3)}
+        assert interior_deviation(FiberOperator(1, phases), FiberOperator(-1, phases)) == 2.0
+
+    def test_no_common_block(self):
+        m1, m2 = FiberOperator(0, {0: 1 + 0j, 1: 1j}), FiberOperator(0, {2: 1 + 0j})
+        with pytest.raises(WindowTooSmall, match="no common interior block"):
+            interior_deviation(m1, m2)
+
+    @pytest.mark.parametrize("m, gm, K", [(3, 0, 3), (2, 1, 3), (0, 2, 1), (-1, -1, 2)])
+    def test_orbit_shift_window_too_small(self, m, gm, K):
+        x = RealPoint.from_pi([Fraction(3, 2)])
+        with pytest.raises(WindowTooSmall, match="window too small for the requested orbit step"):
+            find_orbit_shift(x, m, GroupElement.of(A2, [1], 0, gm), K, A2)

@@ -355,6 +355,18 @@ class TestPieceScan:
             with pytest.raises(NonDiagonalDilation):
                 isometry_defect(f, E2, T2, *window)
 
+    def test_zero_coefficients_are_the_zero_function(self):
+        # only zero coefficients: the exact path's covered volume and the closed-form norm are 0
+        step = ModulatedBoxSum.piecewise(A2, [(Box((1,), (2,)), 0.0), (Box((-2,), (-1,)), 0.0)])
+        assert spectral.isometry_path(step) == "exact"
+        with pytest.raises(ZeroFunction, match="isometry defect of the zero function"):
+            isometry_defect(step, E, A2)
+        modulated = ModulatedBoxSum.of(A2, [(0.0, AdicVector.of(A2, [1], 1), Box((1,), (2,)))])
+        assert spectral.isometry_path(modulated) == "closed-form"
+        for window in ((None, None), (-1, None), (None, 1)):
+            with pytest.raises(ZeroFunction, match="isometry defect of the zero function"):
+                isometry_defect(modulated, E, A2, *window)
+
     def test_empty_set_has_no_layers(self):
         f = ModulatedBoxSum.indicator(A2, E)
         assert layer_span(f, BoxSet.empty(1), A2) == (0, 0)

@@ -19,7 +19,7 @@ from util import (
 )
 from waverep import tiling
 from waverep.boxes import Box, BoxSet, interval_set, product_set, unit_cube
-from waverep.errors import BadAnnulus
+from waverep.errors import BadAnnulus, DimensionMismatch
 from waverep.tiling import (
     _BLOCK,
     VerifyParams,
@@ -481,3 +481,68 @@ class TestOnePass:
             assert check.fail_fraction_bound is None
             assert "fail_fraction_bound" not in check.to_json()
         assert not failed.disjoint.passed and not failed.cover.passed
+
+
+class TestOneParameterRecord:
+    """The check functions read VerifyParams, and one predicate on it picks the path."""
+
+    _T = _NON_DIAGONAL[0]
+    _SXS = product_set(shannon_set(), shannon_set())
+    _EXACT = "exact mode requested but the frequency matrix is not diagonal"
+
+    def test_exact_mode_on_a_non_diagonal_matrix_fails_at_every_entry(self):
+        with pytest.raises(ValueError, match=self._EXACT):
+            check_dilation_disjoint(self._SXS, self._T, mode="exact")
+        with pytest.raises(ValueError, match=self._EXACT):
+            check_dilation_cover(self._SXS, self._T, mode="exact")
+        with pytest.raises(ValueError, match=self._EXACT):
+            verify_wavelet_set(self._SXS, self._T, VerifyParams(mode="exact"))
+
+    def test_a_set_of_another_dimension_on_the_sampled_path(self):
+        for mode in ("auto", "sampled"):
+            with pytest.raises(DimensionMismatch, match="point and matrix dimensions differ"):
+                check_dilation_disjoint(shannon_set(), self._T, mode=mode, samples=10)
+        with pytest.raises(DimensionMismatch):
+            check_dilation_cover(self._SXS, A2, mode="sampled", samples=10)
+        with pytest.raises(DimensionMismatch):
+            verify_wavelet_set(shannon_set(), self._T, VerifyParams(samples=10))
+
+    def test_error_order(self):
+        # a bad keyword first, then the vacuous empty set, then the annulus, then exact mode
+        for E in (shannon_set(), BoxSet.empty(2)):
+            with pytest.raises(TypeError):
+                check_dilation_disjoint(E, A2, jmax=3)
+            with pytest.raises(TypeError):
+                check_dilation_cover(E, A2, sample=10)
+        res = check_dilation_disjoint(BoxSet.empty(2), self._T, mode="exact")
+        assert res.passed and res.mode == "exact" and res.note == "empty set, vacuous"
+        with pytest.raises(BadAnnulus):
+            check_dilation_cover(self._SXS, self._T, mode="exact", annulus=(Fraction(2), Fraction(1)))
+        # verify_wavelet_set: exact mode before the dimension, the dimension before the annulus
+        with pytest.raises(ValueError, match=self._EXACT):
+            verify_wavelet_set(shannon_set(), self._T, VerifyParams(mode="exact", annulus=(2, 1)))
+        with pytest.raises(DimensionMismatch):
+            verify_wavelet_set(shannon_set(), self._T, VerifyParams(annulus=(2, 1)))
+
+    @pytest.mark.parametrize("check", [check_dilation_disjoint, check_dilation_cover])
+    def test_defaults_are_the_records(self, check, monkeypatch):
+        seen = []
+        monkeypatch.setattr(tiling, "_sampled_checks", lambda E, A, p: seen.append(p) or (None, None))
+        check(self._SXS, self._T)
+        check(shannon_set(), A2, mode="sampled", seed=5)
+        assert seen == [VerifyParams(), VerifyParams(mode="sampled", seed=5)]
+        assert seen[0].samples == 100_000
+
+    def test_exact_path_calls_the_checks_with_the_mode(self, monkeypatch):
+        # a tracer that wraps the checks by name reads their mode keyword
+        calls = []
+        for name in ("check_dilation_disjoint", "check_dilation_cover"):
+            original = getattr(tiling, name)
+
+            def recording(E, A, _original=original, _name=name, **params):
+                calls.append((_name, params["mode"]))
+                return _original(E, A, **params)
+
+            monkeypatch.setattr(tiling, name, recording)
+        verify_wavelet_set(shannon_set(), A2, VerifyParams(j_max=4, mode="exact"))
+        assert calls == [("check_dilation_disjoint", "exact"), ("check_dilation_cover", "exact")]
