@@ -14,9 +14,6 @@ extra exact modulation.
 A :class:`LayerFunction` is a finite window of k-indexed layers, each a
 modulated box sum supported in a base set; it carries the functions on
 E x Z produced by the unitary change of realization.
-
-A :class:`GridFunction` is the piecewise-constant sampled carrier used
-by the inexact (general matrix) path.
 """
 
 from __future__ import annotations
@@ -24,9 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .boxes import Box, BoxSet
 from .errors import DimensionMismatch
@@ -37,7 +32,6 @@ __all__ = [
     "TermPair",
     "ModulatedBoxSum",
     "LayerFunction",
-    "GridFunction",
     "axis_integral",
     "pairing",
 ]
@@ -280,47 +274,3 @@ class LayerFunction:
             f"LayerFunction(window=[{self.k_min}, {self.k_max}], "
             f"{len(self.layers)} nonzero layers)"
         )
-
-
-@dataclass
-class GridFunction:
-    """Piecewise-constant samples on a uniform grid (the inexact path)."""
-
-    origin: tuple[float, ...]
-    h: float
-    values: np.ndarray  # complex, shape per axis
-
-    @classmethod
-    def sample(
-        cls,
-        fn: Callable,
-        origin: Sequence[float],
-        h: float,
-        shape: Sequence[int],
-    ) -> "GridFunction":
-        """Sample a callable at cell centers."""
-        grids = [
-            np.asarray(origin)[k] + h * (np.arange(shape[k]) + 0.5)
-            for k in range(len(shape))
-        ]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        vals = np.asarray(fn(*mesh), dtype=complex)
-        return cls(tuple(float(o) for o in origin), float(h), vals)
-
-    @property
-    def dim(self) -> int:
-        return self.values.ndim
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2)) * self.h**self.dim
-
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Piecewise-constant lookup; points of shape (m, dim)."""
-        pts = np.atleast_2d(points)
-        idx = np.floor((pts - np.asarray(self.origin)) / self.h).astype(int)
-        inside = np.all((idx >= 0) & (idx < np.asarray(self.values.shape)), axis=1)
-        out = np.zeros(len(pts), dtype=complex)
-        if np.any(inside):
-            sel = tuple(idx[inside].T)
-            out[inside] = self.values[sel]
-        return out

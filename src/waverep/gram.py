@@ -14,15 +14,15 @@ Since D M_v = M_{Av} D, an entry depends only on the exact key
 of D^m 1_E and D^m' 1_E that meet depend on (m, m') alone, so their term
 pairs are formed once per scale pair and evaluated at each key's phase.
 A is diagonal there, so a key splits by axis into exact integers that
-take few values; each gets a small integer id, and the matrix is filled
-from id arrays instead of entry by entry.  The quadrature that serves
-other matrices samples the set once per scale, and each label only its
-phase.  Deviation, witness and verdict come from one array, |G - I|.
+take few values; each gets a small integer id, and each block (m, m')
+of the matrix is filled from the ids of its own keys, instead of entry
+by entry.  The quadrature that serves other matrices samples the set
+once per scale, and each label only its phase.  Deviation, witness and
+verdict come from one array, |G - I|.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -188,13 +188,13 @@ def _key_ids(A: DilationMatrix, d: int, vs: range) -> tuple[np.ndarray, list[lis
 
 
 def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]]) -> np.ndarray:
-    """The closed form on a diagonal A, filled from integer key ids.
+    """The closed form on a diagonal A, filled one block (m, m') at a time.
 
-    All blocks share one id space, so one pass over the upper triangle
-    finds the ids in use; each is decoded to its key (m, m', w) and
-    evaluated once, and the entries are scattered from those values.  The
-    term pairs of D^m 1_E with itself, formed for its norm, serve the
-    same-scale blocks as well.
+    Each block has its own keys: its entries above the diagonal select the
+    key ids of its gap, each id in use is decoded to its vector w and
+    evaluated once, and the values are scattered back; the mirrored block
+    takes their conjugates.  The term pairs of D^m 1_E with itself, formed
+    for its norm, serve the same-scale blocks as well.
     """
     A, mm = spec.A, spec.m_max
     dilates, same, norm_sqs = _scales(spec)
@@ -206,45 +206,37 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
              for d in meeting_gaps(spec.E, A, -2 * mm, 2 * mm)}
     # the phase of key w in block (m, m') is A^-M w, M = max(m, m'): w_k a_k^-M, exactly
     twist = {m: [Fraction(A.entries[i][i]) ** -m for i in range(A.n)] for m in scales}
-    # one id space for the keys (m, m', w) of all blocks: block (s, t) owns the ids from
-    # first[s S + t] on, the key ids of its gap, or one id, its exact zero, if the gap does not meet
-    cell = np.empty((L, S, L, S), dtype=np.int64)
-    first, total = [], 0
+    # entry (p S + s, q S + t) lies above the diagonal when p < q, or p == q and s < t
+    ones = np.ones((L, L), dtype=bool)
+    masks = (np.triu(ones, 1), np.triu(ones))
+    blocks = np.empty((L, S, L, S), dtype=complex)
     for s, m in enumerate(scales):
         for t, mp in enumerate(scales):
+            if L == 1 and s >= t:  # no entry above the diagonal
+                continue
+            mask, norm = masks[s < t], norms[m] * norms[mp]
             hit = keyed.get(mp - m)
-            cell[:, s, :, t] = total if hit is None else total + hit[0]
-            first.append(total)
-            total += 1 if hit is None else math.prod(map(len, hit[1]))
-    upper = np.arange(k)[:, None] < np.arange(k)
-    ids = cell.reshape(k, k)[upper]
-    del cell
-    # the ids in use, and each entry's index among them: np.unique would do, but its first call
-    # in a process costs about 0.2 ms, a share of a small Gram
-    used = np.zeros(total, dtype=bool)
-    used[ids] = True
-    pairs = {(m, m): p for m, p in same.items()}  # (m, m') -> term pairs of D^m 1_E and D^m' 1_E
-    vals = []
-    for key in np.flatnonzero(used).tolist():
-        b = bisect.bisect_right(first, key) - 1
-        m, mp = scales[b // S], scales[b % S]
-        inner = 0j
-        hit = keyed.get(mp - m)
-        if hit is not None:
-            rest, w = key - first[b], []
-            for axis in reversed(hit[1]):
-                rest, r = divmod(rest, len(axis))
-                w.append(axis[r])
-            if (m, mp) not in pairs:
-                pairs[m, mp] = dilates[m].term_pairs(dilates[mp])
-            shift = tuple(x * f for x, f in zip(reversed(w), twist[max(m, mp)]))
-            inner = pairing(pairs[m, mp], shift)
-        vals.append(inner / (norms[m] * norms[mp]))
-    entries = np.array(vals, dtype=complex)[(np.cumsum(used) - 1)[ids]]
-    del ids
-    matrix = np.empty((k, k), dtype=complex)
-    matrix[upper] = entries
-    matrix.T[upper] = np.conj(entries, out=entries)
+            if hit is None:
+                vals = 0j / norm
+            else:
+                ids, axes = hit
+                radix = [len(a) for a in axes]
+                sel = ids[mask]
+                # the block's ids in use, and each entry's index among them: np.unique would do,
+                # but its first call in a process costs about 0.2 ms, a share of a small Gram
+                used = np.zeros(math.prod(radix), dtype=bool)
+                used[sel] = True
+                pairs = same[m] if m == mp else dilates[m].term_pairs(dilates[mp])
+                digits = np.unravel_index(np.flatnonzero(used), radix)
+                shifts = (
+                    tuple(axis[i] * f for axis, i, f in zip(axes, key, twist[max(m, mp)]))
+                    for key in zip(*(d.tolist() for d in digits))
+                )
+                vals = np.array([pairing(pairs, x) / norm for x in shifts], dtype=complex)
+                vals = vals[(np.cumsum(used) - 1)[sel]]
+            blocks[:, s, :, t][mask] = vals
+            blocks[:, t, :, s].T[mask] = np.conj(vals)
+    matrix = blocks.reshape(k, k)
     # the diagonal normalizer is the norm square itself: exactly 1
     np.fill_diagonal(matrix, [norm_sqs[m] / norm_sqs[m] for m in scales] * L)
     return matrix

@@ -40,7 +40,7 @@ from .errors import (
     WindowTooSmall,
     ZeroFunction,
 )
-from .funcs import GridFunction, LayerFunction, ModulatedBoxSum, Term
+from .funcs import LayerFunction, ModulatedBoxSum, Term
 from .groups import DilationMatrix, RealPoint, b_transform
 
 __all__ = [
@@ -317,8 +317,10 @@ def sampled_isometry_defect(
     lo, hi = np.asarray(bounds[0], float), np.asarray(bounds[1], float)
     h = float((hi - lo)[0]) / cells
     shape = tuple(int(round((hi[k] - lo[k]) / h)) for k in range(len(lo)))
-    gf = GridFunction.sample(fn, lo, h, shape)
-    base = gf.norm_sq()
+    # fn sampled at the cell centres, and read back as a piecewise-constant function
+    grids = [lo[k] + h * (np.arange(shape[k]) + 0.5) for k in range(len(shape))]
+    values = np.asarray(fn(*np.meshgrid(*grids, indexing="ij")), dtype=complex)
+    base = float(np.sum(np.abs(values) ** 2)) * h**values.ndim
     if base == 0.0:
         raise ZeroFunction("isometry defect of the zero function")
     if layer_cells is None:
@@ -340,7 +342,10 @@ def sampled_isometry_defect(
             ]
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([m.ravel() for m in mesh], axis=1)
-            vals = gf.eval_many(pts @ bk.T)
+            idx = np.floor((pts @ bk.T - lo) / h).astype(int)
+            inside = np.all((idx >= 0) & (idx < np.asarray(values.shape)), axis=1)
+            vals = np.zeros(len(pts), dtype=complex)
+            vals[inside] = values[tuple(idx[inside].T)]
             cellvol = float(np.prod((bhi - blo) / np.asarray(counts)))
             mapped += det**k * float(np.sum(np.abs(vals) ** 2)) * cellvol
     return abs(mapped - base) / base

@@ -298,6 +298,67 @@ class TestTermPairsPerScalePair:
         assert cross_scale_blocks(spec, got)[1]
 
 
+def distinct_keys(spec: GramSpec) -> set:
+    """The keys (m, m', A^M w) of the entries i < j whose gap meets, formed as ``ref_gram_keyed`` forms them."""
+    A, labels = spec.A, spec.labels()
+    gaps = set(meeting_gaps(spec.E, A, -2 * spec.m_max, 2 * spec.m_max))
+    diag = [A.entries[k][k] for k in range(A.n)]
+    keys = set()
+    for i, (m, v) in enumerate(labels):
+        for mp, vp in labels[i + 1:]:
+            if mp - m in gaps:
+                top = max(m, mp)
+                w = tuple(a ** (top - m) * x - a ** (top - mp) * y for a, x, y in zip(diag, v, vp))
+                keys.add((m, mp, w))
+    return keys
+
+
+class TestOnePairingPerKey:
+    """One pairing per distinct key above the diagonal, and term pairs only for blocks that have such keys."""
+
+    @pytest.mark.parametrize(
+        "E, A, m_max, v_max, count",
+        [
+            (interval_set([(-3, -1), (1, 3)]), [[-2]], 2, 3, 162),
+            (E, [[2]], 2, 5, 50),
+            (product_set(interval_set([(0, 2)]), interval_set([(-1, 1)])), [[2, 0], [0, 3]], 1, 2, 1280),
+            (E, [[2]], 2, 0, 0),
+        ],
+    )
+    def test_pairings_equal_distinct_keys(self, E, A, m_max, v_max, count, monkeypatch):
+        shifts = []
+        pairing = gram.pairing
+
+        def counting(pairs, shift=None):
+            if shift is not None:
+                shifts.append(shift)
+            return pairing(pairs, shift)
+
+        monkeypatch.setattr(gram, "pairing", counting)
+        spec = GramSpec(E, validate_dilation(A), m_max, v_max)
+        gram_matrix(spec)
+        assert len(shifts) == len(distinct_keys(spec)) == count
+
+    @pytest.mark.parametrize("E, A", _OVERLAPPING)
+    def test_no_term_pairs_for_blocks_below_the_diagonal(self, E, A, monkeypatch):
+        calls = []
+        term_pairs = ModulatedBoxSum.term_pairs
+
+        def counting(self, other):
+            calls.append(1)
+            return term_pairs(self, other)
+
+        monkeypatch.setattr(ModulatedBoxSum, "term_pairs", counting)
+        spec = GramSpec(E, validate_dilation(A), m_max=1, v_max=0)
+        gram_matrix(spec)
+        # v_max 0: one label per scale, so only the blocks m < m' hold entries above the diagonal
+        scales = range(-1, 2)
+        gaps = set(meeting_gaps(spec.E, spec.A, -2, 2))
+        above = sum(mp - m in gaps for m in scales for mp in scales if m < mp)
+        assert above > 0
+        assert len(calls) == len(scales) + above
+
+
 def witness_reference(matrix: np.ndarray) -> tuple[float, tuple[int, int]]:
     """The deviation and the first largest |G - I| in row-major order, from the complex difference."""
     dev = np.abs(matrix - np.eye(len(matrix)))

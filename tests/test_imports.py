@@ -58,3 +58,16 @@ def test_no_function_local_package_imports(path):
             ):
                 local.append(f"{fn.name} (line {node.lineno})")
     assert not local, f"{path.name}: function-local package imports in {local}"
+
+
+def test_numpy_only_in_the_float_modules():
+    # the float code: box masks, the sampled grid path, the sampled tiling pass, the Gram
+    # matrices and the CLI's matrix output; the exact layers stay free of numpy
+    numpy_modules = set()
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names):
+                numpy_modules.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                numpy_modules.add(path.stem)
+    assert numpy_modules == {"boxes", "cli", "gram", "spectral", "tiling"}

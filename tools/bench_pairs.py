@@ -68,11 +68,13 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base", help="git revision of the parent side")
     p.add_argument("head", help="git revision of the change")
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=int, default=10, help="number of pairs, at least 2 for the quartiles")
     p.add_argument("--seconds", type=float, default=15.0, help="run length of each workload")
     p.add_argument("--seed", type=int, required=True, help="workload seed, one the change was not tuned on")
     p.add_argument("--out", required=True, help="the BENCH_*.json file to write")
     args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error(f"--pairs must be at least 2, got {args.pairs}")
 
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
