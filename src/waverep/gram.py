@@ -12,7 +12,8 @@ over growing translation ranges, never as a boolean.
 Since D M_v = M_{Av} D, an entry depends only on the exact key
 (m, m', A^-m v - A^-m' v'), so each key is evaluated once.  The boxes
 of D^m 1_E and D^m' 1_E that meet depend on (m, m') alone, so their term
-pairs are formed once per scale pair and evaluated at each key's phase.
+pairs are formed once per scale pair and evaluated at each key's phase,
+a shift held per axis as an integer (numerator, denominator) pair.
 A is diagonal there, so a key splits by axis into exact integers that
 take few values; each gets a small integer id, and each block (m, m')
 of the matrix is filled from the ids of its own keys, instead of entry
@@ -26,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -197,6 +197,7 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
     for its norm, serve the same-scale blocks as well.
     """
     A, mm = spec.A, spec.m_max
+    diag = [A.entries[i][i] for i in range(A.n)]
     dilates, same, norm_sqs = _scales(spec)
     norms = {m: math.sqrt(s) for m, s in norm_sqs.items()}
     scales = range(-mm, mm + 1)
@@ -204,8 +205,13 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
     L = k // S  # label p S + s is (scales[s], v_p): v runs slowest
     keyed = {d: _key_ids(A, d, range(-spec.v_max, spec.v_max + 1))
              for d in meeting_gaps(spec.E, A, -2 * mm, 2 * mm)}
-    # the phase of key w in block (m, m') is A^-M w, M = max(m, m'): w_k a_k^-M, exactly
-    twist = {m: [Fraction(A.entries[i][i]) ** -m for i in range(A.n)] for m in scales}
+    # the phase of key w in block (m, m') is A^-M w, M = max(m, m'): w_k a_k^-M, held per
+    # axis as the integer pair (w_k c_k, d_k) with d_k > 0, (c_k, d_k) = (sgn(a_k)^M, |a_k|^M)
+    # for M >= 0 and (a_k^-M, 1) for M < 0
+    twist = {
+        m: [(a ** -m, 1) if m < 0 else ((-1 if a < 0 else 1) ** m, abs(a) ** m) for a in diag]
+        for m in scales
+    }
     # entry (p S + s, q S + t) lies above the diagonal when p < q, or p == q and s < t
     ones = np.ones((L, L), dtype=bool)
     masks = (np.triu(ones, 1), np.triu(ones))
@@ -229,7 +235,7 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
                 pairs = same[m] if m == mp else dilates[m].term_pairs(dilates[mp])
                 digits = np.unravel_index(np.flatnonzero(used), radix)
                 shifts = (
-                    tuple(axis[i] * f for axis, i, f in zip(axes, key, twist[max(m, mp)]))
+                    tuple((axis[i] * c, d) for axis, i, (c, d) in zip(axes, key, twist[max(m, mp)]))
                     for key in zip(*(d.tolist() for d in digits))
                 )
                 vals = np.array([pairing(pairs, x) / norm for x in shifts], dtype=complex)
@@ -302,7 +308,8 @@ def completeness_defect(
     for m, v in spec.labels():
         # <f, D^m M_v 1_E>: the pairs of f with D^m 1_E, whose modulation beta = A^-m v
         # enters the phases of f's terms as -beta
-        shift = tuple(-x for x in AdicVector.of(A, v).twist(m).values())
+        u, d = AdicVector.of(A, v).twist(m).ratio()
+        shift = tuple((-x, d) for x in u)
         coef = pairing(pairs[m], shift) / math.sqrt(norm_sqs[m])
         captured += abs(coef) ** 2
     return total - captured

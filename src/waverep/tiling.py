@@ -7,8 +7,11 @@ frequency matrix, (ii) cover R^n by those dilates up to a null set, and
 (i) and (iii) are decided exactly on the box carrier.  (ii) is a limit
 statement, so it is certified only on a finite sup-norm annulus with a
 finite dilation range, and every report says so; for a diagonal matrix
-its exact certificate is one cell pass over the integer index grid of
-the annulus and all dilates at once, not one set difference per dilate.
+its exact certificate is one cell pass over the annulus and all dilates
+at once, not one set difference per dilate.  The dilates are formed on
+one integer grid per axis (:func:`boxes.grid_dilate`), fine enough that
+every end of every dilate in range is an exact integer, and only an
+uncovered witness returns to ``Fraction`` ends.
 When the frequency matrix is not diagonal the exact set arithmetic is
 unavailable and (i)/(ii) downgrade to a seeded, reproducible sampling
 check: one pass over the draws of the annulus decides both.  The pass
@@ -30,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boxes import Box, BoxSet, difference, interval_set
+from .boxes import Box, BoxSet, grid_difference, grid_dilate, grid_span, interval_set
 from .errors import BadAnnulus, DimensionMismatch
 from .groups import DilationMatrix, RealPoint, b_transform
 from .jsonio import boxset_json
@@ -271,8 +274,9 @@ def check_dilation_cover(E: BoxSet, A: DilationMatrix, **params) -> CheckResult:
     The full condition is a statement about all of R^n; the certificate
     here only covers the sup-norm annulus [r_in, r_out] with |j| <= j_max
     and the report says exactly that.  On the exact path the uncovered part
-    is one cell pass (:func:`boxes.difference`): the outer box minus the
-    inner box and every box of every dilate, each clipped to the outer box.
+    is one cell pass (:func:`boxes.grid_difference`): the outer box minus
+    the inner box and every box of every dilate, each clipped to the outer
+    box, all on one integer grid per axis.
     """
     name = "dilation_cover"
     p = VerifyParams(**params)
@@ -282,8 +286,19 @@ def check_dilation_cover(E: BoxSet, A: DilationMatrix, **params) -> CheckResult:
     dim = E.dim
     outer = Box((-r_out,) * dim, (r_out,) * dim)
     inner = Box((-r_in,) * dim, (r_in,) * dim)
-    dilates = (b.dilate(A, j) for j in range(-p.j_max, p.j_max + 1) for b in E.boxes)
-    remaining = difference(dim, [outer], [inner, *dilates])
+    if E.boxes and A.n != dim:
+        raise DimensionMismatch("matrix dimension mismatch")
+    # axis k's grid carries every denominator on that axis and |a_kk|^j_max, so each
+    # end of each dilate B^j E, |j| <= j_max, is an exact integer on it
+    reach = [abs(A.entries[k][k]) ** p.j_max for k in range(dim)] if E.boxes else [1] * dim
+    scales = [
+        math.lcm(*{x.denominator for b in (outer, inner, *E.boxes) for x in (b.lo[k], b.hi[k])}) * r
+        for k, r in enumerate(reach)
+    ]
+    spans = [grid_span(b, scales) for b in E.boxes]
+    dilates = (grid_dilate(A, s, j) for j in range(-p.j_max, p.j_max + 1) for s in spans)
+    cuts = [grid_span(inner, scales), *dilates]
+    remaining = grid_difference(scales, [grid_span(outer, scales)], cuts)
     if remaining.is_empty:
         return CheckResult(name, True, "exact", note=note)
     return CheckResult(

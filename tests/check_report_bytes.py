@@ -6,10 +6,12 @@ Takes every call of cycles 0-3 of the three workloads in
 ``perfbench/workloads.py``, at seeds 3, 17 and 29, a fixed list of
 ``decompose`` calls with and without window ends (none of the workload
 ops passes ``--k-min`` or ``--k-max``), and a fixed list of ``verify-set``
-and ``gram`` calls: exact 2-D covers that fail, sets that fail translation
-congruence, and Gram matrices of up to 507 labels in 1-D and 2-D, one
-of them written through ``--output``, and failing ones whose witness is
-a diagonal entry (quadrature) or the first of tied maxima (closed form).
+and ``gram`` calls: exact 1-D, 2-D and 3-D covers that fail, one of them
+on grid integers past 2^63, sets that fail translation congruence, and
+Gram matrices of up to 507 labels in 1-D and 2-D, one with shifts over
+odd negative powers of -3, one written through ``--output``, and failing
+ones whose witness is a diagonal entry (quadrature) or the first of tied
+maxima (closed form).
 It also makes the usage calls of ``argv_cases.py`` beside this script:
 every argv of the CLI tests that must exit 2, and the argv grammar (``=`` values, prefixes, option-like values,
 repeats, missing and unknown options and commands); ``--help`` is left out,
@@ -124,6 +126,7 @@ HALF = _set((["0"], ["1"]), (["2"], ["3"]))  # folds onto [0, 1) twice: overlap 
 HALF_2D = _set((["0", "-1"], ["1", "1"]),)  # half the cube: a deficit alone
 OVERLAP = _set((["-3"], ["-1"]), (["1"], ["3"]))  # B E meets E: at --m 1 --v 20, 84 Gram entries tie
 ANNULUS_14 = f"1/{2**14},{2**14}"
+SXSXS = _set(*(([a, c, e], [b, d, f]) for a, b in S for c, d in S for e, f in S))
 # (label, argv, files) for the exact covers, congruence failures and Gram sizes
 CERTIFY = [
     ("cover/SxS-2-minus-2", ["verify-set", "--set", "s.json", "--dilation", "[[2,0],[0,-2]]",
@@ -131,9 +134,15 @@ CERTIFY = [
     ("cover/shell-2-3", ["verify-set", "--set", "s.json", "--dilation", "[[2,0],[0,3]]"], SHELL),
     ("cover/shell-2-3-exact", ["verify-set", "--set", "s.json", "--dilation", "[[2,0],[0,3]]",
                                "--j-max", "12", "--annulus", "1/4096,4096", "--mode", "exact"], SHELL),
+    # grid integers past 2^63 (|-3|^40 times the annulus's 3^20), with a witness
+    ("cover/shannon-minus-3-j40", ["verify-set", "--set", "shannon", "--dilation", "[[-3]]", "--j-max", "40",
+                                   "--annulus", f"1/{3**20},{3**20}", "--mode", "exact"], None),
+    ("cover/SxSxS-2-minus-2-3", ["verify-set", "--set", "s.json", "--dilation", "[[2,0,0],[0,-2,0],[0,0,3]]",
+                                 "--j-max", "5", "--annulus", "1/8,8", "--mode", "exact"], SXSXS),
     ("congruence/overlap-and-deficit", ["verify-set", "--set", "s.json", "--dilation", "[[2]]"], HALF),
     ("congruence/deficit-2d", ["verify-set", "--set", "s.json", "--dilation", "[[2,0],[0,2]]"], HALF_2D),
     ("gram/1d-m2-v32", ["gram", "--set", "shannon", "--dilation", "[[2]]", "--m", "2", "--v", "32"], None),
+    ("gram/1d-minus-3-m3-v8", ["gram", "--set", "shannon", "--dilation", "[[-3]]", "--m", "3", "--v", "8"], None),
     ("gram/1d-overlap-witness", ["gram", "--set", "s.json", "--dilation", "[[2]]", "--m", "2", "--v", "6"],
      HALF),
     ("gram/2d-m1-v6", ["gram", "--set", "s.json", "--dilation", "[[2,0],[0,-2]]", "--m", "1", "--v", "6"],

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import ref_normalize, ref_subtract, ref_translation_reduce
-from waverep.boxes import Box, BoxSet, difference, interval_set, normalize, product_set, unit_cube
+from util import diagonal_matrices, ref_normalize, ref_subtract, ref_translation_reduce
+from waverep.boxes import (
+    Box,
+    BoxSet,
+    difference,
+    grid_dilate,
+    grid_span,
+    interval_set,
+    normalize,
+    product_set,
+    unit_cube,
+)
 from waverep.errors import DimensionMismatch, NonDiagonalDilation
 from waverep.groups import RealPoint, validate_dilation
 from waverep.jsonio import boxset_json
@@ -176,6 +187,53 @@ class TestSubtractByCells:
         got = difference(1, [Box((0,), (4,))], [Box((-100,), (1,)), Box((3,), (100,))])
         assert got == interval_set([(1, 3)])
         assert difference(2, [], [Box((0, 0), (1, 1))]).is_empty
+
+
+# ends with small and with huge denominators, so that one axis's grid reaches past 2^64
+_MIXED = st.one_of(
+    st.fractions(-3, 3, max_denominator=12),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**68)),
+)
+
+
+@st.composite
+def mixed_boxes(draw, dim, most=5):
+    boxes = []
+    for _ in range(draw(st.integers(0, most))):
+        ends = [draw(st.tuples(_MIXED, _MIXED).filter(lambda p: p[0] != p[1])) for _ in range(dim)]
+        boxes.append(Box(tuple(min(p) for p in ends), tuple(max(p) for p in ends)))
+    return boxes
+
+
+class TestIntegerGrid:
+    """The cell pass on per-axis integer grids against the Fraction-grid references, box for box."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_difference_is_the_fraction_reference(self, data, dim):
+        boxes, cutters = data.draw(mixed_boxes(dim)), data.draw(mixed_boxes(dim))
+        got = difference(dim, boxes, cutters)
+        assert got.boxes == ref_subtract(BoxSet(dim, tuple(boxes)), BoxSet(dim, tuple(cutters))).boxes
+        assert normalize(dim, boxes).boxes == ref_normalize(dim, boxes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), j_max=st.integers(0, 40), extra=st.integers(1, 6))
+    def test_grid_dilate_maps_back_to_box_dilate(self, data, dim, j_max, extra):
+        A = data.draw(diagonal_matrices(dim))
+        box = data.draw(mixed_boxes(dim, 1).filter(bool))[0]
+        # any multiple of the denominators times |a_kk|^j_max is a grid on which every image is exact
+        scales = [
+            math.lcm(box.lo[k].denominator, box.hi[k].denominator) * abs(A.entries[k][k]) ** j_max * extra
+            for k in range(dim)
+        ]
+        span = grid_span(box, scales)
+        for j in range(-j_max, j_max + 1):
+            lo, hi = grid_dilate(A, span, j)
+            back = Box(
+                tuple(Fraction(x, s) for x, s in zip(lo, scales)),
+                tuple(Fraction(x, s) for x, s in zip(hi, scales)),
+            )
+            assert back == box.dilate(A, j)
 
 
 class TestTranslate:

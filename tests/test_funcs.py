@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from util import float_bits, ref_pairing
 from waverep.boxes import Box
-from waverep.funcs import ModulatedBoxSum, axis_integral
+from waverep.funcs import _THIN, ModulatedBoxSum, TermPair, axis_integral, pairing
 from waverep.groups import AdicVector, phase_exp, validate_dilation
 from waverep.spectral import isometry_defect
 from waverep.tiling import shannon_set
@@ -48,3 +51,51 @@ class TestAxisIntegral:
         want = 1.25 * math.pi / N - cross
         assert f.norm_sq() == pytest.approx(want, rel=1e-12)
         assert isometry_defect(f, shannon_set(), A, -37, -33) < 1e-12
+
+
+# numerators and denominators of either size: small ones, and ones past 2^64
+_NUM = st.one_of(st.integers(-40, 40), st.integers(-(2**80), 2**80))
+_DEN = st.one_of(st.integers(1, 40), st.integers(1, 2**80))
+_FRACS = st.builds(Fraction, _NUM, _DEN)
+
+
+class TestPairingOnIntegers:
+    """pairing on integer numerators against the Fraction reference, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), count=st.integers(1, 3), shifted=st.booleans())
+    def test_bits_of_the_fraction_reference(self, data, dim, count, shifted):
+        shift = None
+        if shifted:
+            shift = [(data.draw(_NUM), data.draw(_DEN)) for _ in range(dim)]
+        pairs = []
+        for _ in range(count):
+            lo, hi, phase = [], [], []
+            for k in range(dim):
+                a = data.draw(_FRACS)
+                theta = data.draw(st.one_of(st.just(Fraction(0)), _FRACS))
+                # sometimes the shift cancels the phase, an unreduced zero theta
+                if shift is not None and data.draw(st.booleans()):
+                    shift[k] = (-theta.numerator * shift[k][1], theta.denominator * shift[k][1])
+                full = theta if shift is None else theta + Fraction(*shift[k])
+                if full and data.draw(st.booleans()):
+                    # a width near _THIN / |theta|, on either side of the sine form's thresholds
+                    scale = data.draw(st.fractions(Fraction(1, 4), 4, max_denominator=1000))
+                    width = Fraction(_THIN) * scale / abs(full)
+                else:
+                    width = data.draw(st.fractions(Fraction(1, 10**6), 10, max_denominator=10**6))
+                lo.append(a)
+                hi.append(a + width)
+                phase.append(theta)
+            coef = complex(data.draw(st.floats(-2, 2)), data.draw(st.floats(-2, 2)))
+            pairs.append(TermPair(coef, Box(tuple(lo), tuple(hi)), tuple(phase)))
+        assert float_bits(pairing(pairs, shift)) == float_bits(ref_pairing(pairs, shift))
+
+    @pytest.mark.parametrize("theta", [Fraction(0), Fraction(-37, 4), Fraction(3, 2**70), Fraction(-(2**66) - 1, 3)])
+    @pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(127, 100), Fraction(13, 10), Fraction(2)])
+    def test_widths_around_thin(self, theta, scale):
+        a = Fraction(-7, 3)
+        width = Fraction(_THIN) * scale / abs(theta) if theta else scale
+        pair = TermPair(1.0 + 0j, Box((a,), (a + width,)), (theta,))
+        assert float_bits(pairing([pair])) == float_bits(ref_pairing([pair]))
+        assert float_bits(pairing([pair], [(5, 2**65)])) == float_bits(ref_pairing([pair], [(5, 2**65)]))

@@ -188,6 +188,31 @@ class TestCoverByCells:
         assert (want is None) == (A == [[-2]])
 
 
+class TestCoverOnIntegerGrid:
+    """The exact cover with its dilates formed on the integer grid, against one Fraction subtraction per dilate."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), k=st.integers(0, 30))
+    def test_same_witness_as_subtract_loop(self, data, dim, k):
+        # A with entries of either sign; E a product of 1-D sets.  The annulus sits deep inside
+        # when j_max is large.  In 3-D the reference costs seconds per example beyond j_max 12
+        # or a thick shell, so there both are smaller.
+        j_max = data.draw(st.integers(0, 40 if dim < 3 else 12))
+        factors = [data.draw(box_sets(1)) for _ in range(dim)]
+        E = factors[0]
+        for f in factors[1:]:
+            E = product_set(E, f)
+        A = data.draw(diagonal_matrices(dim))
+        r_in = Fraction(1, data.draw(st.sampled_from([2, 3]))) ** min(k, 3 * j_max // 4)
+        thickest = (Fraction(64), Fraction(8), Fraction(5, 4))[dim - 1]
+        annulus = (r_in, r_in * data.draw(st.fractions(Fraction(17, 16), thickest, max_denominator=16)))
+        res = check_dilation_cover(E, A, annulus=annulus, j_max=j_max)
+        want = ref_dilation_cover(E, A, annulus, j_max)
+        event("uncovered" if want else "covered")
+        assert res.passed == (want is None)
+        assert json.dumps(res.witness) == json.dumps(want)
+
+
 class TestCongruent:
     def test_shannon(self):
         assert check_translation_congruent(shannon_set()).passed

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from waverep import cli
 from waverep.boxes import Box, BoxSet, interval_set, product_set, unit_cube
 from waverep.errors import AmbiguousScale, InputError, NotCovered, NotExpansive, SingularMatrix, ZeroFunction
-from waverep.funcs import LayerFunction, ModulatedBoxSum, Term, axis_integral
+from waverep.funcs import _THIN, LayerFunction, ModulatedBoxSum, Term
 from waverep.gram import GramSpec
 from waverep.groups import (
     AdicVector,
@@ -154,6 +154,33 @@ def ref_b_transform(A: DilationMatrix, x, k: int) -> tuple[Fraction, ...]:
 # --- brute-force references for the group-structure shortcuts -------------
 
 
+def ref_axis_integral(a: Fraction, b: Fraction, theta: Fraction) -> complex:
+    """The integral of e^{-i theta t} over [a pi, b pi] in Fraction arithmetic: the endpoint phase
+    difference over -i theta, or the sine form below ``_THIN``, with ref_phase_exp's phases."""
+    if theta == 0:
+        return complex(float(b - a) * math.pi)
+    gap = ref_phase_exp(-theta * b) - ref_phase_exp(-theta * a)
+    if abs(gap) < 4 * _THIN:
+        width = float(theta * (b - a))
+        if abs(width) < _THIN:
+            return 2 * math.sin(width * math.pi / 2) / float(theta) * ref_phase_exp(-theta * (a + b) / 2)
+    return gap / complex(0, -float(theta))
+
+
+def ref_pairing(pairs, shift=None) -> complex:
+    """The sum over term pairs of coef * prod_k ref_axis_integral at the Fraction phase + num / den."""
+    total = 0j
+    for pair in pairs:
+        prod = complex(1.0)
+        for k, p in enumerate(pair.phase):
+            theta = p if shift is None else p + Fraction(*shift[k])
+            prod *= ref_axis_integral(pair.box.lo[k], pair.box.hi[k], theta)
+            if prod == 0:
+                break
+        total += pair.coef * prod
+    return total
+
+
 def ref_inner(f: ModulatedBoxSum, g: ModulatedBoxSum) -> complex:
     """<f, g> by one loop over the term pairs, each phase taken from the two modulations."""
     total = 0j
@@ -166,7 +193,7 @@ def ref_inner(f: ModulatedBoxSum, g: ModulatedBoxSum) -> complex:
             tv = t.beta.values()
             prod = complex(1.0)
             for k in range(f.dim):
-                prod *= axis_integral(common.lo[k], common.hi[k], sv[k] - tv[k])
+                prod *= ref_axis_integral(common.lo[k], common.hi[k], sv[k] - tv[k])
                 if prod == 0:
                     break
             total += s.coef * t.coef.conjugate() * prod

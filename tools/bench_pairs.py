@@ -11,8 +11,11 @@ bytecode that another run wrote.  The output records each pair's
 end-to-end metrics, per side the median and quartiles of each metric and
 the number of pairs in which HEAD is better (ties count for neither), the
 direction of "better" from HEAD's BENCHMARK.json, both commit SHAs, and the
-Python and numpy versions.  Run it from a clone of the repository on an
-otherwise idle machine.
+Python and numpy versions.  A run that exits nonzero or reports
+``correct: false`` ends the script with exit 1 and no BENCH file: it
+names the side and the pair, shows the last lines of that run's stderr
+and prints the metrics of the pairs that finished.  Run it from a clone
+of the repository on an otherwise idle machine.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+TAIL = 20  # stderr lines shown for a failed run
 
 
 def _git(*args: str) -> str:
@@ -46,16 +50,23 @@ def _export(rev: str, into: Path) -> str:
     return sha
 
 
+class RunFailed(Exception):
+    """A benchmark run that crashed or reported ``correct: false``; the message names it."""
+
+
 def _run(side: Path, seed: int, seconds: float) -> dict[str, float]:
     """One benchmark run on a checkout without bytecode caches: its end-to-end metrics by name."""
     for cache in side.rglob("__pycache__"):
         shutil.rmtree(cache)
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all"]
     cmd += ["--seed", str(seed), "--seconds", str(seconds)]
-    out = subprocess.run(cmd, cwd=side, check=True, capture_output=True, text=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=side, capture_output=True, text=True)
+    tail = "".join(f"\n  {line}" for line in proc.stderr.splitlines()[-TAIL:])
+    if proc.returncode:
+        raise RunFailed(f"exited {proc.returncode}; the last lines of its stderr:{tail}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
-        raise RuntimeError(f"benchmark run on {side} reported an unexpected failure")
+        raise RunFailed(f"reported an unexpected failure; the last lines of its stderr:{tail}")
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
@@ -88,7 +99,12 @@ def main(argv=None) -> int:
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             pair = {"first": order[0]}
             for name in order:
-                pair[name] = _run(sides[name], args.seed, args.seconds)
+                try:
+                    pair[name] = _run(sides[name], args.seed, args.seconds)
+                except RunFailed as exc:
+                    print(f"pair {i + 1}/{args.pairs}: the {name} run ({shas[name]}) {exc}", file=sys.stderr)
+                    print(f"finished pairs: {json.dumps(pairs)}", file=sys.stderr)
+                    return 1
                 print(f"pair {i + 1}/{args.pairs} {name} done", file=sys.stderr, flush=True)
             pairs.append(pair)
 
