@@ -4,6 +4,7 @@ from .errors import (
     AmbiguousScale,
     BadAnnulus,
     DimensionMismatch,
+    ExactModeUnavailable,
     InconsistentTarget,
     InputError,
     LevelExceeded,

@@ -8,13 +8,14 @@ modulo null sets.
 
 Canonical forms, unions and differences all come from one cell pass,
 :func:`grid_difference`, which runs on integers: axis k is held on the
-grid of one integer L_k, a common multiple of the denominators there, so
-each end x is the integer x * L_k (:func:`grid_span`).  The boxes are
-cut along one index grid of those ends, the cells that remain are kept,
-the cells are fused back into boxes, and only the kept boxes return to
-``Fraction`` ends.  Integer hashing and comparison replace the gcd and
-cross-multiplication that every ``Fraction`` operation pays.
-:func:`grid_dilate` is :meth:`Box.dilate` on such a grid.
+grid of one integer L_k, a common multiple of the denominators there
+(:func:`grid_scales`), so each end x is the integer x * L_k
+(:func:`grid_span`).  The boxes are cut along one index grid of those
+ends, the cells that remain are kept, the cells are fused back into
+boxes, and only the kept boxes return to ``Fraction`` ends.  Integer
+hashing and comparison replace the gcd and cross-multiplication that
+every ``Fraction`` operation pays.  The one dilation map,
+:func:`grid_dilate`, works on such a grid too.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "BoxSet",
     "normalize",
     "difference",
+    "grid_scales",
     "grid_span",
     "grid_dilate",
     "grid_difference",
@@ -93,26 +95,22 @@ class Box:
         )
 
     def dilate(self, A: DilationMatrix, j: int) -> "Box":
-        """Image under B^j, B the frequency matrix: the one routine that maps a box.
+        """Image under B^j, B the frequency matrix: :func:`grid_dilate` on the box's own grid.
 
         Exact only for diagonal B (or n == 1), under which boxes map to
         boxes.  Negative entries flip orientation; the half-open image
         differs from the true one by a null set, which is all that the
-        measure-level checks need.
+        measure-level checks need.  The grid is :func:`grid_scales` times
+        |a_kk|^max(-j, 0) on axis k, so every end of the image is an integer.
         """
         if A.n != self.dim:
             raise DimensionMismatch("matrix dimension mismatch")
         if not A.is_diagonal:
-            raise NonDiagonalDilation(
-                "exact dilation needs a diagonal matrix; use the sampled path"
-            )
-        p, d = A.power(j)
-        lo, hi = [], []
-        for k, (a, b) in enumerate(zip(self.lo, self.hi)):
-            s = Fraction(p[k][k], d)
-            lo.append(min(s * a, s * b))
-            hi.append(max(s * a, s * b))
-        return Box(tuple(lo), tuple(hi))
+            raise NonDiagonalDilation("exact dilation needs a diagonal matrix; use the sampled path")
+        reach = max(-j, 0)
+        scales = [s * abs(A.entries[k][k]) ** reach for k, s in enumerate(grid_scales(self.dim, (self,)))]
+        lo, hi = grid_dilate(A, grid_span(self, scales), j)
+        return Box(tuple(map(Fraction, lo, scales)), tuple(map(Fraction, hi, scales)))
 
     def translate(self, shift: Sequence[Fraction]) -> "Box":
         return Box(
@@ -158,6 +156,11 @@ def _merge_cells(
 Span = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def grid_scales(dim: int, boxes: Sequence[Box]) -> list[int]:
+    """The grid of the boxes: per axis, the least common multiple of the denominators of their ends."""
+    return [math.lcm(*{x.denominator for b in boxes for x in (b.lo[k], b.hi[k])}) for k in range(dim)]
+
+
 def grid_span(box: Box, scales: Sequence[int]) -> Span:
     """The box on the integer grid of ``scales``: each end x on axis k as x * L_k.
 
@@ -171,12 +174,12 @@ def grid_span(box: Box, scales: Sequence[int]) -> Span:
 
 
 def grid_dilate(A: DilationMatrix, span: Span, j: int) -> Span:
-    """:meth:`Box.dilate` on the integer grid: the same map, on the ends x * L_k of a box.
+    """The image of a box under B^j on the integer grid: the one dilation map of the module.
 
-    On a diagonal matrix axis k scales by a_kk^j, which is the p_kk / d of
-    :meth:`Box.dilate`, and a negative factor swaps the ends.  For j < 0
-    the image n // a_kk^|j| is exact when the grid carries that power: L_k
-    a multiple of |a_kk|^|j| times the denominators on axis k.
+    On a diagonal matrix axis k scales the ends x * L_k by a_kk^j, and a
+    negative factor swaps the ends.  For j < 0 the image n // a_kk^|j| is
+    exact when the grid carries that power: L_k a multiple of |a_kk|^|j|
+    times the denominators on axis k.
     """
     if A.n != len(span[0]):
         raise DimensionMismatch("matrix dimension mismatch")
@@ -202,21 +205,15 @@ def difference(dim: int, boxes: Iterable[Box], cutters: Iterable[Box]) -> "BoxSe
     cell pass runs there (:func:`grid_difference`).  The map is monotone,
     so orders and equalities are those of the ends.
     """
-    parts = []
-    for b in boxes:
-        if b.dim != dim:
-            raise DimensionMismatch("box dimension mismatch")
-        parts.append(b)
+    parts = list(boxes)
+    if any(b.dim != dim for b in parts):
+        raise DimensionMismatch("box dimension mismatch")
     if not parts:
         return BoxSet(dim, ())
-    cuts = []
-    for c in cutters:
-        if c.dim != dim:
-            raise DimensionMismatch("box dimension mismatch")
-        cuts.append(c)
-    scales = [
-        math.lcm(*{x.denominator for b in parts + cuts for x in (b.lo[k], b.hi[k])}) for k in range(dim)
-    ]
+    cuts = list(cutters)
+    if any(c.dim != dim for c in cuts):
+        raise DimensionMismatch("box dimension mismatch")
+    scales = grid_scales(dim, parts + cuts)
     return grid_difference(
         scales, [grid_span(b, scales) for b in parts], [grid_span(c, scales) for c in cuts]
     )

@@ -11,8 +11,9 @@ stdout that is not JSON.  All input values are decoded by ``jsonio`` and
 range-checked here before any check runs.  A value too large for a
 float (an ``OverflowError`` anywhere in a check) is an input error too,
 and a NaN or infinity never reaches stdout: a report that still holds
-one is replaced by an error, with exit 2.
-Reports are deterministic byte-for-byte for identical inputs and seed.
+one is replaced by an error, with exit 2.  A reader that closes stdout
+early gets exit 2 and no more bytes.  Reports are deterministic
+byte-for-byte for identical inputs and seed.
 
 The argv grammar is ``waverep COMMAND [OPTION VALUE]...``, read from one
 table, ``_COMMANDS``, as argparse reads the same options:
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
 import sys
@@ -176,6 +178,7 @@ def _emit(report: dict, output: str | None) -> None:
             fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
 
 
 # --- option types: a ValueError or TypeError reads "invalid <name> value", a _Rejected
@@ -229,8 +232,6 @@ def _grid(text: str) -> list[list[float]]:
 def _cmd_verify_set(args) -> tuple[int, dict]:
     A = jsonio.parse_matrix_arg(args.dilation)
     E = _load_set(args.set, A.n)
-    if args.mode == "exact" and not A.is_diagonal:
-        raise InputError("--mode exact needs a diagonal matrix")
     params = VerifyParams(
         j_max=args.j_max, annulus=args.annulus, samples=args.samples, seed=args.seed, mode=args.mode
     )
@@ -647,10 +648,14 @@ def run(argv: list[str]) -> int:
         code, report = 2, {"error": _overflow_error(args, exc)}
     except WaverepError as exc:
         code, report = 1, {"error": str(exc), "kind": type(exc).__name__}
+    output = getattr(args, "output", None)
     try:
-        _emit(report, getattr(args, "output", None))
+        _emit(report, output)
     except (OSError, ValueError) as exc:  # --output cannot be written, or a NaN or infinity
-        _emit({"error": str(exc)}, None)
+        if isinstance(exc, BrokenPipeError) and output is None:  # the reader closed stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # exit writes nothing
+        else:
+            _emit({"error": str(exc)}, None)
         return 2
     return code
 

@@ -65,3 +65,7 @@ class LevelExceeded(WaverepError):
 
 class InputError(WaverepError):
     """Malformed user input (files, CLI arguments)."""
+
+
+class ExactModeUnavailable(InputError, ValueError):
+    """Exact mode was asked for on a frequency matrix that is not diagonal."""

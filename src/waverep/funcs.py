@@ -11,13 +11,10 @@ pi, reduced exactly.  A pairing is formed as its :class:`TermPair` list
 evaluated by :func:`pairing`, at the pairs' own phases or shifted by an
 extra exact modulation.
 
-The one-dimensional integrals run on integer numerators and denominators
-(:func:`_axis_integral`), with no ``Fraction`` arithmetic per evaluation.
-Their bits are those of the ``Fraction`` form: the phase core
-``groups._phase`` reduces its angle mod 2 in integers and gives the same
-value whatever factors its numerator and denominator share, so no
-fraction needs reducing, and an int true division is correctly rounded,
-so ``num / den`` is ``float`` of the fraction.
+The one-dimensional integral has one implementation, :func:`axis_integral`,
+on integer numerators and denominators, with no ``Fraction`` arithmetic
+per evaluation; its bits are those of the same formula on reduced
+fractions.
 
 A :class:`LayerFunction` is a finite window of k-indexed layers, each a
 modulated box sum supported in a base set; it carries the functions on
@@ -76,8 +73,15 @@ class TermPair:
 _THIN = 2.0**-10
 
 
-def axis_integral(a: Fraction, b: Fraction, theta: Fraction) -> complex:
+def axis_integral(an: int, ad: int, bn: int, bd: int, tn: int, td: int) -> complex:
     """Exact-phase evaluation of the integral of e^{-i theta t} over [a*pi, b*pi].
+
+    The ends and the phase are integer pairs, a = an / ad, b = bn / bd and
+    theta = tn / td, with positive denominators.  The fractions need not be
+    reduced: ``_phase`` reduces its angle mod 2 in integers and gives the
+    same value whatever factors its numerator and denominator share, and an
+    int true division is correctly rounded, so ``tn / td`` is
+    ``float(theta)``.
 
     The integral is the difference of the two endpoint phases, each reduced
     exactly, over -i theta.  That difference cancels as the phase width
@@ -88,22 +92,7 @@ def axis_integral(a: Fraction, b: Fraction, theta: Fraction) -> complex:
     error stays below 16 u at any width, since the sine is well conditioned
     there.  Wider boxes keep the difference form and its bits; its error
     there is below 13 u / (pi _THIN), about 5e-13, of the integral's scale
-    w pi / |theta|.  Evaluated by :func:`_axis_integral` on the numerators
-    and denominators.
-    """
-    return _axis_integral(
-        a.numerator, a.denominator, b.numerator, b.denominator, theta.numerator, theta.denominator
-    )
-
-
-def _axis_integral(an: int, ad: int, bn: int, bd: int, tn: int, td: int) -> complex:
-    """:func:`axis_integral` at a = an / ad, b = bn / bd, theta = tn / td, denominators positive.
-
-    The fractions need not be reduced: ``_phase`` reduces its angle mod 2
-    in integers and gives the same value whatever factors its numerator
-    and denominator share, and an int true division is correctly rounded,
-    so ``tn / td`` is ``float(theta)``.  Every value is that of the
-    Fraction form, bit for bit.
+    w pi / |theta|.
     """
     if tn == 0:
         return complex((bn * ad - an * bd) / (ad * bd) * math.pi)
@@ -132,7 +121,7 @@ def pairing(pairs: Iterable[TermPair], shift: Sequence[tuple[int, int]] | None =
             if shift is not None:
                 sn, sd = shift[k]
                 tn, td = tn * sd + sn * td, td * sd
-            prod *= _axis_integral(an, ad, bn, bd, tn, td)
+            prod *= axis_integral(an, ad, bn, bd, tn, td)
             if prod == 0:
                 break
         total += pair.coef * prod

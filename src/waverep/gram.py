@@ -5,8 +5,9 @@ normalized indicator of the set E.  Orthonormality of its scaled
 lattice translates is certified in the frequency domain, where every
 Gram entry is a closed-form integral: entries across different scales
 vanish because the dilates of E are disjoint (a support statement, not
-a cancellation), and same-scale entries are exponential integrals with
-exactly reduced phases.  Completeness is reported as a defect curve
+a cancellation, read off each block's own term pairs: a block with none
+is the exact zero), and same-scale entries are exponential integrals
+with exactly reduced phases.  Completeness is reported as a defect curve
 over growing translation ranges, never as a boolean.
 
 Since D M_v = M_{Av} D, an entry depends only on the exact key
@@ -33,7 +34,6 @@ import numpy as np
 from .boxes import BoxSet
 from .funcs import ModulatedBoxSum, TermPair, pairing
 from .groups import AdicVector, DilationMatrix
-from .spectral import meeting_gaps
 
 __all__ = ["GramSpec", "GramResult", "eval_msf_wavelet", "gram_matrix", "completeness_defect"]
 
@@ -127,9 +127,9 @@ def gram_matrix(spec: GramSpec) -> GramResult:
     key's vector is held as w = A^M times it, M = max(m, m'), the integer
     vector A^(M-m) v - A^(M-m') v' (exact, and injective since A^M is
     invertible), which a diagonal A splits by axis (:func:`_key_ids`).
-    Blocks whose supports do not meet (m' - m no meeting gap of E) are the
-    exact zero.  The term pairs of D^m 1_E and D^m' 1_E are formed once per
-    meeting (m, m') and evaluated at the phase A^-M w of each key, with the
+    The term pairs of D^m 1_E and D^m' 1_E are formed once per block
+    (m, m').  A block with none, whose supports do not meet, is the exact
+    zero; the others are evaluated at the phase A^-M w of each key, with the
     same float operations in the same order as the pairing of the two
     vectors.  The upper triangle is scattered from the distinct values and
     the lower triangle is their conjugate, so every entry has the bits of
@@ -190,11 +190,12 @@ def _key_ids(A: DilationMatrix, d: int, vs: range) -> tuple[np.ndarray, list[lis
 def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]]) -> np.ndarray:
     """The closed form on a diagonal A, filled one block (m, m') at a time.
 
-    Each block has its own keys: its entries above the diagonal select the
-    key ids of its gap, each id in use is decoded to its vector w and
-    evaluated once, and the values are scattered back; the mirrored block
-    takes their conjugates.  The term pairs of D^m 1_E with itself, formed
-    for its norm, serve the same-scale blocks as well.
+    Each block has its own term pairs and keys: none means the zero block;
+    else its entries above the diagonal select the key ids of its gap, each
+    id in use is decoded to its vector w and evaluated once, and the values
+    are scattered back; the mirrored block takes their conjugates.  The term
+    pairs of D^m 1_E with itself, formed for its norm, serve the same-scale
+    blocks as well.
     """
     A, mm = spec.A, spec.m_max
     diag = [A.entries[i][i] for i in range(A.n)]
@@ -203,8 +204,8 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
     scales = range(-mm, mm + 1)
     k, S = len(labels), len(scales)
     L = k // S  # label p S + s is (scales[s], v_p): v runs slowest
-    keyed = {d: _key_ids(A, d, range(-spec.v_max, spec.v_max + 1))
-             for d in meeting_gaps(spec.E, A, -2 * mm, 2 * mm)}
+    vs = range(-spec.v_max, spec.v_max + 1)
+    keyed: dict[int, tuple[np.ndarray, list[list[int]]]] = {}  # by gap, once a block of it meets
     # the phase of key w in block (m, m') is A^-M w, M = max(m, m'): w_k a_k^-M, held per
     # axis as the integer pair (w_k c_k, d_k) with d_k > 0, (c_k, d_k) = (sgn(a_k)^M, |a_k|^M)
     # for M >= 0 and (a_k^-M, 1) for M < 0
@@ -221,18 +222,19 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
             if L == 1 and s >= t:  # no entry above the diagonal
                 continue
             mask, norm = masks[s < t], norms[m] * norms[mp]
-            hit = keyed.get(mp - m)
-            if hit is None:
+            pairs = same[m] if m == mp else dilates[m].term_pairs(dilates[mp])
+            if not pairs:  # the supports do not meet
                 vals = 0j / norm
             else:
-                ids, axes = hit
+                if mp - m not in keyed:
+                    keyed[mp - m] = _key_ids(A, mp - m, vs)
+                ids, axes = keyed[mp - m]
                 radix = [len(a) for a in axes]
                 sel = ids[mask]
                 # the block's ids in use, and each entry's index among them: np.unique would do,
                 # but its first call in a process costs about 0.2 ms, a share of a small Gram
                 used = np.zeros(math.prod(radix), dtype=bool)
                 used[sel] = True
-                pairs = same[m] if m == mp else dilates[m].term_pairs(dilates[mp])
                 digits = np.unravel_index(np.flatnonzero(used), radix)
                 shifts = (
                     tuple((axis[i] * c, d) for axis, i, (c, d) in zip(axes, key, twist[max(m, mp)]))

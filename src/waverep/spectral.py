@@ -17,8 +17,8 @@ the k at which a box or a point can meet B^k E; :func:`project_point`
 tries only the scales in an exact point's bracket.  One scan,
 :func:`_pieces`, forms the layer pieces B^{-k}(box) ∩ E of f over a
 window, each box of f dilated only within its bracket; :func:`meeting_gaps`
-(for the tiling and Gram checks) uses it.  :func:`_window`, the one window
-rule, fills a missing end from the same scan that :func:`layer_span`,
+(for the tiling's disjointness check) uses it.  :func:`_window`, the one
+window rule, fills a missing end from the same scan that :func:`layer_span`,
 :func:`to_layers` and :func:`isometry_defect` take their pieces from.
 """
 
@@ -125,8 +125,8 @@ def _scale_bracket(
       over the box (bounds k above when r > 0).
 
     A side with no bound (delta_i = 0 on every axis, or r = 0) is the
-    window's end.  This is the only code that bounds scales on the
-    diagonal path; an empty E meets nothing.
+    window's end; an empty E meets nothing.  The tiling's exact cover does
+    not use this bracket: it cuts every dilate with |j| <= j_max.
     """
     if E.is_empty:
         return range(0)

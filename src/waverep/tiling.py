@@ -33,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .boxes import Box, BoxSet, grid_difference, grid_dilate, grid_span, interval_set
-from .errors import BadAnnulus, DimensionMismatch
+from .boxes import Box, BoxSet, grid_difference, grid_dilate, grid_scales, grid_span, interval_set
+from .errors import BadAnnulus, DimensionMismatch, ExactModeUnavailable
 from .groups import DilationMatrix, RealPoint, b_transform
 from .jsonio import boxset_json
 from .spectral import meeting_gaps
@@ -92,7 +92,7 @@ class VerifyParams:
     def sampled(self, A: DilationMatrix) -> bool:
         """Whether (i) and (ii) are sampled: asked for, or A not diagonal (then exact mode fails)."""
         if self.mode == "exact" and not A.is_diagonal:
-            raise ValueError("exact mode requested but the frequency matrix is not diagonal")
+            raise ExactModeUnavailable("exact mode requested but the frequency matrix is not diagonal")
         return self.mode == "sampled" or not A.is_diagonal
 
 
@@ -291,10 +291,7 @@ def check_dilation_cover(E: BoxSet, A: DilationMatrix, **params) -> CheckResult:
     # axis k's grid carries every denominator on that axis and |a_kk|^j_max, so each
     # end of each dilate B^j E, |j| <= j_max, is an exact integer on it
     reach = [abs(A.entries[k][k]) ** p.j_max for k in range(dim)] if E.boxes else [1] * dim
-    scales = [
-        math.lcm(*{x.denominator for b in (outer, inner, *E.boxes) for x in (b.lo[k], b.hi[k])}) * r
-        for k, r in enumerate(reach)
-    ]
+    scales = [s * r for s, r in zip(grid_scales(dim, (outer, inner, *E.boxes)), reach)]
     spans = [grid_span(b, scales) for b in E.boxes]
     dilates = (grid_dilate(A, s, j) for j in range(-p.j_max, p.j_max + 1) for s in spans)
     cuts = [grid_span(inner, scales), *dilates]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import diagonal_matrices, ref_normalize, ref_subtract, ref_translation_reduce
+from util import diagonal_matrices, ref_box_dilate, ref_normalize, ref_subtract, ref_translation_reduce
 from waverep.boxes import (
     Box,
     BoxSet,
@@ -233,7 +233,14 @@ class TestIntegerGrid:
                 tuple(Fraction(x, s) for x, s in zip(lo, scales)),
                 tuple(Fraction(x, s) for x, s in zip(hi, scales)),
             )
-            assert back == box.dilate(A, j)
+            assert back == ref_box_dilate(box, A, j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), j=st.integers(-12, 12))
+    def test_box_dilate_is_the_fraction_reference(self, data, dim, j):
+        A = data.draw(diagonal_matrices(dim))
+        for box in data.draw(mixed_boxes(dim, 3)):
+            assert box.dilate(A, j) == ref_box_dilate(box, A, j)
 
 
 class TestTranslate:

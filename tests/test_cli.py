@@ -576,6 +576,122 @@ class TestInputBoundary:
         assert json.loads(out)["matrix_real"] == [[1.0]]
 
 
+# values of the option table's str-typed options, by flag: (values that suit, values that break);
+# every such option of cli._COMMANDS has a pool
+_POOLS = {
+    "--set": (["shannon", "ss.json", "sxs.json"], ["empty.json", "f1d.json", "missing.json", "."]),
+    "--dilation": (["[[2]]", "[[-3]]", "[[2,0],[0,2]]", "[[0,2],[2,0]]"], ["[[1]]", "[[2", "[]", "x.json"]),
+    "--annulus": (["1/2,2", "1/64,64", "1/4,8"], ["2,1", "1", "0,1", "a,b"]),
+    "--function": (["f1d.json", "f2d.json"], ["fbad.json", "finf.json", "missing.json"]),
+    "--x": (["1/2 pi", "0.3", "1/3 pi,-0.2"], ["nan", "a", "", "1/0 pi"]),
+    "--element": (['{"v": [1], "j": 1, "m": 1}', '{"v": [1, -2], "m": -1}', '{"v": [0]}'], _ADIC[3:]),
+    "--beta": (['{"v": [1], "j": 1}', '{"v": [1, -2]}', '{"v": [0]}'], _ADIC[3:]),
+    "--points": (["0;0.5", "1,2", "0.25"], ["1,a", "", "inf", "1e308"]),
+    "--grid": (["-1:1:3", "0:2:5"], ["1:2", "0:1:-1", "a:b:c"]),
+    "--csv": (["psi.csv"], ["missing/psi.csv"]),
+    "--targets": (["targets.json"], ["nophases.json", "not.json", "tdict.json", "f1d.json"]),
+    "--output": (["out.json"], ["missing/out.json"]),
+}
+# by the converter's name: "int" is int and every _int_at_least, "float" the tolerances
+_TYPED = {
+    "int": (["0", "1", "2"], ["-1", "x", "1.5", "", "-"]),
+    "float": (["0", "1e-12", "0.5"], ["-1", "nan", "inf", "x"]),
+}
+
+
+def _pool(option) -> tuple[list[str], list[str]]:
+    if option.choices is not None:
+        return list(option.choices), ["fast", ""]
+    return _TYPED.get(option.convert.__name__) or _POOLS[option.flag]
+
+
+@st.composite
+def contract_argv(draw) -> list[str]:
+    """An argv of one command of ``cli._COMMANDS`` with at most one flaw, its options in any order.
+
+    The required options and one of an exclusive pair are given, and so is an option whose
+    default is an int above 2 (draws, translations, scales, the window), so that no costly
+    default runs; each other option is given or not.  The flaw, if any, is a value that breaks
+    its option, a given option left out, or words that no option takes.
+    """
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    spec = cli._COMMANDS[name]
+    one = draw(st.sampled_from(spec.exclusive)) if spec.exclusive else None
+    pairs, pools, loose = [], [], []  # loose: the pairs that may be left out
+    for option in spec.options:
+        needed = option.default is cli._REQUIRED or option.flag == one
+        costly = type(option.default) is int and option.default > 2
+        if needed or costly or (option.flag not in spec.exclusive and draw(st.booleans())):
+            if not costly:
+                loose.append(len(pairs))
+            pools.append(_pool(option))
+            pairs.append([option.flag, draw(st.sampled_from(pools[-1][0]))])
+    flaw = draw(st.sampled_from(["none", "none", "none", "value", "omit", "junk"]))
+    if flaw == "value":
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i][1] = draw(st.sampled_from(pools[i][1]))
+    elif flaw == "omit":
+        del pairs[draw(st.sampled_from(loose))]
+    words = [word for pair in draw(st.permutations(pairs)) for word in pair]
+    if flaw == "junk":
+        words += draw(st.sampled_from([["--bogus", "1"], ["extra"], ["--", "1"]]))
+    return [name, *words]
+
+
+def _has_witness(report) -> bool:
+    if isinstance(report, dict):
+        return report.get("witness") is not None or any(map(_has_witness, report.values()))
+    return isinstance(report, list) and any(map(_has_witness, report))
+
+
+class TestExitCodeContract:
+    """0 passes, 1 fails with a witness, 2 is a usage or input error; stdout is JSON, stderr empty."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=contract_argv())
+    def test_every_argv_keeps_the_contract(self, argv, tmp_path, monkeypatch, capsys):
+        write_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.json").unlink(missing_ok=True)
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert captured.err == ""
+        # a report written through --output leaves stdout empty
+        text = captured.out or (tmp_path / "out.json").read_text()
+        report = json.loads(text, parse_constant=pytest.fail)
+        assert isinstance(report, dict)
+        if code == 2:
+            assert list(report) == ["error"]
+        elif code == 1:
+            assert _has_witness(report) or {"error", "kind"} <= set(report)
+        else:
+            assert "error" not in report
+
+    def test_every_option_has_a_pool(self):
+        for command in cli._COMMANDS.values():
+            for option in command.options:
+                good, bad = _pool(option)
+                assert good and bad
+
+    def test_closed_stdout_exits_two_without_a_traceback(self):
+        # the reader takes 10 bytes of a report of about 169 KB and closes the pipe, which the
+        # writer meets once the pipe's buffer is full
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        argv = [sys.executable, "-m", "waverep.cli", "gram", "--set", "shannon", "--dilation", "[[2]]"]
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (head, proc.wait(timeout=60), err) == (b'{\n  "comma', 2, b"")
+
+
 class TestInputDecoding:
     """Inputs the CLI decodes through jsonio: what it accepts, and the error text of what it refuses."""
 

@@ -345,18 +345,19 @@ class TestOnePairingPerKey:
         term_pairs = ModulatedBoxSum.term_pairs
 
         def counting(self, other):
-            calls.append(1)
+            calls.append((self, other))
             return term_pairs(self, other)
 
         monkeypatch.setattr(ModulatedBoxSum, "term_pairs", counting)
         spec = GramSpec(E, validate_dilation(A), m_max=1, v_max=0)
         gram_matrix(spec)
-        # v_max 0: one label per scale, so only the blocks m < m' hold entries above the diagonal
+        # v_max 0: one label per scale, so only the blocks m < m' hold entries above the diagonal;
+        # each forms its term pairs once, met or not, and each scale once with itself for its norm
         scales = range(-1, 2)
-        gaps = set(meeting_gaps(spec.E, spec.A, -2, 2))
-        above = sum(mp - m in gaps for m in scales for mp in scales if m < mp)
-        assert above > 0
-        assert len(calls) == len(scales) + above
+        base = ModulatedBoxSum.indicator(spec.A, spec.E)
+        dilates = [base.dilated(m) for m in scales]
+        formed = sorted((dilates.index(f), dilates.index(g)) for f, g in calls)
+        assert formed == [(s, t) for s in range(len(scales)) for t in range(len(scales)) if s <= t]
 
 
 def witness_reference(matrix: np.ndarray) -> tuple[float, tuple[int, int]]:

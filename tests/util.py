@@ -151,6 +151,17 @@ def ref_b_transform(A: DilationMatrix, x, k: int) -> tuple[Fraction, ...]:
     return ref_solve(mat_pow(b, -k), x)
 
 
+def ref_box_dilate(box: Box, A: DilationMatrix, j: int) -> Box:
+    """B^j box for diagonal A in Fraction arithmetic: axis k scaled by p_kk / d, (p, d) = A.power(j)."""
+    p, d = A.power(j)
+    lo, hi = [], []
+    for k, (a, b) in enumerate(zip(box.lo, box.hi)):
+        s = Fraction(p[k][k], d)
+        lo.append(min(s * a, s * b))
+        hi.append(max(s * a, s * b))
+    return Box(tuple(lo), tuple(hi))
+
+
 # --- brute-force references for the group-structure shortcuts -------------
 
 
