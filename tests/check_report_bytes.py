@@ -11,7 +11,10 @@ on grid integers past 2^63, sets that fail translation congruence, and
 Gram matrices of up to 507 labels in 1-D and 2-D, one with shifts over
 odd negative powers of -3, one written through ``--output``, and failing
 ones whose witness is a diagonal entry (quadrature) or the first of tied
-maxima (closed form).
+maxima (closed form); exact ``verify-set`` calls on [1, 3) and [1, 3)^2
+whose dilates overlap, so that the witness is the intersection of two
+dilates; and ``wavelet-eval`` on Shannon at a grid and at points, some of
+them below 2^-40 (the removable singularity), and on S x S at 2-D points.
 It also makes the usage calls of ``argv_cases.py`` beside this script:
 every argv of the CLI tests that must exit 2, and the argv grammar (``=`` values, prefixes, option-like values,
 repeats, missing and unknown options and commands); ``--help`` is left out,
@@ -127,6 +130,8 @@ HALF_2D = _set((["0", "-1"], ["1", "1"]),)  # half the cube: a deficit alone
 OVERLAP = _set((["-3"], ["-1"]), (["1"], ["3"]))  # B E meets E: at --m 1 --v 20, 84 Gram entries tie
 ANNULUS_14 = f"1/{2**14},{2**14}"
 SXSXS = _set(*(([a, c, e], [b, d, f]) for a, b in S for c, d in S for e, f in S))
+ONE_THREE = _set((["1"], ["3"]),)
+ONE_THREE_2D = _set((["1", "1"], ["3", "3"]),)
 # (label, argv, files) for the exact covers, congruence failures and Gram sizes
 CERTIFY = [
     ("cover/SxS-2-minus-2", ["verify-set", "--set", "s.json", "--dilation", "[[2,0],[0,-2]]",
@@ -153,6 +158,17 @@ CERTIFY = [
      ["gram", "--set", "s.json", "--dilation", "[[2]]", "--m", "1", "--v", "20"], OVERLAP),
     ("gram/2d-quadrature-diagonal-witness",
      ["gram", "--set", "s.json", "--dilation", "[[0,2],[2,0]]", "--m", "2", "--v", "0"], SXS),
+    # B E meets E, so the exact witness is the intersection of two dilates
+    ("disjoint/1-3-witness", ["verify-set", "--set", "s.json", "--dilation", "[[2]]", "--mode", "exact"],
+     ONE_THREE),
+    ("disjoint/1-3-squared-witness",
+     ["verify-set", "--set", "s.json", "--dilation", "[[2,0],[0,2]]", "--mode", "exact"], ONE_THREE_2D),
+    ("eval/shannon-grid", ["wavelet-eval", "--set", "shannon", "--grid=-20:20:401"], None),
+    # 0, 1e-13 and -1e-300 lie below 2^-40: the removable singularity's branch
+    ("eval/shannon-points", ["wavelet-eval", "--set", "shannon", "--points", "0;1e-13;0.5;-1e-300;3.25;-7"],
+     None),
+    ("eval/SxS-points", ["wavelet-eval", "--set", "s.json", "--points", "0,0;1e-13,0.5;-2.5,3;0.25,-1e-20"],
+     SXS),
 ]
 
 
