@@ -169,6 +169,16 @@ class TestSubtractByCells:
         assert json.dumps(boxset_json(got)) == json.dumps(boxset_json(ref_subtract(S, T)))
         assert got.measure() == S.measure() - S.intersect(T).measure()
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_intersection_matches_box_by_box_reference(self, data, dim):
+        # the canonical form depends on the set alone, not on the grid it was cut on
+        S = BoxSet.of(dim, data.draw(box_lists(dim))[1])
+        T = BoxSet.of(dim, data.draw(box_lists(dim))[1])
+        pieces = [c for a in S.boxes for b in T.boxes if (c := a.intersect(b)) is not None]
+        got = S.intersect(T)
+        assert json.dumps(boxset_json(got)) == json.dumps(boxset_json(BoxSet(dim, ref_normalize(dim, pieces))))
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 2), scale=st.sampled_from([1, 2]))
     def test_deficit_witness_matches_reference(self, data, dim, scale):

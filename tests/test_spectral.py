@@ -212,6 +212,21 @@ class TestIsometryDefect:
         with pytest.raises(ZeroFunction):
             isometry_defect(ModulatedBoxSum.zero(A2), E, A2, 0, 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        case=st.sampled_from([(E, A2, -3, 3), (E2, A23, -2, 2)]),
+        window=st.sampled_from([(None, None), (-1, 1), (0, 2)]),
+    )
+    def test_exact_and_closed_form_paths_agree(self, seed, case, window):
+        # the same function on disjoint boxes, and written with every term twice at half its coefficient
+        S, A, k_lo, k_hi = case
+        f = random_disjoint_subordinate(random.Random(seed), S, A, k_lo, k_hi)
+        g = ModulatedBoxSum(A, f.terms * 2).scaled(0.5)
+        assert spectral.isometry_path(f) == "exact"
+        assert spectral.isometry_path(g) == "closed-form"
+        assert isometry_defect(g, S, A, *window) == pytest.approx(isometry_defect(f, S, A, *window), abs=1e-12)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
