@@ -6,15 +6,16 @@ every congruence check is exact.  All boxes are half-open products
 prod_k [lo_k, hi_k); boundaries are null sets and the whole module works
 modulo null sets.
 
-Canonical forms, unions and differences all come from one cell pass,
-:func:`grid_difference`, which runs on integers: axis k is held on the
-grid of one integer L_k, a common multiple of the denominators there
-(:func:`grid_scales`), so each end x is the integer x * L_k
-(:func:`grid_span`).  The boxes are cut along one index grid of those
-ends, the cells that remain are kept, the cells are fused back into
-boxes, and only the kept boxes return to ``Fraction`` ends.  Integer
-hashing and comparison replace the gcd and cross-multiplication that
-every ``Fraction`` operation pays.  The one dilation map,
+Canonical forms, unions, intersections and differences all come from
+one cell pass, :func:`grid_difference`, which runs on integers: axis k
+is held on the grid of one integer L_k, a common multiple of the
+denominators there (:func:`grid_scales`), so each end x is the integer
+x * L_k (:func:`grid_span`).  The boxes are cut along one index grid of
+those ends, the cells that remain are kept, the cells are fused back
+into boxes, and only the kept boxes return to ``Fraction`` ends.  An
+intersection S ∩ T is S minus (S minus T), two runs of the pass.
+Integer hashing and comparison replace the gcd and cross-multiplication
+that every ``Fraction`` operation pays.  The one dilation map,
 :func:`grid_dilate`, works on such a grid too.
 """
 
@@ -299,14 +300,8 @@ class BoxSet:
         return normalize(self.dim, self.boxes + other.boxes)
 
     def intersect(self, other: "BoxSet") -> "BoxSet":
-        self._check(other)
-        pieces = []
-        for a in self.boxes:
-            for b in other.boxes:
-                c = a.intersect(b)
-                if c is not None:
-                    pieces.append(c)
-        return normalize(self.dim, pieces)
+        """The set minus its part outside ``other``: two runs of the cell pass."""
+        return self.subtract(self.subtract(other))
 
     def subtract(self, other: "BoxSet") -> "BoxSet":
         self._check(other)
@@ -395,7 +390,7 @@ class BoxSet:
         images = [frag.translate(tuple(Fraction(2 * s) for s in shift)) for frag, shift in fragments]
         pairs = (a.intersect(b) for a, b in itertools.combinations(images, 2))
         overlap = normalize(self.dim, [c for c in pairs if c is not None])
-        deficit = unit_cube(self.dim).subtract(normalize(self.dim, images))
+        deficit = difference(self.dim, unit_cube(self.dim).boxes, images)
         return fragments, overlap, deficit
 
     def _check(self, other: "BoxSet"):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import linalg
 from .boxes import BoxSet
 from .errors import InconsistentTarget, LevelExceeded, NotCovered, AmbiguousScale
-from .groups import AdicVector, DilationMatrix, RealPoint, character_value, phase_exp
+from .groups import AdicVector, DilationMatrix, RealPoint, b_transform, character_value, phase_exp
 from .spectral import project_point
 
 __all__ = ["CharacterTarget", "ApproxResult", "approx_character", "mean_coefficient"]
@@ -133,11 +133,10 @@ def approx_character(
                 f"element of level {beta.j} exceeds target level {target.level}"
             )
     reduced = [1 - ((1 - t) % 2) for t in target.gen_phases]  # into (-1, 1]
-    b_pow = linalg.transpose(A.power(target.level)[0])
 
     def build(shift: tuple[int, ...]) -> RealPoint:
-        y0 = [r + 2 * s for r, s in zip(reduced, shift)]
-        return RealPoint.from_pi(linalg.mat_vec(b_pow, y0))
+        y0 = RealPoint.from_pi(r + 2 * s for r, s in zip(reduced, shift))
+        return b_transform(A, y0, target.level)
 
     shifts = [(0,) * A.n]
     for k in range(A.n):

@@ -54,12 +54,9 @@ def eval_msf_wavelet(E: BoxSet, t) -> complex:
         raise ValueError("point dimension mismatch")
     mu = float(E.measure()) * math.pi**n
     total = 0j
-    for box in E.boxes:
+    for box_lo, box_hi in E.float_bounds():
         prod = complex(1.0)
-        for k in range(n):
-            lo = float(box.lo[k]) * math.pi
-            hi = float(box.hi[k]) * math.pi
-            tk = coords[k]
+        for lo, hi, tk in zip(box_lo, box_hi, coords):
             if abs(tk) < _TINY:
                 prod *= hi - lo
             else:
@@ -229,19 +226,13 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
                 if mp - m not in keyed:
                     keyed[mp - m] = _key_ids(A, mp - m, vs)
                 ids, axes = keyed[mp - m]
-                radix = [len(a) for a in axes]
-                sel = ids[mask]
-                # the block's ids in use, and each entry's index among them: np.unique would do,
-                # but its first call in a process costs about 0.2 ms, a share of a small Gram
-                used = np.zeros(math.prod(radix), dtype=bool)
-                used[sel] = True
-                digits = np.unravel_index(np.flatnonzero(used), radix)
+                used, where = np.unique(ids[mask], return_inverse=True)
+                digits = np.unravel_index(used, [len(a) for a in axes])
                 shifts = (
                     tuple((axis[i] * c, d) for axis, i, (c, d) in zip(axes, key, twist[max(m, mp)]))
                     for key in zip(*(d.tolist() for d in digits))
                 )
-                vals = np.array([pairing(pairs, x) / norm for x in shifts], dtype=complex)
-                vals = vals[(np.cumsum(used) - 1)[sel]]
+                vals = np.array([pairing(pairs, x) / norm for x in shifts], dtype=complex)[where]
             blocks[:, s, :, t][mask] = vals
             blocks[:, t, :, s].T[mask] = np.conj(vals)
     matrix = blocks.reshape(k, k)
@@ -266,9 +257,7 @@ def _gram_quadrature(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]]) 
     n = spec.A.n
     det = float(spec.A.det_abs)
     # integration region: union of the dilates touched by the family
-    r_max = max(
-        abs(float(x)) for box in spec.E.boxes for x in (*box.lo, *box.hi)
-    ) * math.pi * det ** spec.m_max
+    r_max = float(spec.E.bounding_radii()[1]) * math.pi * det ** spec.m_max
     per_axis = max(8, int(round(4096 ** (1 / n))))
     axes = [
         -r_max + 2 * r_max * (np.arange(per_axis) + 0.5) / per_axis for _ in range(n)

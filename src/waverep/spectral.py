@@ -240,14 +240,9 @@ def to_layers(
 
 
 def from_layers(F: LayerFunction, E: BoxSet, A: DilationMatrix) -> ModulatedBoxSum:
-    """Inverse map back to functions on R^n (exact left inverse of to_layers)."""
-    det = A.det_abs
-    out = []
-    for k, layer in sorted(F.layers.items()):
-        scale = float(det) ** (-k / 2.0)
-        for t in layer.terms:
-            out.append(Term(t.coef * scale, t.beta.twist(k), t.box.dilate(A, k)))
-    return ModulatedBoxSum(A, tuple(out))
+    """Inverse map back to functions on R^n (exact left inverse of to_layers): layer k dilated by k."""
+    layers = sorted(F.layers.items())
+    return ModulatedBoxSum(A, tuple(t for k, layer in layers for t in layer.dilated(k).terms))
 
 
 def isometry_defect(
