@@ -326,14 +326,13 @@ def character_value(
     return cmath.exp(-1j * dot)
 
 
-def orbit(beta: AdicVector, K: int, modulus: int = 0) -> dict[int, tuple[tuple[int, ...], int]]:
+def orbit(beta: AdicVector, K: int) -> dict[int, tuple[tuple[int, ...], int]]:
     """A^k beta for k = -K, ..., K, in that order, as (u, d) pairs for :func:`character_value`.
 
     With beta = A^{-j} v in canonical form, one integer step per k:
 
     * k >= j: A^k beta = w / 1 with w = A^{k-j} v, stepped w <- A w from
-      w = v at k = j.  A positive ``modulus`` keeps w reduced mod it;
-      2 L is enough for the characters of an exact point (p / L) pi.
+      w = v at k = j.
     * k < j: A^k beta = u / d with u = (sgn det adj(A))^{j-k} v and
       d = |det|^{j-k}, stepped u <- sgn(det) adj(A) u, d <- |det| d down
       from k = j, since A^{-1} = adj(A) / det.
@@ -351,12 +350,10 @@ def orbit(beta: AdicVector, K: int, modulus: int = 0) -> dict[int, tuple[tuple[i
         if k <= K:
             below[k] = (u, d)
     out = dict(reversed(below.items()))
-    w = tuple(x % modulus for x in v) if modulus else v
+    w = v
     for k in range(j, K + 1):
         if k > j:
             w = linalg.mat_vec(A.entries, w)
-            if modulus:
-                w = tuple(x % modulus for x in w)
         out[k] = (w, 1)
     return out
 

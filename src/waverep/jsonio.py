@@ -44,7 +44,7 @@ def parse_ratio(text) -> Fraction:
     try:
         if isinstance(text, str):
             return Fraction(text.strip())
-        if isinstance(text, int):
+        if isinstance(text, int) and not isinstance(text, bool):
             return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {text!r}: {exc}") from None
@@ -84,7 +84,7 @@ def boxset_json(s: BoxSet) -> dict:
 
 
 def parse_point(text: str, A: DilationMatrix) -> RealPoint:
-    """Comma-separated coordinates, one per axis of A, each decimal or exact 'p/q pi'.
+    """Comma-separated coordinates, one per axis of A, each decimal or exact 'p/q pi' or '-pi'.
 
     The point is exact when every coordinate is; a decimal coordinate
     makes the whole point a float point.
@@ -92,7 +92,9 @@ def parse_point(text: str, A: DilationMatrix) -> RealPoint:
     coords = [c.strip() for c in text.split(",")]
     if len(coords) != A.n:
         raise InputError(f"point dimension {len(coords)} != matrix dimension {A.n}")
-    exact = [parse_ratio(c[:-2].strip() or "1") if c.endswith("pi") else None for c in coords]
+    exact = [c[:-2].strip() if c.endswith("pi") else None for c in coords]
+    # nothing or a bare sign before "pi" stands for 1
+    exact = [f if f is None else parse_ratio(f if f.strip("+-") else f + "1") for f in exact]
     if None not in exact:
         return RealPoint.from_pi(exact)
     try:

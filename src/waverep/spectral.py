@@ -239,10 +239,14 @@ def to_layers(
     return LayerFunction(A, k_min, k_max, layers, trunc)
 
 
-def from_layers(F: LayerFunction, E: BoxSet, A: DilationMatrix) -> ModulatedBoxSum:
-    """Inverse map back to functions on R^n (exact left inverse of to_layers): layer k dilated by k."""
+def from_layers(F: LayerFunction) -> ModulatedBoxSum:
+    """Inverse map back to functions on R^n: layer k dilated by k.
+
+    The exact left inverse of :func:`to_layers`, which the tier-1 tests
+    hold the forward map to; no routine of the package calls it.
+    """
     layers = sorted(F.layers.items())
-    return ModulatedBoxSum(A, tuple(t for k, layer in layers for t in layer.dilated(k).terms))
+    return ModulatedBoxSum(F.A, tuple(t for k, layer in layers for t in layer.dilated(k).terms))
 
 
 def isometry_defect(

@@ -37,6 +37,9 @@ FILES = {
         ]
     },
     "finf.json": {"terms": [{"re": "inf", "box": {"lo": ["1"], "hi": ["2"]}}]},
+    # JSON booleans where rationals belong: a Shannon set with true for 1, and a phase t of true
+    "boolset.json": {"dim": 1, "boxes": [{"lo": [True], "hi": ["2"]}, {"lo": ["-2"], "hi": [-1]}]},
+    "booltarget.json": [{"phases": [{"v": [1], "j": 1, "t": True}]}],
 }
 
 
@@ -85,6 +88,8 @@ BAD_ARGV = [
     ["density", "--dilation", "[[2]]", "--targets", "tdict.json"],
     ["density", "--dilation", "[[2]]", "--targets", "targets.json", "--set", "ss.json"],
     ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "fbad.json"],
+    ["verify-set", "--set", "boolset.json", "--dilation", "[[2]]"],
+    ["density", "--dilation", "[[2]]", "--targets", "booltarget.json"],
     ["rep", "--dilation", "[[2]]", "--x", "nan", "--element", '{"v": [1]}'],
     ["rep", *_X, "--element", '{"v": [1.5]}'],
     ["wavelet-eval", "--set", "shannon", "--points", "1", "--csv", "missing/psi.csv"],

@@ -208,9 +208,9 @@ def test_criterion_5_monomial_suite():
     assert offset == 3 and dev < 1e-12
 
     for _ in range(100):
-        ok, _ = irreducibility_scan(random_point_in(rng, E), A2, 16)
+        ok, _ = irreducibility_scan(random_point_in(rng, E), 16)
         assert ok
-    failed, witness = irreducibility_scan(RealPoint.from_pi([0]), A2, 16)
+    failed, witness = irreducibility_scan(RealPoint.from_pi([0]), 16)
     assert not failed and witness == 1
     report(
         5,
@@ -240,7 +240,7 @@ def test_criterion_7_commutant():
         (Box((Fraction(1),), (Fraction(2),)), complex(1.0)),
         (Box((Fraction(-2),), (Fraction(-1),)), complex(5.0)),
     ]
-    pieces = invariant_step_extension(step, E, A2, 7)
+    pieces = invariant_step_extension(step, A2, 7)
     worst = 0.0
     for _ in range(50):
         f = random_subordinate(rng, E, A2, k_lo=-3, k_hi=3)

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from argv_cases import BAD_ARGV, FILES, USAGE_ARGV, write_files
 from util import ref_parse, ref_sampled_cover, ref_sampled_disjoint
-from waverep import cli, operators, spectral
+from waverep import cli, jsonio, operators, spectral
 from waverep.boxes import Box, BoxSet
 from waverep.cli import run
 from waverep.errors import InputError
@@ -733,6 +733,21 @@ class TestInputDecoding:
         code, out = run_capture(argv, capsys)
         assert code == 0
         assert json.loads(out)["point"] == ["0.3"]
+
+    def test_multiples_of_pi(self, capsys):
+        # nothing or a bare sign before "pi" stands for 1, alone and inside a 2-D point
+        A = validate_dilation([[2, 0], [0, 3]])
+        for text, factor in [("pi", "1"), ("-pi", "-1"), ("+pi", "1"), ("2pi", "2"), ("-1/2 pi", "-1/2")]:
+            for dilation, x, want in [
+                ("[[2]]", text, [f"{factor} pi"]),
+                ("[[2,0],[0,3]]", f"1/3 pi,{text}", ["1/3 pi", f"{factor} pi"]),
+            ]:
+                element = json.dumps({"v": [1] * len(want)})
+                argv = ["rep", "--dilation", dilation, f"--x={x}", "--element", element, "--K", "2"]
+                code, out = run_capture(argv, capsys)
+                assert (code, json.loads(out).get("point")) == (0, want), text
+            # beside a decimal it is a float coordinate
+            assert jsonio.parse_point(f"0.5,{text}", A).coords == (0.5, float(Fraction(factor)) * math.pi)
 
     @pytest.mark.parametrize("element", ["[1]", "3", '{"v": 1}'])
     def test_element_that_is_not_an_object(self, element, capsys):

@@ -362,19 +362,14 @@ class TestPowerOfA:
         assert (tw.v, tw.j) == ref_canonical(A, tw.v, tw.j)
 
     @settings(max_examples=100, deadline=None)
-    @given(data=adic_data(jmax=5), K=st.integers(0, 8), modulus=st.integers(1, 30))
-    def test_orbit_steps_through_the_twists(self, data, K, modulus):
+    @given(data=adic_data(jmax=5), K=st.integers(0, 8))
+    def test_orbit_steps_through_the_twists(self, data, K):
         A, v, j = data
         beta = AdicVector.of(A, v, j)
         pairs = orbit(beta, K)
         assert list(pairs) == list(range(-K, K + 1))
         for k, (u, d) in pairs.items():
             assert d > 0 and tuple(Fraction(x, d) for x in u) == beta.twist(-k).values()
-        # a modulus reduces the integral part of the orbit and nothing else
-        reduced = orbit(beta, K, modulus)
-        for k, (u, d) in pairs.items():
-            w, e = reduced[k]
-            assert e == d and (w == u if k < beta.j else w == tuple(x % modulus for x in u))
 
     @settings(max_examples=150, deadline=None)
     @given(A=expansive(), k=st.integers(-4, 4), data=st.data())

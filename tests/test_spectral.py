@@ -128,7 +128,7 @@ class TestLayerMaps:
 
     def test_layer_indicator_inverts(self):
         F = to_layers(ModulatedBoxSum.indicator(A2, E), E, A2)
-        f = from_layers(F, E, A2)
+        f = from_layers(F)
         assert f.collect().support().same_set(E)
         g = (f - ModulatedBoxSum.indicator(A2, E)).collect()
         assert g.norm_sq() < 1e-24
@@ -143,7 +143,7 @@ class TestLayerMaps:
         from waverep.funcs import LayerFunction
 
         F = LayerFunction(A2, -1, -1, {-1: layer})
-        f = from_layers(F, E, A2)
+        f = from_layers(F)
         assert f.support().same_set(E.dilate(A2, -1))
         assert {t.coef for t in f.terms} == {complex(math.sqrt(2.0))}
 
@@ -152,7 +152,7 @@ class TestLayerMaps:
         for _ in range(25):
             f = random_subordinate(rng, E, A2)
             F = to_layers(f, E, A2)
-            back = from_layers(F, E, A2)
+            back = from_layers(F)
             diff = (back - f).collect()
             assert diff.norm_sq() < 1e-20 * max(f.norm_sq(), 1.0)
 
@@ -161,7 +161,7 @@ class TestLayerMaps:
         for _ in range(10):
             f = random_subordinate(rng, E2, A23, k_lo=-2, k_hi=2)
             F = to_layers(f, E2, A23)
-            back = from_layers(F, E2, A23)
+            back = from_layers(F)
             assert (back - f).collect().norm_sq() < 1e-18 * max(f.norm_sq(), 1.0)
 
     def test_window_too_small(self):

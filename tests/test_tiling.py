@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from collections import Counter
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from util import (
     box_sets,
     diagonal_matrices,
+    interval_sets,
     ref_dilation_cover,
     ref_disjoint_witness,
     ref_sample_annulus,
@@ -264,6 +266,55 @@ class TestVerify:
         assert report.disjoint.passed
         assert report.congruent.passed
         assert not report.cover.passed  # products of 1-D sets leave gaps
+
+
+@st.composite
+def rational_box_sets(draw, dim: int) -> BoxSet:
+    """A shell [-2, 2)^n minus the cube, a product of 1-D sets, or a union of up to three random boxes."""
+    kind = draw(st.sampled_from(["shell", "product", "boxes"]))
+    if kind == "shell":
+        return BoxSet.of(dim, [Box((-2,) * dim, (2,) * dim)]).subtract(unit_cube(dim))
+    if kind == "product":
+        return functools.reduce(product_set, [draw(interval_sets()) for _ in range(dim)])
+    end, width = st.fractions(-4, 4, max_denominator=4), st.fractions(Fraction(1, 4), 4, max_denominator=4)
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = tuple(draw(end) for _ in range(dim))
+        boxes.append(Box(lo, tuple(x + draw(width) for x in lo)))
+    return BoxSet.of(dim, boxes)
+
+
+def _exact_verdicts(E: BoxSet, A) -> tuple[bool, bool, bool]:
+    # in 3-D the default range costs up to seconds per set, so there it is |j| <= 4 on [1/8, 8]
+    p = VerifyParams(mode="exact") if E.dim < 3 else VerifyParams(4, (Fraction(1, 8), Fraction(8)), mode="exact")
+    report = verify_wavelet_set(E, A, p)
+    return report.disjoint.passed, report.cover.passed, report.congruent.passed
+
+
+class TestSymmetries:
+    """ROADMAP item 9 (b) and the reflection half of (f): axis permutations and E -> -E keep the verdicts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_axis_permutation(self, data, dim):
+        # (E, A) and (PE, P A P^-1): P permutes the axes, and conjugating a diagonal A permutes its entries
+        E, A = data.draw(rational_box_sets(dim)), data.draw(diagonal_matrices(dim))
+        perm = data.draw(st.permutations(range(dim)))
+        PE = BoxSet.of(dim, [Box(tuple(b.lo[i] for i in perm), tuple(b.hi[i] for i in perm)) for b in E.boxes])
+        PA = validate_dilation([[A.entries[i][k] for k in perm] for i in perm])
+        verdicts = _exact_verdicts(E, A)
+        event(str(verdicts))
+        assert _exact_verdicts(PE, PA) == verdicts
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_reflection(self, data, dim):
+        # -[lo, hi) is [-hi, -lo) up to its boundary, a null set
+        E, A = data.draw(rational_box_sets(dim)), data.draw(diagonal_matrices(dim))
+        minus = BoxSet.of(dim, [Box(tuple(-x for x in b.hi), tuple(-x for x in b.lo)) for b in E.boxes])
+        verdicts = _exact_verdicts(E, A)
+        event(str(verdicts))
+        assert _exact_verdicts(minus, A) == verdicts
 
 
 class TestDeterminism:
