@@ -127,29 +127,27 @@ class Box:
 def _merge_cells(
     dim: int, cells: Iterable[tuple[int, ...]]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Greedy fuse of grid cells (lower-index tuples) into (lo, hi) index boxes, to a fixpoint.
+    """Greedy fuse of grid cells (lower-index tuples) into (lo, hi) index boxes, one pass per axis.
 
+    The pass along axis k leaves no two boxes that fuse along k, nor along an
+    earlier axis i: their lowest pieces along k, one cell thick on k before
+    the pass, would agree off i and so would have fused along i already.
     The boxes stay disjoint, so every sort key is unique and the result
     does not depend on the order of ``cells``.
     """
     current = [(lo, tuple(i + 1 for i in lo)) for lo in cells]
-    changed = True
-    while changed:
-        changed = False
-        for axis in range(dim):
-            others = [k for k in range(dim) if k != axis]
-            current.sort(key=lambda b: (tuple((b[0][k], b[1][k]) for k in others), b[0][axis]))
-            fused: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-            for lo, hi in current:
-                if fused:
-                    plo, phi = fused[-1]
-                    same_profile = all(plo[k] == lo[k] and phi[k] == hi[k] for k in others)
-                    if same_profile and phi[axis] == lo[axis]:
-                        fused[-1] = (plo, phi[:axis] + (hi[axis],) + phi[axis + 1 :])
-                        changed = True
-                        continue
-                fused.append((lo, hi))
-            current = fused
+    for axis in range(dim):
+        others = [k for k in range(dim) if k != axis]
+        current.sort(key=lambda b: (tuple((b[0][k], b[1][k]) for k in others), b[0][axis]))
+        fused: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        for lo, hi in current:
+            if fused:
+                plo, phi = fused[-1]
+                if all(plo[k] == lo[k] and phi[k] == hi[k] for k in others) and phi[axis] == lo[axis]:
+                    fused[-1] = (plo, phi[:axis] + (hi[axis],) + phi[axis + 1 :])
+                    continue
+            fused.append((lo, hi))
+        current = fused
     current.sort()
     return current
 

@@ -7,14 +7,14 @@ the frequency-domain scaling operator when the frequency matrix is
 diagonal (or n == 1), and every L2 pairing factors into one-dimensional
 exponential integrals whose endpoint phases are rational multiples of
 pi, reduced exactly.  A pairing is formed as its :class:`TermPair` list
-(the boxes that meet, with their coefficients and phase offsets) and
-evaluated by :func:`pairing`, at the pairs' own phases or shifted by an
-extra exact modulation.
+(the integer ends of the boxes that meet, with their coefficients and
+phase offsets) and evaluated by :func:`pairing`, at the pairs' own phases
+or shifted by an extra exact modulation.
 
 The one-dimensional integral has one implementation, :func:`axis_integral`,
-on integer numerators and denominators, with no ``Fraction`` arithmetic
-per evaluation; its bits are those of the same formula on reduced
-fractions.
+on integer numerators and denominators, reduced or not, with no
+``Fraction`` arithmetic per evaluation; its bits are those of the same
+formula on reduced fractions.
 
 A :class:`LayerFunction` is a finite window of k-indexed layers, each a
 modulated box sum supported in a base set; it carries the functions on
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .boxes import Box, BoxSet
@@ -54,19 +52,13 @@ class Term:
 
 @dataclass(frozen=True)
 class TermPair:
-    """One term pair of an L2 pairing: c_s * conj(c_t), the common box, beta_s - beta_t."""
+    """One term pair of an L2 pairing: c_s * conj(c_t), and per axis the common box and beta_s - beta_t
+    on integers, (lo_num, lo_den, hi_num, hi_den, num, den) with positive denominators, not necessarily
+    reduced: the phase is (u_s d_t - u_t d_s, d_s d_t) for beta = u / d.
+    """
 
     coef: complex
-    box: Box
-    phase: tuple[Fraction, ...]
-
-    @cached_property
-    def ends(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
-        """Per axis the box's ends and the phase on integers: (lo_num, lo_den, hi_num, hi_den, num, den)."""
-        return tuple(
-            (a.numerator, a.denominator, b.numerator, b.denominator, p.numerator, p.denominator)
-            for a, b, p in zip(self.box.lo, self.box.hi, self.phase)
-        )
+    ends: tuple[tuple[int, int, int, int, int, int], ...]
 
 
 # the phase width |theta| (b - a), in units of pi, below which axis_integral takes its sine form
@@ -231,16 +223,19 @@ class ModulatedBoxSum:
         """
         if self.A != other.A:
             raise DimensionMismatch("ambient matrices differ")
+        theirs = [(t, t.beta.ratio()) for t in other.terms]
         pairs = []
         for s in self.terms:
-            sv = s.beta.values()
-            for t in other.terms:
+            su, sd = s.beta.ratio()
+            for t, (tu, td) in theirs:
                 common = s.box.intersect(t.box)
                 if common is None:
                     continue
-                tv = t.beta.values()
-                phase = tuple(a - b for a, b in zip(sv, tv))
-                pairs.append(TermPair(s.coef * t.coef.conjugate(), common, phase))
+                ends = tuple(
+                    (a.numerator, a.denominator, b.numerator, b.denominator, x * td - y * sd, sd * td)
+                    for a, b, x, y in zip(common.lo, common.hi, su, tu)
+                )
+                pairs.append(TermPair(s.coef * t.coef.conjugate(), ends))
         return tuple(pairs)
 
     def norm_sq(self) -> float:

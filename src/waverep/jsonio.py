@@ -58,9 +58,10 @@ def _int(x, what: str) -> int:
 
 
 def _parse_box(data: dict, dim: int) -> Box:
-    """{"lo": [...], "hi": [...]}, dim ratios each; KeyError/TypeError/ValueError if malformed."""
-    lo = tuple(parse_ratio(x) for x in data["lo"])
-    hi = tuple(parse_ratio(x) for x in data["hi"])
+    """{"lo": [...], "hi": [...]}, lists of dim ratios each; KeyError/TypeError/ValueError if malformed."""
+    lo, hi = (tuple(map(parse_ratio, data[k])) if isinstance(data[k], list) else None for k in ("lo", "hi"))
+    if lo is None or hi is None:
+        raise InputError(f"box {data!r}: lo and hi must be lists of coordinates")
     if len(lo) != dim or len(hi) != dim:
         raise InputError(f"box {data!r} needs {dim} coordinates per endpoint")
     return Box(lo, hi)
@@ -152,7 +153,10 @@ def parse_mbs(data: dict, A: DilationMatrix) -> ModulatedBoxSum:
     try:
         terms = []
         for entry in data["terms"]:
-            re, im = float(entry.get("re", 0.0)), float(entry.get("im", 0.0))
+            parts = entry.get("re", 0.0), entry.get("im", 0.0)
+            if any(isinstance(x, bool) for x in parts):
+                raise InputError(f"coefficient {parts} is not a number")
+            re, im = map(float, parts)
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise InputError(f"coefficient ({re}, {im}) is not finite")
             coef = complex(re, im)

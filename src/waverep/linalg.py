@@ -19,6 +19,8 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 def as_matrix(rows) -> IntMatrix:
     """Validate a square integer matrix given as nested sequences."""
+    if any(isinstance(x, bool) for row in rows for x in row):
+        raise TypeError("matrix entries must be integers, not booleans")
     mat = tuple(tuple(operator.index(x) for x in row) for row in rows)
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):

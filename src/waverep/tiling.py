@@ -27,7 +27,7 @@ fails on less than that fraction of the annulus.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -75,7 +75,7 @@ class CheckResult:
 
     def to_json(self) -> dict:
         """The fields, without an absent witness or an empty note."""
-        return {k: v for k, v in asdict(self).items() if v is not None and v != ""}
+        return {k: v for k, v in vars(self).items() if v is not None and v != ""}
 
 
 @dataclass
@@ -87,7 +87,7 @@ class VerifyParams:
     mode: str = "auto"  # auto | exact | sampled
 
     def to_json(self) -> dict:
-        return {**asdict(self), "annulus": [str(r) for r in self.annulus]}
+        return {**vars(self), "annulus": [str(r) for r in self.annulus]}
 
     def sampled(self, A: DilationMatrix) -> bool:
         """Whether (i) and (ii) are sampled: asked for, or A not diagonal (then exact mode fails)."""

@@ -40,6 +40,13 @@ FILES = {
     # JSON booleans where rationals belong: a Shannon set with true for 1, and a phase t of true
     "boolset.json": {"dim": 1, "boxes": [{"lo": [True], "hi": ["2"]}, {"lo": ["-2"], "hi": [-1]}]},
     "booltarget.json": [{"phases": [{"v": [1], "j": 1, "t": True}]}],
+    # a JSON boolean as a matrix entry and as a coefficient
+    "boolmatrix.json": [[2, False], [0, 2]],
+    "boolcoef.json": {"terms": [{"re": True, "box": {"lo": ["1"], "hi": ["2"]}}]},
+    # coordinates that are not lists: a string read character by character, a dict read by its keys
+    "strset.json": {"dim": 2, "boxes": [{"lo": "00", "hi": "11"}]},
+    "dictset.json": {"dim": 1, "boxes": [{"lo": {"1": 0}, "hi": {"2": 0}}, {"lo": ["-2"], "hi": ["-1"]}]},
+    "fstrbox.json": {"terms": [{"re": 1.0, "box": {"lo": "1", "hi": "2"}}]},
 }
 
 
@@ -90,6 +97,12 @@ BAD_ARGV = [
     ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "fbad.json"],
     ["verify-set", "--set", "boolset.json", "--dilation", "[[2]]"],
     ["density", "--dilation", "[[2]]", "--targets", "booltarget.json"],
+    ["rep", "--dilation", "[[2, false], [0, 2]]", "--x", "pi,0", "--element", '{"v":[1,0],"j":0,"m":0}', "--K", "1"],
+    ["rep", "--dilation", "boolmatrix.json", "--x", "pi,0", "--element", '{"v":[1,0],"j":0,"m":0}', "--K", "1"],
+    ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "boolcoef.json"],
+    ["verify-set", "--set", "strset.json", "--dilation", "[[2,0],[0,2]]"],
+    ["verify-set", "--set", "dictset.json", "--dilation", "[[2]]"],
+    ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", "fstrbox.json"],
     ["rep", "--dilation", "[[2]]", "--x", "nan", "--element", '{"v": [1]}'],
     ["rep", *_X, "--element", '{"v": [1.5]}'],
     ["wavelet-eval", "--set", "shannon", "--points", "1", "--csv", "missing/psi.csv"],

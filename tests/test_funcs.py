@@ -76,7 +76,7 @@ class TestPairingOnIntegers:
             shift = [(data.draw(_NUM), data.draw(_DEN)) for _ in range(dim)]
         pairs = []
         for _ in range(count):
-            lo, hi, phase = [], [], []
+            ends = []
             for k in range(dim):
                 a = data.draw(_FRACS)
                 theta = data.draw(st.one_of(st.just(Fraction(0)), _FRACS))
@@ -90,11 +90,13 @@ class TestPairingOnIntegers:
                     width = Fraction(_THIN) * scale / abs(full)
                 else:
                     width = data.draw(st.fractions(Fraction(1, 10**6), 10, max_denominator=10**6))
-                lo.append(a)
-                hi.append(a + width)
-                phase.append(theta)
+                b = a + width
+                # the phase unreduced by a common factor, as term_pairs forms it from two ratios
+                c = data.draw(st.one_of(st.just(1), st.integers(2, 40), st.integers(2, 2**70)))
+                ends.append((a.numerator, a.denominator, b.numerator, b.denominator, theta.numerator * c,
+                             theta.denominator * c))
             coef = complex(data.draw(st.floats(-2, 2)), data.draw(st.floats(-2, 2)))
-            pairs.append(TermPair(coef, Box(tuple(lo), tuple(hi)), tuple(phase)))
+            pairs.append(TermPair(coef, tuple(ends)))
         assert float_bits(pairing(pairs, shift)) == float_bits(ref_pairing(pairs, shift))
 
     @pytest.mark.parametrize("theta", [Fraction(0), Fraction(-37, 4), Fraction(3, 2**70), Fraction(-(2**66) - 1, 3)])
@@ -102,6 +104,8 @@ class TestPairingOnIntegers:
     def test_widths_around_thin(self, theta, scale):
         a = Fraction(-7, 3)
         width = Fraction(_THIN) * scale / abs(theta) if theta else scale
-        pair = TermPair(1.0 + 0j, Box((a,), (a + width,)), (theta,))
+        b = a + width
+        pair = TermPair(1.0 + 0j, ((a.numerator, a.denominator, b.numerator, b.denominator, theta.numerator,
+                                    theta.denominator),))
         assert float_bits(pairing([pair])) == float_bits(ref_pairing([pair]))
         assert float_bits(pairing([pair], [(5, 2**65)])) == float_bits(ref_pairing([pair], [(5, 2**65)]))

@@ -425,6 +425,26 @@ class TestWitness:
         assert math.isnan(res.max_deviation) and res.witness == (0, 0) and res.warning is not None
 
 
+class TestUnitarity:
+    """ROADMAP item 9 (a) on the closed form: each D^m M_v is unitary, so every diagonal entry is 1
+    and every same-scale block (m, m) is the block (0, 0)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]), m_max=st.integers(1, 2), v_max=st.integers(0, 3))
+    def test_unit_diagonal_and_equal_same_scale_blocks(self, data, dim, m_max, v_max):
+        E, A = data.draw(box_sets(dim)), data.draw(diagonal_matrices(dim))
+        res = gram_matrix(GramSpec(E, A, min(m_max, 3 - dim), min(v_max, 4 - 2 * dim)))
+        assert res.mode == "closed-form"
+        assert np.all(np.diag(res.matrix) == 1.0)
+        scales = [m for m, _ in res.labels]
+        blocks = {}
+        for m in set(scales):
+            rows = [i for i, b in enumerate(scales) if b == m]
+            blocks[m] = res.matrix[np.ix_(rows, rows)]
+        for m, block in blocks.items():
+            assert np.max(np.abs(block - blocks[0])) <= 1e-12, m
+
+
 class TestMeetingGaps:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([1, 2]), m_max=st.integers(0, 3))

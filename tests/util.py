@@ -183,9 +183,9 @@ def ref_pairing(pairs, shift=None) -> complex:
     total = 0j
     for pair in pairs:
         prod = complex(1.0)
-        for k, p in enumerate(pair.phase):
-            theta = p if shift is None else p + Fraction(*shift[k])
-            prod *= ref_axis_integral(pair.box.lo[k], pair.box.hi[k], theta)
+        for k, (an, ad, bn, bd, tn, td) in enumerate(pair.ends):
+            theta = Fraction(tn, td) if shift is None else Fraction(tn, td) + Fraction(*shift[k])
+            prod *= ref_axis_integral(Fraction(an, ad), Fraction(bn, bd), theta)
             if prod == 0:
                 break
         total += pair.coef * prod
