@@ -24,7 +24,6 @@ from .groups import (
     b_transform,
     character_value,
     phase_exp,
-    shift_cocycle,
     validate_dilation,
 )
 

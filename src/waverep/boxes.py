@@ -410,10 +410,3 @@ def unit_cube(dim: int) -> BoxSet:
         dim, (Box((Fraction(-1),) * dim, (Fraction(1),) * dim),)
     )
 
-
-def product_set(a: BoxSet, b: BoxSet) -> BoxSet:
-    """Cartesian product of two box sets."""
-    boxes = [
-        Box(x.lo + y.lo, x.hi + y.hi) for x in a.boxes for y in b.boxes
-    ]
-    return BoxSet.of(a.dim + b.dim, boxes)

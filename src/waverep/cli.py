@@ -71,26 +71,20 @@ def _load_set(arg: str, dim: int | None) -> BoxSet:
 _STRING = json.encoder.encode_basestring_ascii
 
 
-def _json(value, pad: str = "\n") -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` writes it.
+def _write(value, pad: str, out: list[str]) -> None:
+    """Append the pieces of the text of ``value`` to ``out``.
 
-    ``pad`` is a newline and the indentation of ``value``'s own line.  The
-    bytes and errors are json's: the first NaN or infinity in key and row
-    order raises its ``ValueError``, any other type its ``TypeError``.  A
-    list of floats is written by one join.  A numpy array is written as its
+    The text is ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``'s,
+    with ``pad`` a newline and the indentation of ``value``'s own line.  The
+    errors are json's too: the first NaN or infinity in key and row order
+    raises its ``ValueError``, any other type its ``TypeError``.  A list of
+    floats is written by one join.  A numpy array is written as its
     ``tolist()``; a finite 2-D float64 array, such as a gram matrix, is
     written from the text of each distinct value, formed once (see
-    :func:`_matrix_rows`).  Keys are strings, as in every report.  The text
-    is gathered in pieces and joined once, so a large report is not copied
+    :func:`_matrix_rows`).  Keys are strings, as in every report.  The
+    pieces are joined once by the caller, so a large report is not copied
     at every level of nesting.
     """
-    out: list[str] = []
-    _write(value, pad, out)
-    return "".join(out)
-
-
-def _write(value, pad: str, out: list[str]) -> None:
-    """Append the pieces of the text of ``value`` to ``out``."""
     if isinstance(value, str):
         out.append(_STRING(value))
     elif value is None:

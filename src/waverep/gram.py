@@ -7,8 +7,7 @@ Gram entry is a closed-form integral: entries across different scales
 vanish because the dilates of E are disjoint (a support statement, not
 a cancellation, read off each block's own term pairs: a block with none
 is the exact zero), and same-scale entries are exponential integrals
-with exactly reduced phases.  Completeness is reported as a defect curve
-over growing translation ranges, never as a boolean.
+with exactly reduced phases.
 
 Since D M_v = M_{Av} D, an entry depends only on the exact key
 (m, m', A^-m v - A^-m' v'), so each key is evaluated once.  The boxes
@@ -32,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import BoxSet
-from .funcs import ModulatedBoxSum, TermPair, pairing
-from .groups import AdicVector, DilationMatrix
+from .funcs import ModulatedBoxSum, pairing
+from .groups import DilationMatrix
 
-__all__ = ["GramSpec", "GramResult", "eval_msf_wavelet", "gram_matrix", "completeness_defect"]
+__all__ = ["GramSpec", "GramResult", "eval_msf_wavelet", "gram_matrix"]
 
 _TINY = 2.0**-40
 
@@ -93,19 +92,6 @@ class GramResult:
     warning: str | None = None
     # (i, j) of the first largest |G - I| in row-major order, set exactly when warning is
     witness: tuple[int, int] | None = None
-
-
-def _scales(
-    spec: GramSpec,
-) -> tuple[dict[int, ModulatedBoxSum], dict[int, tuple[TermPair, ...]], dict[int, float]]:
-    """D^m 1_E, the term pairs of its pairing with itself, and its squared norm, per scale m.
-
-    M_v is unitary, so the norm is that of every (m, v).
-    """
-    base = ModulatedBoxSum.indicator(spec.A, spec.E)
-    dilates = {m: base.dilated(m) for m in range(-spec.m_max, spec.m_max + 1)}
-    pairs = {m: f.term_pairs(f) for m, f in dilates.items()}
-    return dilates, pairs, {m: pairing(p).real for m, p in pairs.items()}
 
 
 def gram_matrix(spec: GramSpec) -> GramResult:
@@ -196,7 +182,10 @@ def _gram_closed_form(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]])
     """
     A, mm = spec.A, spec.m_max
     diag = [A.entries[i][i] for i in range(A.n)]
-    dilates, same, norm_sqs = _scales(spec)
+    base = ModulatedBoxSum.indicator(A, spec.E)
+    dilates = {m: base.dilated(m) for m in range(-mm, mm + 1)}
+    same = {m: f.term_pairs(f) for m, f in dilates.items()}
+    norm_sqs = {m: pairing(p).real for m, p in same.items()}  # M_v is unitary: that of every v
     norms = {m: math.sqrt(s) for m, s in norm_sqs.items()}
     scales = range(-mm, mm + 1)
     k, S = len(labels), len(scales)
@@ -276,31 +265,3 @@ def _gram_quadrature(spec: GramSpec, labels: list[tuple[int, tuple[int, ...]]]) 
     mu = float(spec.E.measure()) * math.pi**n
     return np.array([vals @ row.conj() for row in vals]).T * vol / mu
 
-
-def completeness_defect(
-    E: BoxSet,
-    A: DilationMatrix,
-    f: ModulatedBoxSum,
-    m_max: int,
-    v_max: int,
-) -> float:
-    """||f||^2 minus the energy captured by the finite family.
-
-    Non-negative up to rounding, and non-increasing in the translation
-    range; reported as a number, never as a verdict, because the full
-    statement is a limit over all translates.  A function supported
-    outside the scanned dilates keeps its entire norm as defect.
-    """
-    spec = GramSpec(E, A, m_max, v_max)
-    dilates, _, norm_sqs = _scales(spec)
-    pairs = {m: f.term_pairs(g) for m, g in dilates.items()}
-    total = f.norm_sq()
-    captured = 0.0
-    for m, v in spec.labels():
-        # <f, D^m M_v 1_E>: the pairs of f with D^m 1_E, whose modulation beta = A^-m v
-        # enters the phases of f's terms as -beta
-        u, d = AdicVector.of(A, v).twist(m).ratio()
-        shift = tuple((-x, d) for x in u)
-        coef = pairing(pairs[m], shift) / math.sqrt(norm_sqs[m])
-        captured += abs(coef) ** 2
-    return total - captured

@@ -40,7 +40,6 @@ __all__ = [
     "AdicVector",
     "GroupElement",
     "RealPoint",
-    "shift_cocycle",
     "character_value",
     "orbit",
     "phase_exp",
@@ -230,15 +229,6 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"GroupElement(beta={self.beta!r}, m={self.m})"
-
-
-def shift_cocycle(k: int, g: GroupElement) -> AdicVector:
-    """The translation-valued cocycle of the coset shift action.
-
-    Value A^{-k} beta; satisfies
-    shift_cocycle(k, g1*g2) == shift_cocycle(k, g1) + shift_cocycle(k + g1.m, g2).
-    """
-    return g.beta.twist(k)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,9 @@ the sequence space by
 
 which the reflection g(k) -> g(-k) exchanges.  So there is one phase
 table: the induced operator is the reflection conjugate of the fiber
-one, and the deviation between them is 0 by construction.  Everything
-is truncated to a finite index window; operator identities are compared
-on the interior sub-window untouched by the truncation, where they hold
-exactly.
+one.  Everything is truncated to a finite index window; operator
+identities are compared on the interior sub-window untouched by the
+truncation, where they hold exactly.
 
 The table walks the orbit k -> A^k beta by a one-step integer
 recurrence (:func:`groups.orbit`): with beta = A^{-j} v, w <- A w for
@@ -23,13 +22,22 @@ so it has the bits of the per-k evaluation: an
 exact phase is what :func:`groups.phase_exp` gives for the same
 rational, reduced mod 2 by its integer core, and a float phase sums the
 same correctly rounded quotients in the same order.
+
+Library-only: ``rep`` reaches :func:`fiber_operator` and
+:func:`interior_deviation` alone.  The operator identities compare two
+sides that no one report holds, so the library and its tests check them
+(criteria 4, 5 and 7 of ``tests/test_acceptance.py``): conjugation
+(:func:`apply_group_element`, :func:`apply_layer_rep`,
+:func:`conjugation_defect` and the window :func:`spectral.layer_span`),
+the orbit shift (:func:`induced_operator`, :func:`orbit_shift_defect`) and
+the commutant (:func:`multiply_step`, :func:`invariant_step_extension`,
+:func:`commutator_with_dilation`, :func:`commutator_with_modulation`,
+:func:`find_noninvariant_witness`).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .boxes import Box, BoxSet
 from .errors import WindowTooSmall
@@ -47,20 +55,18 @@ from .spectral import layer_span, to_layers
 
 __all__ = [
     "apply_group_element",
-    "commutation_defect",
     "apply_layer_rep",
     "conjugation_defect",
     "FiberOperator",
     "fiber_operator",
     "induced_operator",
     "interior_deviation",
-    "reflection_intertwiner_defect",
-    "find_orbit_shift",
     "orbit_shift_defect",
-    "irreducibility_scan",
     "multiply_step",
     "invariant_step_extension",
     "commutator_with_dilation",
+    "commutator_with_modulation",
+    "find_noninvariant_witness",
 ]
 
 
@@ -70,40 +76,6 @@ __all__ = [
 def apply_group_element(g: GroupElement, f: ModulatedBoxSum) -> ModulatedBoxSum:
     """The operator of (beta, m): modulation after m-fold scaling."""
     return f.dilated(g.m).modulated(g.beta)
-
-
-def commutation_defect(A: DilationMatrix, axis: int) -> float:
-    """Residual of the defining exchange relation on ten seeded random vectors.
-
-    Translating by the axis generator after scaling equals scaling after
-    translating by its image under the matrix; both sides are evaluated
-    symbolically on modulated box sums and the collected difference is
-    measured.  Exact inputs give literally zero terms.
-    """
-    rng = random.Random(0)
-    e_axis = AdicVector.of(A, [1 if i == axis else 0 for i in range(A.n)])
-    img = e_axis.twist(-1)
-    worst = 0.0
-    for _ in range(10):
-        f = _random_mbs(rng, A)
-        lhs = f.dilated(1).modulated(e_axis)
-        rhs = f.modulated(img).dilated(1)
-        diff = (lhs - rhs).collect()
-        worst = max(worst, diff.norm_sq() ** 0.5)
-    return worst
-
-
-def _random_mbs(rng: random.Random, A: DilationMatrix) -> ModulatedBoxSum:
-    terms = []
-    for _ in range(3):
-        lo = tuple(Fraction(rng.randint(-16, 14), 4) for _ in range(A.n))
-        hi = tuple(a + Fraction(rng.randint(1, 8), 4) for a in lo)
-        beta = AdicVector.of(
-            A, [rng.randint(-6, 6) for _ in range(A.n)], rng.randint(0, 2)
-        )
-        coef = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        terms.append(Term(coef, beta, Box(lo, hi)))
-    return ModulatedBoxSum(A, tuple(terms))
 
 
 # --- layered action -----------------------------------------------------------
@@ -222,38 +194,6 @@ def interior_deviation(m1: FiberOperator, m2: FiberOperator) -> float:
     return max(abs(m1.phases[k] - m2.phases[k]) for k in common)
 
 
-def reflection_intertwiner_defect(x: RealPoint, g: GroupElement, K: int) -> float:
-    """Check that reflection conjugation carries the fiber action to the induced one.
-
-    0.0 by construction, exact or float point: the induced table is that conjugate.
-    """
-    lhs = fiber_operator(x, g, K).reflect_conjugate()
-    rhs = induced_operator(x, g, K)
-    return interior_deviation(lhs, rhs)
-
-
-def find_orbit_shift(
-    x: RealPoint, m: int, g: GroupElement, K: int, A: DilationMatrix
-) -> tuple[int, float]:
-    """Search the translation offset intertwining the two induced operators.
-
-    Compares the induced operator over the orbit point B^m x, conjugated
-    by every candidate offset, against the operator over x; returns the
-    best offset with its interior deviation.
-    """
-    if K <= abs(m) + abs(g.m):
-        raise WindowTooSmall("window too small for the requested orbit step")
-    y = b_transform(A, x, m)
-    target = induced_operator(x, g, K)
-    moved = induced_operator(y, g, K)
-    best = None
-    for a in range(-K + abs(g.m), K - abs(g.m) + 1):
-        dev = interior_deviation(moved.shift_conjugate(a), target)
-        if best is None or dev < best[1]:
-            best = (a, dev)
-    return best
-
-
 def orbit_shift_defect(
     x: RealPoint, m: int, g: GroupElement, K: int, A: DilationMatrix
 ) -> float:
@@ -261,27 +201,14 @@ def orbit_shift_defect(
 
     Conjugating the induced operator over B^m x by the translation of
     offset m reproduces the induced operator over x; the orientation was
-    fixed against :func:`find_orbit_shift`.
+    fixed against a search over every offset of the window (the tests'
+    ``find_orbit_shift``).
     """
     if K <= abs(m) + abs(g.m):
         raise WindowTooSmall("window too small for the requested orbit step")
     y = b_transform(A, x, m)
     moved = induced_operator(y, g, K)
     return interior_deviation(moved.shift_conjugate(m), induced_operator(x, g, K))
-
-
-def irreducibility_scan(x: RealPoint, M: int = 16) -> tuple[bool, int | None]:
-    """Certify that no dilate of x within 1 <= |m| <= M returns to x.
-
-    Aperiodicity of the orbit of the character over x is exactly the
-    irreducibility criterion for the induced representation.  B^m - I is
-    invertible at every m != 0 for expansive B, so only the origin returns,
-    at m = 1; the test for it is exact.  Returns (passed, witness_m).
-    """
-    coords = x.pi_coords if x.pi_coords is not None else x.coords
-    if M >= 1 and not any(coords):
-        return False, 1
-    return True, None
 
 
 # --- commutant spot checks ------------------------------------------------------

@@ -8,9 +8,8 @@ L2(E x Z) through the norm-preserving map
     (forward f)(x, k) = |det|^{k/2} f(B^k x),        x in E,
     (inverse F)(xi)   = |det|^{p/2} F(B^p xi, -p),   p = p(xi).
 
-On the exact carrier (modulated box sums, diagonal matrix) the pair of
-maps is an exact mutual inverse and an exact isometry; the sampled grid
-path covers general matrices with a reported quadrature defect.
+On the exact carrier (modulated box sums, diagonal matrix) the forward
+map is an exact isometry, and the tests hold it to its exact inverse.
 
 On a diagonal matrix one exact bracket, :func:`_scale_bracket`, bounds
 the k at which a box or a point can meet B^k E; :func:`project_point`
@@ -27,9 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .boxes import Box, BoxSet
 from .errors import (
@@ -46,10 +43,8 @@ from .groups import DilationMatrix, RealPoint, b_transform
 __all__ = [
     "project_point",
     "to_layers",
-    "from_layers",
     "isometry_defect",
     "isometry_path",
-    "sampled_isometry_defect",
     "layer_span",
     "meeting_gaps",
 ]
@@ -63,12 +58,17 @@ def project_point(
     The scales p, |p| <= max_iter, are tried outward from p = 0, and the
     scan keeps going after the first hit so a disjointness failure shows
     up as AmbiguousScale with both witnesses.  For an exact point and a
-    diagonal matrix only the scales of the point's bracket are tried
-    (:func:`_scale_bracket`, with p = -k); every other scale misses E.
+    diagonal matrix every scale of the point's bracket is tried
+    (:func:`_scale_bracket`, with p = -k), and every other scale misses E.
+    The bracket is finite except at the origin, and for p < 0 when E
+    reaches the origin; only such an open side is cut at max_iter.
     """
     scales = range(-max_iter, max_iter + 1)
     if A.is_diagonal and xi.pi_coords is not None and xi.dim == E.dim == A.n:
-        scales = {-k for k in _scale_bracket(E, A, xi.pi_coords, xi.pi_coords, -max_iter, max_iter)}
+        nonzero = any(xi.pi_coords)
+        k_min = -math.inf if nonzero else -max_iter
+        k_max = math.inf if nonzero and E.bounding_radii()[0] else max_iter
+        scales = {-k for k in _scale_bracket(E, A, xi.pi_coords, xi.pi_coords, k_min, k_max)}
     hits: list[tuple[int, RealPoint]] = []
     for p in sorted(scales, key=lambda p: (abs(p), p)):
         y = b_transform(A, xi, p)
@@ -80,9 +80,7 @@ def project_point(
                     [h[0] for h in hits],
                 )
     if not hits:
-        raise NotCovered(
-            f"no scale in [-{max_iter}, {max_iter}] lands in the set"
-        )
+        raise NotCovered("no scale tried lands in the set")
     p, y = hits[0]
     return y, p
 
@@ -125,7 +123,9 @@ def _scale_bracket(
       over the box (bounds k above when r > 0).
 
     A side with no bound (delta_i = 0 on every axis, or r = 0) is the
-    window's end; an empty E meets nothing.  The tiling's exact cover does
+    window's end, so only a bounded side may have an infinite end.  An
+    axis with rho_i = 0 bounds nothing, and the origin meets no B^k E
+    when r > 0; an empty E meets nothing.  The tiling's exact cover does
     not use this bracket: it cuts every dilate with |j| <= j_max.
     """
     if E.is_empty:
@@ -139,7 +139,8 @@ def _scale_bracket(
             k_lo = max(k_lo, -_floor_log(R / min(abs(x), abs(y)), ai, -k_max, -k_min))
     if r:
         rho = (max(abs(x), abs(y)) for x, y in zip(lo, hi))
-        k_hi = min(k_hi, max(_floor_log(c / r, ai, k_min, k_max) for ai, c in zip(a, rho)))
+        tops = [_floor_log(c / r, ai, k_min, k_max) for ai, c in zip(a, rho) if c]
+        k_hi = min(k_hi, max(tops, default=k_lo - 1))
     return range(k_lo, k_hi + 1)
 
 
@@ -239,16 +240,6 @@ def to_layers(
     return LayerFunction(A, k_min, k_max, layers, trunc)
 
 
-def from_layers(F: LayerFunction) -> ModulatedBoxSum:
-    """Inverse map back to functions on R^n: layer k dilated by k.
-
-    The exact left inverse of :func:`to_layers`, which the tier-1 tests
-    hold the forward map to; no routine of the package calls it.
-    """
-    layers = sorted(F.layers.items())
-    return ModulatedBoxSum(F.A, tuple(t for k, layer in layers for t in layer.dilated(k).terms))
-
-
 def isometry_defect(
     f: ModulatedBoxSum,
     E: BoxSet,
@@ -292,59 +283,3 @@ def isometry_defect(
         raise ZeroFunction("isometry defect of the zero function")
     F = LayerFunction(A, k_min, k_max, _layer_sums(A, pieces))
     return abs(F.norm_sq() - norm) / norm
-
-
-def sampled_isometry_defect(
-    fn: Callable,
-    E: BoxSet,
-    A: DilationMatrix,
-    bounds: tuple[Sequence[float], Sequence[float]],
-    cells: int,
-    k_min: int,
-    k_max: int,
-    layer_cells: int | None = None,
-) -> float:
-    """Quadrature isometry defect on the sampled grid path.
-
-    ``fn`` is sampled into a piecewise-constant grid over ``bounds``
-    with ``cells`` cells per axis, making the base norm exact for the
-    sampled function.  The forward map reads the grid back at
-    transformed layer nodes with a left-endpoint rule, whose leading
-    error is a boundary term, so the defect decays at first order in
-    the layer spacing and halves under one refinement of both grids.
-    """
-    lo, hi = np.asarray(bounds[0], float), np.asarray(bounds[1], float)
-    h = float((hi - lo)[0]) / cells
-    shape = tuple(int(round((hi[k] - lo[k]) / h)) for k in range(len(lo)))
-    # fn sampled at the cell centres, and read back as a piecewise-constant function
-    grids = [lo[k] + h * (np.arange(shape[k]) + 0.5) for k in range(len(shape))]
-    values = np.asarray(fn(*np.meshgrid(*grids, indexing="ij")), dtype=complex)
-    base = float(np.sum(np.abs(values) ** 2)) * h**values.ndim
-    if base == 0.0:
-        raise ZeroFunction("isometry defect of the zero function")
-    if layer_cells is None:
-        layer_cells = max(cells // 16, 8)
-    det = float(A.det_abs)
-    mapped = 0.0
-    for k in range(k_min, k_max + 1):
-        p, d = A.power(k)
-        bk = np.array(p, dtype=float).T / d
-        for blo, bhi in E.float_bounds():
-            blo, bhi = np.array(blo), np.array(bhi)
-            counts = [
-                max(2, int(round((bhi[a] - blo[a]) / (bhi[0] - blo[0]) * layer_cells)))
-                for a in range(len(blo))
-            ]
-            axes = [
-                blo[a] + (bhi[a] - blo[a]) * np.arange(counts[a]) / counts[a]
-                for a in range(len(blo))
-            ]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
-            idx = np.floor((pts @ bk.T - lo) / h).astype(int)
-            inside = np.all((idx >= 0) & (idx < np.asarray(values.shape)), axis=1)
-            vals = np.zeros(len(pts), dtype=complex)
-            vals[inside] = values[tuple(idx[inside].T)]
-            cellvol = float(np.prod((bhi - blo) / np.asarray(counts)))
-            mapped += det**k * float(np.sum(np.abs(vals) ** 2)) * cellvol
-    return abs(mapped - base) / base

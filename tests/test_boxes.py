@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import diagonal_matrices, ref_box_dilate, ref_normalize, ref_subtract, ref_translation_reduce
+from util import diagonal_matrices, product_set, ref_box_dilate, ref_normalize, ref_subtract, ref_translation_reduce
 from waverep.boxes import (
     Box,
     BoxSet,
@@ -16,7 +16,6 @@ from waverep.boxes import (
     grid_span,
     interval_set,
     normalize,
-    product_set,
     unit_cube,
 )
 from waverep.errors import DimensionMismatch, NonDiagonalDilation

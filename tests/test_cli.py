@@ -252,6 +252,13 @@ def _float_arrays(draw) -> np.ndarray:
 _ARRAYS = _float_arrays()
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``value`` as the report writer ``cli._write`` writes it, its pieces joined once."""
+    out: list[str] = []
+    cli._write(value, pad, out)
+    return "".join(out)
+
+
 class TestReportEncoder:
     """The report writer against json's own encoder: the same bytes, and the same errors."""
 
@@ -259,7 +266,7 @@ class TestReportEncoder:
     @given(value=_VALUES)
     def test_writer_matches_json(self, value):
         want = _outcome(lambda v: json.dumps(v, indent=2, sort_keys=True, allow_nan=False), value)
-        assert _outcome(cli._json, value) == want
+        assert _outcome(_json, value) == want
 
     @settings(max_examples=300, deadline=None)
     @given(arr=_ARRAYS)
@@ -267,7 +274,7 @@ class TestReportEncoder:
         nested = ({"b": arr, "a": [arr]}, {"b": arr.tolist(), "a": [arr.tolist()]})
         for value, plain in ((arr, arr.tolist()), (arr.T, arr.T.tolist()), nested):
             want = _outcome(lambda v: json.dumps(v, indent=2, sort_keys=True, allow_nan=False), plain)
-            assert _outcome(cli._json, value) == want
+            assert _outcome(_json, value) == want
 
     @pytest.mark.parametrize(
         "report", _REPORTS, ids=["edge", "one-label", "witness", "empty", "empty-rows", "arrays"]

@@ -110,6 +110,12 @@ class TestApproxCharacter:
         res = approx_character(t, [adic(1)], E=E)
         assert res.membership is not None and "level" in res.membership
 
+    def test_membership_located_far_above_the_cap(self):
+        # y = 2^70/3 pi, and B^-68 y = 4/3 pi lies in E: one scale past the old |p| <= 64
+        t = CharacterTarget(A2, 70, (Fraction(1, 3),))
+        res = approx_character(t, [adic(1, 70)], E=E)
+        assert res.membership == {"level": -68, "representative": ["4/3"]}
+
     def test_trivial_target_retries_off_origin(self):
         # the zero solution lies on the uncovered null set; the retry shifts it
         t = CharacterTarget(A2, 0, (Fraction(0),))

@@ -15,7 +15,6 @@ from waverep.groups import (
     character_value,
     orbit,
     phase_exp,
-    shift_cocycle,
     validate_dilation,
 )
 from waverep.linalg import identity, mat_mul, mat_vec, transpose
@@ -206,10 +205,12 @@ class TestGroupLaw:
 
 
 class TestCocycle:
+    """The translation cocycle of the coset shift action, k -> A^{-k} beta: g.beta.twist(k)."""
+
     def test_values(self):
-        assert shift_cocycle(0, elem(1, m=3)) == adic(1)
-        assert shift_cocycle(2, elem(1, m=0)) == adic(1, 2)
-        assert shift_cocycle(-1, elem(1, 1, m=7)) == adic(1)
+        assert elem(1, m=3).beta.twist(0) == adic(1)
+        assert elem(1, m=0).beta.twist(2) == adic(1, 2)
+        assert elem(1, 1, m=7).beta.twist(-1) == adic(1)
 
     def test_cocycle_identity(self):
         rng = random.Random(5)
@@ -217,8 +218,8 @@ class TestCocycle:
             g1 = elem(rng.randint(-9, 9), rng.randint(0, 3), m=rng.randint(-3, 3))
             g2 = elem(rng.randint(-9, 9), rng.randint(0, 3), m=rng.randint(-3, 3))
             k = rng.randint(-4, 4)
-            lhs = shift_cocycle(k, g1 * g2)
-            rhs = shift_cocycle(k, g1) + shift_cocycle(k + g1.m, g2)
+            lhs = (g1 * g2).beta.twist(k)
+            rhs = g1.beta.twist(k) + g2.beta.twist(k + g1.m)
             assert lhs == rhs
 
 

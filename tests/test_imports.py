@@ -61,8 +61,8 @@ def test_no_function_local_package_imports(path):
 
 
 def test_numpy_only_in_the_float_modules():
-    # the float code: box masks, the sampled grid path, the sampled tiling pass, the Gram
-    # matrices and the CLI's matrix output; the exact layers stay free of numpy
+    # the float code: box masks, the sampled tiling pass, the Gram matrices and the CLI's
+    # matrix output; the exact layers stay free of numpy
     numpy_modules = set()
     for path in MODULES:
         for node in _tree(path).body:
@@ -70,4 +70,24 @@ def test_numpy_only_in_the_float_modules():
                 numpy_modules.add(path.stem)
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
                 numpy_modules.add(path.stem)
-    assert numpy_modules == {"boxes", "cli", "gram", "spectral", "tiling"}
+    assert numpy_modules == {"boxes", "cli", "gram", "tiling"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if _exported(_tree(p))], ids=lambda p: p.name)
+def test_all_lists_the_public_definitions(path):
+    # every public top-level function or class is listed, and every listed name is bound
+    tree = _tree(path)
+    exported = _exported(tree)
+    defined = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    bound = set(defined)
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    assert sorted(defined - exported) == [], f"{path.name}: public definitions missing from __all__"
+    assert sorted(exported - bound) == [], f"{path.name}: __all__ names nothing bound"

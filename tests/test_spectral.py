@@ -2,13 +2,12 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from waverep import spectral
-from waverep.boxes import Box, BoxSet, interval_set, product_set
+from waverep.boxes import Box, BoxSet, interval_set
 from waverep.errors import (
     AmbiguousScale,
     DimensionMismatch,
@@ -19,20 +18,15 @@ from waverep.errors import (
 )
 from waverep.funcs import ModulatedBoxSum
 from waverep.groups import AdicVector, RealPoint, b_transform, validate_dilation
-from waverep.spectral import (
-    from_layers,
-    isometry_defect,
-    layer_span,
-    project_point,
-    sampled_isometry_defect,
-    to_layers,
-)
+from waverep.spectral import isometry_defect, layer_span, project_point, to_layers
 from waverep.tiling import shannon_set
 
 from util import (
     box_sets,
     diagonal_matrices,
     float_bits,
+    from_layers,
+    product_set,
     random_disjoint_subordinate,
     random_subordinate,
     ref_isometry_defect,
@@ -249,37 +243,6 @@ def test_pieces_match_the_per_box_loops(dim, kind, seed, data):
     assert terms_bits(got) == terms_bits(ref_layer_terms(f, S, A, -3, 3))
     defect, want = isometry_defect(f, S, A, -3, 3), ref_isometry_defect(f, S, A, -3, 3)
     assert float_bits(defect) == float_bits(want)
-
-
-def random_smooth(rng):
-    """Carrier bump plus random perturbations, supported away from 0."""
-    parts = [(2.0, 2.4 * math.pi, 0.7 * math.pi, 0.7)]
-    for _ in range(3):
-        mu = rng.uniform(2.0, 5.0) * math.pi * rng.choice([-1.0, 1.0])
-        sigma = rng.uniform(0.4, 0.6) * math.pi
-        amp = rng.uniform(0.2, 0.5)
-        omega = rng.uniform(-2.0, 2.0)
-        parts.append((amp, mu, sigma, omega))
-
-    def fn(t):
-        total = np.zeros_like(t, dtype=complex)
-        for amp, mu, sigma, omega in parts:
-            total += amp * np.exp(-(((t - mu) / sigma) ** 2)) * np.exp(1j * omega * t)
-        return total
-
-    return fn
-
-
-class TestSampledPath:
-    def test_defect_first_order_and_halving(self):
-        rng = random.Random(21)
-        bounds = ([-8.0 * math.pi], [8.0 * math.pi])
-        for _ in range(4):
-            fn = random_smooth(rng)
-            d1 = sampled_isometry_defect(fn, E, A2, bounds, 6400, -12, 6, 120)
-            d2 = sampled_isometry_defect(fn, E, A2, bounds, 12800, -12, 6, 240)
-            assert d1 < 1e-2
-            assert 0.4 < d2 / d1 < 0.6
 
 
 @st.composite
@@ -591,3 +554,41 @@ class TestProjectPointBracket:
         y, p = project_point(RealPoint.from_pi([3 * 2**39]), E, A2)
         assert (y.pi_coords, p) == ((Fraction(3, 2),), -40)
         assert len(calls) <= 2
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]), k=st.integers(-200, 200))
+    def test_locates_points_at_every_level(self, data, dim, k):
+        # a point of S moved to level k, however far past max_iter: the bracket is finite
+        # when S keeps away from the origin, so every scale in it is tried
+        A = data.draw(diagonal_matrices(dim))
+        S = data.draw(box_sets(dim))
+        assume(S.bounding_radii()[0] > 0)
+        box = data.draw(st.sampled_from(S.boxes))
+        t = st.fractions(0, 1, max_denominator=16).filter(lambda t: t < 1)
+        x = RealPoint.from_pi([lo + (hi - lo) * data.draw(t) for lo, hi in zip(box.lo, box.hi)])
+        xi = b_transform(A, x, -k)
+        got = _projection(project_point, xi, S, A)
+        assert got == _projection(ref_project_point, xi, S, A)
+        assert got[0] is AmbiguousScale or got == (x.pi_coords, k)
+
+    def test_zero_coordinate_point_far_away(self, monkeypatch):
+        # (0, 3 2^90 pi) is (0, 3/2 pi) at p = -91: the zero axis bounds no scale, and
+        # the other axis bounds both ends
+        calls = []
+        real = spectral.b_transform
+
+        def counting(A, x, k):
+            calls.append(k)
+            return real(A, x, k)
+
+        monkeypatch.setattr(spectral, "b_transform", counting)
+        S = product_set(interval_set([(-1, 1)]), E)
+        A = validate_dilation([[2, 0], [0, 2]])
+        y, p = project_point(RealPoint.from_pi([0, 3 * 2**90]), S, A)
+        assert (y.pi_coords, p) == ((0, Fraction(3, 2)), -91)
+        assert len(calls) <= 2
+        with pytest.raises(NotCovered):
+            project_point(RealPoint.from_pi([3 * 2**90, 0]), S, A)
+        with pytest.raises(NotCovered):
+            project_point(RealPoint.from_pi([0, 0]), S, A)
+        assert len(calls) <= 4

@@ -13,6 +13,7 @@ from util import (
     box_sets,
     diagonal_matrices,
     interval_sets,
+    product_set,
     ref_dilation_cover,
     ref_disjoint_witness,
     ref_sample_annulus,
@@ -20,7 +21,7 @@ from util import (
     ref_sampled_disjoint,
 )
 from waverep import tiling
-from waverep.boxes import Box, BoxSet, interval_set, product_set, unit_cube
+from waverep.boxes import Box, BoxSet, interval_set, unit_cube
 from waverep.errors import BadAnnulus, DimensionMismatch
 from waverep.tiling import (
     _BLOCK,
@@ -292,7 +293,8 @@ def _exact_verdicts(E: BoxSet, A) -> tuple[bool, bool, bool]:
 
 
 class TestSymmetries:
-    """ROADMAP item 9 (b) and the reflection half of (f): axis permutations and E -> -E keep the verdicts."""
+    """ROADMAP item 9 (b) and the reflection half of (f): axis permutations, sign flips of single
+    axes and E -> -E keep the verdicts."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 3))
@@ -315,6 +317,24 @@ class TestSymmetries:
         verdicts = _exact_verdicts(E, A)
         event(str(verdicts))
         assert _exact_verdicts(minus, A) == verdicts
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_sign_flips(self, data, dim):
+        # (E, A) and (PE, A) for P = diag(+-1), which commutes with a diagonal A
+        E, A = data.draw(rational_box_sets(dim)), data.draw(diagonal_matrices(dim))
+        flip = data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+        PE = BoxSet.of(dim, [_flipped(b, flip) for b in E.boxes])
+        verdicts = _exact_verdicts(E, A)
+        event(str(verdicts))
+        assert _exact_verdicts(PE, A) == verdicts
+
+
+def _flipped(b: Box, flip) -> Box:
+    """The box with the flagged axes negated: -[lo, hi) is [-hi, -lo) up to its boundary, a null set."""
+    lo = tuple(-h if f else x for x, h, f in zip(b.lo, b.hi, flip))
+    hi = tuple(-x if f else h for x, h, f in zip(b.lo, b.hi, flip))
+    return Box(lo, hi)
 
 
 class TestDeterminism:

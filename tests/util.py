@@ -1,4 +1,4 @@
-"""Shared random generators for the test suite (seeded, deterministic)."""
+"""Shared random generators and reference oracles for the test suite (seeded, deterministic)."""
 
 from __future__ import annotations
 
@@ -17,8 +17,16 @@ import numpy as np
 from hypothesis import strategies as st
 
 from waverep import cli
-from waverep.boxes import Box, BoxSet, interval_set, product_set, unit_cube
-from waverep.errors import AmbiguousScale, InputError, NotCovered, NotExpansive, SingularMatrix, ZeroFunction
+from waverep.boxes import Box, BoxSet, interval_set, unit_cube
+from waverep.errors import (
+    AmbiguousScale,
+    InputError,
+    NotCovered,
+    NotExpansive,
+    SingularMatrix,
+    WindowTooSmall,
+    ZeroFunction,
+)
 from waverep.funcs import _THIN, LayerFunction, ModulatedBoxSum, Term
 from waverep.gram import GramSpec
 from waverep.groups import (
@@ -32,8 +40,17 @@ from waverep.groups import (
 )
 from waverep.jsonio import boxset_json
 from waverep.linalg import mat_mul, mat_pow, mat_vec, transpose
+from waverep.operators import induced_operator, interior_deviation
 from waverep.spectral import meeting_gaps
 from waverep.tiling import CheckResult
+
+
+def product_set(a: BoxSet, b: BoxSet) -> BoxSet:
+    """Cartesian product of two box sets."""
+    boxes = [
+        Box(x.lo + y.lo, x.hi + y.hi) for x in a.boxes for y in b.boxes
+    ]
+    return BoxSet.of(a.dim + b.dim, boxes)
 
 
 def random_adic(rng: random.Random, A: DilationMatrix, vmax: int = 9, jmax: int = 3):
@@ -577,16 +594,82 @@ def ref_induced_phases(x: RealPoint, g: GroupElement, K: int) -> dict[int, compl
     return {k: character_value(x, g.beta.twist(k)) for k in range(-K, K + 1)}
 
 
+def find_orbit_shift(
+    x: RealPoint, m: int, g: GroupElement, K: int, A: DilationMatrix
+) -> tuple[int, float]:
+    """Search the translation offset intertwining the two induced operators.
+
+    Compares the induced operator over the orbit point B^m x, conjugated
+    by every candidate offset, against the operator over x; returns the
+    best offset with its interior deviation.
+    """
+    if K <= abs(m) + abs(g.m):
+        raise WindowTooSmall("window too small for the requested orbit step")
+    y = b_transform(A, x, m)
+    target = induced_operator(x, g, K)
+    moved = induced_operator(y, g, K)
+    best = None
+    for a in range(-K + abs(g.m), K - abs(g.m) + 1):
+        dev = interior_deviation(moved.shift_conjugate(a), target)
+        if best is None or dev < best[1]:
+            best = (a, dev)
+    return best
+
+
+def commutation_defect(A: DilationMatrix, axis: int) -> float:
+    """Residual of the defining exchange relation on ten seeded random vectors.
+
+    Translating by the axis generator after scaling equals scaling after
+    translating by its image under the matrix; both sides are evaluated
+    symbolically on modulated box sums and the collected difference is
+    measured.  Exact inputs give literally zero terms.
+    """
+    rng = random.Random(0)
+    e_axis = AdicVector.of(A, [1 if i == axis else 0 for i in range(A.n)])
+    img = e_axis.twist(-1)
+    worst = 0.0
+    for _ in range(10):
+        f = _random_mbs(rng, A)
+        lhs = f.dilated(1).modulated(e_axis)
+        rhs = f.modulated(img).dilated(1)
+        diff = (lhs - rhs).collect()
+        worst = max(worst, diff.norm_sq() ** 0.5)
+    return worst
+
+
+def _random_mbs(rng: random.Random, A: DilationMatrix) -> ModulatedBoxSum:
+    terms = []
+    for _ in range(3):
+        lo = tuple(Fraction(rng.randint(-16, 14), 4) for _ in range(A.n))
+        hi = tuple(a + Fraction(rng.randint(1, 8), 4) for a in lo)
+        beta = AdicVector.of(
+            A, [rng.randint(-6, 6) for _ in range(A.n)], rng.randint(0, 2)
+        )
+        coef = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        terms.append(Term(coef, beta, Box(lo, hi)))
+    return ModulatedBoxSum(A, tuple(terms))
+
+
 def ref_project_point(xi: RealPoint, E: BoxSet, A: DilationMatrix, max_iter: int = 64):
-    """project_point by the outward scan over |p| <= max_iter, stopped on the sup norm.
+    """project_point by the outward scan, stopped on the sup norm.
 
     On a diagonal matrix each side stops once B^p xi leaves the bounding
-    annulus of E: above r_max for p > 0, below r_min for p < 0.
+    annulus of E: above r_max for p > 0, below r_min for p < 0.  A side is
+    cut at |p| = max_iter, except for an exact point on a diagonal matrix,
+    where only a side that the sup norm cannot stop is cut: both sides at
+    the origin, and p < 0 when r_min is 0.
     """
     r_min, r_max = E.bounding_radii()
     hits = []
     pos_alive = neg_alive = True
-    for step in range(0, max_iter + 1):
+    exact = A.is_diagonal and xi.pi_coords is not None and not E.is_empty
+    pos_cap = not (exact and any(xi.pi_coords))
+    neg_cap = not (exact and any(xi.pi_coords) and r_min > 0)
+    for step in itertools.count():
+        pos_alive &= not (pos_cap and step > max_iter)
+        neg_alive &= not (neg_cap and step > max_iter)
+        if not pos_alive and not neg_alive:
+            break
         for p in [step] if step == 0 else [-step, step]:
             if (p > 0 and not pos_alive) or (p < 0 and not neg_alive):
                 continue
@@ -607,10 +690,8 @@ def ref_project_point(xi: RealPoint, E: BoxSet, A: DilationMatrix, max_iter: int
                     pos_alive = False
                 if p < 0 and norm < r_min:
                     neg_alive = False
-        if not pos_alive and not neg_alive:
-            break
     if not hits:
-        raise NotCovered(f"no scale in [-{max_iter}, {max_iter}] lands in the set")
+        raise NotCovered("no scale tried lands in the set")
     p, y = hits[0]
     return y, p
 
@@ -649,6 +730,16 @@ def ref_layer_terms(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, k_min: int
         if pieces:
             layers[k] = tuple(pieces)
     return layers
+
+
+def from_layers(F: LayerFunction) -> ModulatedBoxSum:
+    """Inverse map back to functions on R^n: layer k dilated by k.
+
+    The exact left inverse of to_layers, which the tests hold the forward
+    map to.
+    """
+    layers = sorted(F.layers.items())
+    return ModulatedBoxSum(F.A, tuple(t for k, layer in layers for t in layer.dilated(k).terms))
 
 
 def ref_isometry_defect(f: ModulatedBoxSum, E: BoxSet, A: DilationMatrix, k_min: int, k_max: int):
