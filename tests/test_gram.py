@@ -15,9 +15,10 @@ from util import (
     ref_gram_keyed,
     ref_gram_quadrature,
     ref_gram_sampled_per_label,
+    sign_flipped,
 )
 from waverep import gram
-from waverep.boxes import Box, BoxSet, interval_set
+from waverep.boxes import Box, interval_set
 from waverep.funcs import ModulatedBoxSum
 from waverep.gram import GramSpec, eval_msf_wavelet, gram_matrix
 from waverep.groups import validate_dilation
@@ -453,9 +454,7 @@ class TestSignFlips:
     def test_gram_of_the_flipped_set(self, data, dim, m_max, v_max):
         E, A = data.draw(box_sets(dim)), data.draw(diagonal_matrices(dim))
         signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=dim, max_size=dim))
-        PE = BoxSet.of(dim, [
-            Box(*zip(*(sorted((s * a, s * b)) for s, a, b in zip(signs, box.lo, box.hi)))) for box in E.boxes
-        ])
+        PE = sign_flipped(E, signs)
         m_max, v_max = min(m_max, 3 - dim), min(v_max, 4 - 2 * dim)
         res, flipped = (gram_matrix(GramSpec(S, A, m_max, v_max)) for S in (E, PE))
         index = {label: i for i, label in enumerate(res.labels)}

@@ -19,6 +19,7 @@ from util import (
     ref_sample_annulus,
     ref_sampled_cover,
     ref_sampled_disjoint,
+    sign_flipped,
 )
 from waverep import tiling
 from waverep.boxes import Box, BoxSet, interval_set, unit_cube
@@ -311,30 +312,20 @@ class TestSymmetries:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 3))
     def test_reflection(self, data, dim):
-        # -[lo, hi) is [-hi, -lo) up to its boundary, a null set
         E, A = data.draw(rational_box_sets(dim)), data.draw(diagonal_matrices(dim))
-        minus = BoxSet.of(dim, [Box(tuple(-x for x in b.hi), tuple(-x for x in b.lo)) for b in E.boxes])
         verdicts = _exact_verdicts(E, A)
         event(str(verdicts))
-        assert _exact_verdicts(minus, A) == verdicts
+        assert _exact_verdicts(sign_flipped(E, [-1] * dim), A) == verdicts
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 3))
     def test_sign_flips(self, data, dim):
         # (E, A) and (PE, A) for P = diag(+-1), which commutes with a diagonal A
         E, A = data.draw(rational_box_sets(dim)), data.draw(diagonal_matrices(dim))
-        flip = data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
-        PE = BoxSet.of(dim, [_flipped(b, flip) for b in E.boxes])
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=dim, max_size=dim))
         verdicts = _exact_verdicts(E, A)
         event(str(verdicts))
-        assert _exact_verdicts(PE, A) == verdicts
-
-
-def _flipped(b: Box, flip) -> Box:
-    """The box with the flagged axes negated: -[lo, hi) is [-hi, -lo) up to its boundary, a null set."""
-    lo = tuple(-h if f else x for x, h, f in zip(b.lo, b.hi, flip))
-    hi = tuple(-x if f else h for x, h, f in zip(b.lo, b.hi, flip))
-    return Box(lo, hi)
+        assert _exact_verdicts(sign_flipped(E, signs), A) == verdicts
 
 
 class TestDeterminism:

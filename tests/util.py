@@ -53,6 +53,16 @@ def product_set(a: BoxSet, b: BoxSet) -> BoxSet:
     return BoxSet.of(a.dim + b.dim, boxes)
 
 
+def sign_flipped(E: BoxSet, signs) -> BoxSet:
+    """PE for P = diag(signs), each sign +1 or -1: -[lo, hi) is [-hi, -lo) up to its boundary, a null set."""
+
+    def flip(box: Box) -> Box:
+        ends = [(a, b) if s > 0 else (-b, -a) for s, a, b in zip(signs, box.lo, box.hi)]
+        return Box(tuple(a for a, _ in ends), tuple(b for _, b in ends))
+
+    return BoxSet.of(E.dim, [flip(box) for box in E.boxes])
+
+
 def random_adic(rng: random.Random, A: DilationMatrix, vmax: int = 9, jmax: int = 3):
     return AdicVector.of(
         A, [rng.randint(-vmax, vmax) for _ in range(A.n)], rng.randint(0, jmax)
