@@ -17,6 +17,9 @@ intersection S ∩ T is S minus (S minus T), two runs of the pass.
 Integer hashing and comparison replace the gcd and cross-multiplication
 that every ``Fraction`` operation pays.  The one dilation map,
 :func:`grid_dilate`, works on such a grid too.
+
+Numpy is imported only inside :meth:`BoxSet.contains_rows`, the float
+mask of the sampled pass, so every exact layer above loads without it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import DimensionMismatch, NonDiagonalDilation
 from .groups import DilationMatrix, RealPoint
@@ -333,12 +334,14 @@ class BoxSet:
             for b in self.boxes
         ]
 
-    def contains_rows(self, pts: np.ndarray) -> np.ndarray:
+    def contains_rows(self, pts):
         """Mask of the rows of a float point array (radians) that lie in the set.
 
         The same comparisons as :meth:`contains` on each row: lo <= x < hi
         on every axis of some box, with the bounds of :meth:`float_bounds`.
         """
+        import numpy as np  # here only, so that the exact layers load without numpy
+
         inside = np.zeros(len(pts), dtype=bool)
         for lo, hi in self.float_bounds():
             inside |= np.all((pts >= lo) & (pts < hi), axis=1)

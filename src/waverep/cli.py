@@ -4,7 +4,8 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed (the
 report carries a machine-readable witness), 2 usage or input error.
 The exit codes of ``gram`` and ``density`` come from the library's
 result: 1 when the ``GramResult`` has a witness, or when
-``approx_character`` raises ``InconsistentTarget`` above eps.
+``approx_character`` raises ``InconsistentTarget`` above its fixed
+bound ``density.EPS``, which the report states as ``eps``.
 Every outcome, usage errors included, is one JSON object on stdout (an
 input error is ``{"error": ...}``); the text of ``--help`` is the only
 stdout that is not JSON.  All input values are decoded by ``jsonio`` and
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import jsonio
 from .boxes import BoxSet
-from .density import CharacterTarget, approx_character, mean_coefficient
+from .density import EPS, CharacterTarget, approx_character, mean_coefficient
 from .errors import InputError, WaverepError
 from .gram import GramSpec, eval_msf_wavelet, gram_matrix
 from .operators import fiber_operator, interior_deviation
@@ -329,13 +330,13 @@ def _cmd_density(args) -> tuple[int, dict]:
     targets = jsonio.parse_targets(jsonio.load_json(args.targets), A)
     E = _load_set(args.set, A.n) if args.set else None
     results = [
-        approx_character(CharacterTarget.from_phase_map(A, phases), F, eps=args.eps, E=E)
+        approx_character(CharacterTarget.from_phase_map(A, phases), F, E=E)
         for phases, F in targets
     ]
     worst = max([0.0, *(res.error for res in results)])
     out = {
         "command": "density",
-        "eps": args.eps,
+        "eps": EPS,
         "targets": [
             {"y": jsonio.point_json(res.y), "error": res.error, "membership": res.membership}
             for res in results
@@ -448,7 +449,6 @@ _COMMANDS = {
         (
             _DILATION,
             _Option("--targets", "JSON list of targets", default=_REQUIRED),
-            _Option("--eps", "largest character error that passes", _tolerance, 1e-10),
             _Option("--set", "optional base set for membership checks"),
             _OUTPUT,
         ),

@@ -6,7 +6,9 @@ unit values on the level-J generators (each a rational-pi phase on the
 exact path), from which the value on every element of level <= J is
 forced.  ``approx_character`` produces an honest point of R^n whose
 character matches the target on a requested finite set, witnessing that
-point characters fill the dual out to any finite level.
+point characters fill the dual out to any finite level.  The point is
+exact, so the match is exact; the one fixed bound ``EPS`` on the float
+character error catches a defect, and no setting loosens it.
 
 ``mean_coefficient`` is the normalized integral of the character over
 an expanding box: exactly 1 at the identity, exactly 0 at nonzero
@@ -17,6 +19,7 @@ representation seen through the characters.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +30,9 @@ from .errors import InconsistentTarget, LevelExceeded, NotCovered, AmbiguousScal
 from .groups import AdicVector, DilationMatrix, RealPoint, b_transform, character_value, phase_exp
 from .spectral import project_point
 
-__all__ = ["CharacterTarget", "ApproxResult", "approx_character", "mean_coefficient"]
+__all__ = ["EPS", "CharacterTarget", "ApproxResult", "approx_character", "mean_coefficient"]
+
+EPS = 1e-10  # largest character error that passes
 
 
 @dataclass(frozen=True)
@@ -111,17 +116,14 @@ class ApproxResult:
 
 
 def approx_character(
-    target: CharacterTarget,
-    F: list[AdicVector],
-    eps: float = 1e-10,
-    E: BoxSet | None = None,
+    target: CharacterTarget, F: list[AdicVector], E: BoxSet | None = None
 ) -> ApproxResult:
     """Point y of R^n whose character matches the target on F.
 
     Solves the phase congruences <y, A^{-J} e_i> = pi t_i mod 2 pi by
     y = B^J y0 with y0 read off the reduced target phases, so the
-    achieved error is zero up to phase-reduction rounding for every
-    consistent target.  When a base set is supplied the point is also
+    achieved error is zero for every consistent target, and an error
+    above ``EPS`` raises.  When a base set is supplied the point is also
     located inside the union of its dilates; a point falling on the
     null set where that fails (e.g. the origin) is retried with up to
     seven lattice-shifted solves.
@@ -134,37 +136,29 @@ def approx_character(
             )
     reduced = [1 - ((1 - t) % 2) for t in target.gen_phases]  # into (-1, 1]
 
-    def build(shift: tuple[int, ...]) -> RealPoint:
+    def build(shift: list[int]) -> RealPoint:
         y0 = RealPoint.from_pi(r + 2 * s for r, s in zip(reduced, shift))
         return b_transform(A, y0, target.level)
 
-    shifts = [(0,) * A.n]
-    for k in range(A.n):
-        for s in (1, -1, 2, -2):
-            shifts.append(tuple(s if i == k else 0 for i in range(A.n)))
-    y = build(shifts[0])
+    y = build([0] * A.n)
     membership = None
     if E is not None:
-        for shift in shifts[:8]:
-            candidate = build(shift)
+        membership = {"located": False}
+        units = ([s if i == k else 0 for i in range(A.n)] for k in range(A.n) for s in (1, -1, 2, -2))
+        for candidate in itertools.chain([y], map(build, itertools.islice(units, 7))):
             try:
                 rep, p = project_point(candidate, E, A)
-                y = candidate
-                membership = {
-                    "level": p,
-                    "representative": [str(c) for c in rep.pi_coords],
-                }
-                break
             except (NotCovered, AmbiguousScale):
                 continue
-        else:
-            membership = {"located": False}
+            y = candidate
+            membership = {"level": p, "representative": [str(c) for c in rep.pi_coords]}
+            break
     err = max(
         (abs(character_value(y, beta) - target.value(beta)) for beta in F),
         default=0.0,
     )
-    if err > eps:
-        raise InconsistentTarget(f"achieved error {err:.3e} exceeds eps {eps:.1e}")
+    if err > EPS:
+        raise InconsistentTarget(f"achieved error {err:.3e} exceeds eps {EPS:.1e}")
     return ApproxResult(y, float(err), membership)
 
 

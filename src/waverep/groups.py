@@ -15,10 +15,10 @@ iff adj(A) v = 0 mod det) and no linear system is ever solved.  Only
 matrix-vector step at a time.
 
 Points of R^n come in two flavours: plain floats, and exact rational
-multiples of pi per coordinate.  On the exact flavour every phase
-<x, beta> is a rational multiple of pi, reduced mod 2*pi in rational
-arithmetic before any transcendental evaluation, so characters take
-exact values (1, -1, +-i, ...) wherever those are analytically forced.
+multiples of pi per coordinate, which hold no floats.  On the exact
+flavour every phase <x, beta> is a rational multiple of pi, reduced mod
+2*pi in rational arithmetic before any transcendental evaluation, so
+characters take exact values (1, -1, +-i, ...) wherever they are forced.
 """
 
 from __future__ import annotations
@@ -233,15 +233,14 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class RealPoint:
-    """A point of R^n; coordinates optionally exact rational multiples of pi."""
+    """A point of R^n: float ``coords``, or exact ``pi_coords`` (rational multiples of pi) alone."""
 
-    coords: tuple[float, ...]
+    coords: tuple[float, ...] | None
     pi_coords: tuple[Fraction, ...] | None = None
 
     @classmethod
     def from_pi(cls, fracs: Iterable) -> "RealPoint":
-        pf = tuple(Fraction(f) for f in fracs)
-        return cls(tuple(float(f) * math.pi for f in pf), pf)
+        return cls(None, tuple(Fraction(f) for f in fracs))
 
     @classmethod
     def from_floats(cls, vals: Iterable[float]) -> "RealPoint":
@@ -249,7 +248,7 @@ class RealPoint:
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.coords if self.pi_coords is None else self.pi_coords)
 
     @cached_property
     def pi_ratio(self) -> tuple[tuple[int, ...], int]:

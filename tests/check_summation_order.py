@@ -8,18 +8,15 @@ integer 0:
 
 * seeded float points mapped by B^k, |k| <= 6, with ``b_transform``;
 * seeded float characters e^{-i<x, beta>} from ``character_value``;
-* seeded float fiber phase tables, |k| <= K, against the per-k table of
-  ``beta.twist(-k)``.  ``operators.fiber_operator`` builds its table as
-  ``character_value`` over ``groups.orbit``; that module imports numpy,
-  so the table is rebuilt here from those two numpy-free pieces, and
-  ``tests/test_operators.py`` checks that ``fiber_operator`` gives the
-  same bits.
+* seeded float phase tables of ``operators.fiber_operator``, |k| <= K,
+  against the per-k table of ``beta.twist(-k)``.
 
 From Python 3.12 the builtin ``sum`` compensates float additions, so a
 product built on it rounds differently from ``tiling._map_rows``, and a
-sampled witness could disagree with the block that found it.  Only the
-standard library and ``waverep.groups`` are imported (no numpy), so the
-check runs on a bare interpreter.  Exits 1 when any value differs.
+sampled witness could disagree with the block that found it.  Besides
+the standard library, only ``waverep.groups`` and ``waverep.operators``
+are imported, and they load no numpy, so the check runs on a bare
+interpreter.  Exits 1 when any value differs.
 """
 
 from __future__ import annotations
@@ -31,12 +28,13 @@ import sys
 from waverep.groups import (
     AdicVector,
     DilationMatrix,
+    GroupElement,
     RealPoint,
     b_transform,
     character_value,
-    orbit,
     validate_dilation,
 )
+from waverep.operators import fiber_operator
 
 MATRIX = ((2, 1, 0), (0, 2, 1), (1, 0, 2))
 TRIALS = 20000
@@ -101,19 +99,6 @@ def character_mismatches(trials: int = TRIALS, seed: int = 1) -> int:
     return bad
 
 
-def fiber_cases(count: int = TABLES, seed: int = 2):
-    """Seeded (x, beta, K) for the fiber tables."""
-    A = validate_dilation(MATRIX)
-    rng = random.Random(seed)
-    return [(_point(A, rng), _element(A, rng), rng.randint(0, 24)) for _ in range(count)]
-
-
-def fiber_table(x: tuple[float, ...], beta: AdicVector, K: int) -> dict[int, complex]:
-    """The float phase table of ``fiber_operator``: ``character_value`` along ``orbit``."""
-    point = RealPoint.from_floats(x)
-    return {k: character_value(point, w) for k, w in orbit(beta, K).items()}
-
-
 def ref_fiber_table(x: tuple[float, ...], beta: AdicVector, K: int) -> dict[int, complex]:
     """The per-k table: the left-to-right character of beta.twist(-k), k = -K, ..., K."""
     return {k: ref_character(x, beta.twist(-k)) for k in range(-K, K + 1)}
@@ -121,9 +106,13 @@ def ref_fiber_table(x: tuple[float, ...], beta: AdicVector, K: int) -> dict[int,
 
 def fiber_mismatches(count: int = TABLES, seed: int = 2) -> int:
     """How many of ``count`` seeded fiber tables differ from the per-k table in any phase."""
+    A = validate_dilation(MATRIX)
+    rng = random.Random(seed)
     bad = 0
-    for x, beta, K in fiber_cases(count, seed):
-        got, want = fiber_table(x, beta, K), ref_fiber_table(x, beta, K)
+    for _ in range(count):
+        x, beta, K = _point(A, rng), _element(A, rng), rng.randint(0, 24)
+        got = fiber_operator(RealPoint.from_floats(x), GroupElement(beta, 0), K).phases
+        want = ref_fiber_table(x, beta, K)
         if [(k, _bits(p)) for k, p in got.items()] != [(k, _bits(p)) for k, p in want.items()]:
             bad += 1
     return bad

@@ -10,13 +10,11 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from scipy.integrate import simpson
 
 from waverep.boxes import interval_set
 from waverep.cli import run as cli_run
 from waverep.density import CharacterTarget, approx_character, mean_coefficient
-from waverep.funcs import ModulatedBoxSum
 from waverep.gram import GramSpec, gram_matrix
 from waverep.groups import AdicVector, GroupElement, RealPoint, b_transform, validate_dilation
 from waverep.operators import (

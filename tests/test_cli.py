@@ -369,7 +369,7 @@ _FUZZ = {
     "density": [
         ("--dilation", _MATRICES),
         ("--targets", ["targets.json", "nophases.json", "not.json", "tdict.json", "f1d.json"]),
-        ("--eps", ["1e-10", "-1", "x"]), ("--set", _SETS),
+        ("--set", _SETS),
     ],
     "mean-coef": [("--dilation", _MATRICES), ("--beta", _ADIC), ("--j-max", _SMALL)],
 }
@@ -379,9 +379,9 @@ _COMMANDS = ["verify-set", "gram", "decompose", "rep", "wavelet-eval", "density"
 _FLAGS = [
     "--set", "--dilation", "--j-max", "--annulus", "--samples", "--seed", "--mode", "--output",
     "--m", "--v", "--tol", "--function", "--k-min", "--k-max", "--x", "--element", "--K",
-    "--points", "--grid", "--csv", "--targets", "--eps", "--beta", "--help",
-    # prefixes, unique or not, and words that look like options
-    "--s", "--sa", "--d", "--j", "--k", "--k-m", "--t", "--e", "--he", "--o", "---", "--bogus",
+    "--points", "--grid", "--csv", "--targets", "--beta", "--help",
+    # prefixes, unique or not, and words that look like options, one of them a removed option
+    "--eps", "--s", "--sa", "--d", "--j", "--k", "--k-m", "--t", "--e", "--he", "--o", "---", "--bogus",
 ]
 _WORDS = [
     "-h", "-hh", "-hx", "-h=", "-x", "-", "--", "1", "0", "-1", "-0.3", "-.5", "-1e3", "x", "",
@@ -926,20 +926,24 @@ class TestDensity:
         assert json.loads(out)["kind"] == "InconsistentTarget"
 
     def test_error_above_eps_is_the_library_verdict(self, tmp_path, monkeypatch, capsys):
-        # every consistent target is met exactly, so only a perturbed character reaches eps
+        # every consistent target is met exactly, so only a perturbed character reaches the
+        # fixed bound density.EPS, which the report states as eps
         from waverep import density
 
         value = density.character_value
-        monkeypatch.setattr(density, "character_value", lambda y, beta: value(y, beta) + 1e-3)
         targets = tmp_path / "targets.json"
         target = {"phases": [{"v": [1], "j": 1, "t": "-1/2"}], "test_set": [{"v": [1], "j": 1}]}
         targets.write_text(json.dumps([target]))
         argv = ["density", "--dilation", "[[2]]", "--targets", str(targets)]
-        code, out = run_capture([*argv, "--eps", "0.01"], capsys)
-        assert code == 0 and json.loads(out)["max_error"] == pytest.approx(1e-3)
-        code, out = run_capture([*argv, "--eps", "1e-4"], capsys)
+        monkeypatch.setattr(density, "character_value", lambda y, beta: value(y, beta) + 1e-11)
+        code, out = run_capture(argv, capsys)
+        report = json.loads(out)
+        assert code == 0 and report["eps"] == density.EPS == 1e-10
+        assert report["max_error"] == pytest.approx(1e-11)
+        monkeypatch.setattr(density, "character_value", lambda y, beta: value(y, beta) + 1e-3)
+        code, out = run_capture(argv, capsys)
         assert code == 1
-        error = "achieved error 1.000e-03 exceeds eps 1.0e-04"
+        error = "achieved error 1.000e-03 exceeds eps 1.0e-10"
         assert json.loads(out) == {"error": error, "kind": "InconsistentTarget"}
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from waverep.density import ApproxResult, CharacterTarget, approx_character, mean_coefficient
+from waverep.density import CharacterTarget, approx_character, mean_coefficient
 from waverep.errors import InconsistentTarget, LevelExceeded
 from waverep.groups import AdicVector, character_value, validate_dilation
 from waverep.tiling import shannon_set

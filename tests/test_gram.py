@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from util import (
+    axis_permuted,
     box_sets,
     diagonal_matrices,
     product_set,
@@ -461,6 +462,29 @@ class TestSignFlips:
         order = [index[m, tuple(s * x for s, x in zip(signs, v))] for m, v in flipped.labels]
         assert flipped.mode == res.mode == "closed-form"
         assert np.max(np.abs(flipped.matrix - res.matrix[np.ix_(order, order)])) <= 1e-12
+
+
+class TestAxisPermutations:
+    """ROADMAP item 9 (b), the Gram half: for a permutation P, 1_E(P^-1 xi) = 1_PE(xi) and
+    P A P^-1 is diagonal with A's entries permuted, so the Gram of (PE, PAP^-1) is E's with v -> Pv."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]), v_max=st.integers(1, 2))
+    def test_gram_of_the_permuted_set(self, data, dim, v_max):
+        # unequal entries, so that P A P^-1 is another matrix than A
+        A = data.draw(diagonal_matrices(dim).filter(lambda A: len({A.entries[i][i] for i in range(dim)}) == dim))
+        E = data.draw(box_sets(2))
+        if dim == 3:
+            E = product_set(E, data.draw(box_sets(1)))
+        perm = data.draw(st.permutations(range(dim)))
+        PE, PA = axis_permuted(E, A, perm)
+        v_max = min(v_max, 4 - dim)
+        res, permuted = gram_matrix(GramSpec(E, A, 1, v_max)), gram_matrix(GramSpec(PE, PA, 1, v_max))
+        index = {label: i for i, label in enumerate(res.labels)}
+        # the label (m, w) of PE stands for (m, v) of E with w = Pv, that is w_i = v_perm[i]
+        order = [index[m, tuple(w[perm.index(k)] for k in range(dim))] for m, w in permuted.labels]
+        assert permuted.mode == res.mode == "closed-form"
+        assert np.max(np.abs(permuted.matrix - res.matrix[np.ix_(order, order)])) <= 1e-12
 
 
 class TestMeetingGaps:

@@ -1,11 +1,16 @@
-"""Import hygiene of the package: no unused module-level imports, no local package imports."""
+"""Import hygiene of the package and its tests: no unused module-level imports, no local
+package imports, and numpy only where the float code is."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "waverep"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "waverep"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -22,7 +27,9 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}"
+)
 def test_no_unused_module_imports(path):
     tree = _tree(path)
     bound = {}
@@ -60,17 +67,34 @@ def test_no_function_local_package_imports(path):
     assert not local, f"{path.name}: function-local package imports in {local}"
 
 
+def _imports_numpy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
 def test_numpy_only_in_the_float_modules():
-    # the float code: box masks, the sampled tiling pass, the Gram matrices and the CLI's
-    # matrix output; the exact layers stay free of numpy
-    numpy_modules = set()
+    # the float code: the sampled tiling pass, the Gram matrices and the CLI's matrix output;
+    # the box mask imports numpy when it runs, so the exact layers load without numpy
+    numpy_modules, numpy_functions = set(), set()
     for path in MODULES:
-        for node in _tree(path).body:
-            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names):
-                numpy_modules.add(path.stem)
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
-                numpy_modules.add(path.stem)
-    assert numpy_modules == {"boxes", "cli", "gram", "tiling"}
+        tree = _tree(path)
+        if any(_imports_numpy(node) for node in tree.body):
+            numpy_modules.add(path.stem)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_imports_numpy, ast.walk(fn))):
+                numpy_functions.add(f"{path.stem}.{fn.name}")
+    assert numpy_modules == {"cli", "gram", "tiling"}
+    assert numpy_functions == {"boxes.contains_rows"}
+
+
+def test_exact_library_work_loads_no_numpy():
+    # in a fresh interpreter: exact fiber_operator, to_layers, isometry_defect, approx_character
+    # and mean_coefficient on Shannon, then numpy absent from sys.modules
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, str(TESTS / "check_exact_layers.py")]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if _exported(_tree(p))], ids=lambda p: p.name)

@@ -10,6 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from util import (
+    axis_permuted,
     box_sets,
     diagonal_matrices,
     interval_sets,
@@ -302,9 +303,7 @@ class TestSymmetries:
     def test_axis_permutation(self, data, dim):
         # (E, A) and (PE, P A P^-1): P permutes the axes, and conjugating a diagonal A permutes its entries
         E, A = data.draw(rational_box_sets(dim)), data.draw(diagonal_matrices(dim))
-        perm = data.draw(st.permutations(range(dim)))
-        PE = BoxSet.of(dim, [Box(tuple(b.lo[i] for i in perm), tuple(b.hi[i] for i in perm)) for b in E.boxes])
-        PA = validate_dilation([[A.entries[i][k] for k in perm] for i in perm])
+        PE, PA = axis_permuted(E, A, data.draw(st.permutations(range(dim))))
         verdicts = _exact_verdicts(E, A)
         event(str(verdicts))
         assert _exact_verdicts(PE, PA) == verdicts

@@ -63,6 +63,12 @@ def sign_flipped(E: BoxSet, signs) -> BoxSet:
     return BoxSet.of(E.dim, [flip(box) for box in E.boxes])
 
 
+def axis_permuted(E: BoxSet, A: DilationMatrix, perm) -> tuple[BoxSet, DilationMatrix]:
+    """(PE, P A P^-1) for the axis permutation P with axis i of PE axis perm[i] of E."""
+    PE = BoxSet.of(E.dim, [Box(tuple(b.lo[i] for i in perm), tuple(b.hi[i] for i in perm)) for b in E.boxes])
+    return PE, validate_dilation([[A.entries[i][k] for k in perm] for i in perm])
+
+
 def random_adic(rng: random.Random, A: DilationMatrix, vmax: int = 9, jmax: int = 3):
     return AdicVector.of(
         A, [rng.randint(-vmax, vmax) for _ in range(A.n)], rng.randint(0, jmax)
