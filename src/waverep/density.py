@@ -144,8 +144,8 @@ def approx_character(
     membership = None
     if E is not None:
         membership = {"located": False}
-        units = ([s if i == k else 0 for i in range(A.n)] for k in range(A.n) for s in (1, -1, 2, -2))
-        for candidate in itertools.chain([y], map(build, itertools.islice(units, 7))):
+        shifts = ([s if i == k else 0 for i in range(A.n)] for k in range(A.n) for s in (1, -1, 2, -2))
+        for candidate in itertools.chain([y], map(build, itertools.islice(shifts, 7))):
             try:
                 rep, p = project_point(candidate, E, A)
             except (NotCovered, AmbiguousScale):
