@@ -16,7 +16,10 @@ into boxes, and only the kept boxes return to ``Fraction`` ends.  An
 intersection S ∩ T is S minus (S minus T), two runs of the pass.
 Integer hashing and comparison replace the gcd and cross-multiplication
 that every ``Fraction`` operation pays.  The one dilation map,
-:func:`grid_dilate`, works on such a grid too.
+:func:`grid_dilate`, works on such a grid too, and so does the
+translation fold :meth:`BoxSet.translation_reduce`.  Callers above this
+module keep their boxes on these grids as well, so ``Fraction`` ends
+remain at the JSON edge, in the canonical boxes and in witnesses.
 
 Numpy is imported only inside :meth:`BoxSet.contains_rows`, the float
 mask of the sampled pass, so every exact layer above loads without it.
@@ -43,7 +46,6 @@ __all__ = [
     "grid_dilate",
     "grid_difference",
     "interval_set",
-    "unit_cube",
 ]
 
 
@@ -377,21 +379,32 @@ class BoxSet:
         sub-box together with the unique lattice shift taking it into the
         cube; overlap collects points of the cube hit twice, deficit the
         points never hit.  Both are empty iff the set is translation
-        congruent to the cube.
+        congruent to the cube.  The fragments, their images and both sets
+        are formed on the set's integer grid (:func:`grid_scales`), where
+        the cube and its cells have integer ends too; only the fragments
+        and the two results return to ``Fraction`` ends.
         """
+        scales = grid_scales(self.dim, self.boxes)
         fragments: list[tuple[Box, tuple[int, ...]]] = []
-        for box in self.boxes:
-            # per axis, the cells [2c - 1, 2c + 1) that [lo, hi) meets: c from
-            # floor((lo + 1) / 2) up to ceil((hi + 1) / 2), exclusive
-            spans = [range((a + 1) // 2, -((-1 - b) // 2)) for a, b in zip(box.lo, box.hi)]
-            for cell in itertools.product(*spans):
-                lo = tuple(max(a, 2 * c - 1) for a, c in zip(box.lo, cell))
-                hi = tuple(min(b, 2 * c + 1) for b, c in zip(box.hi, cell))
-                fragments.append((Box(lo, hi), tuple(-c for c in cell)))
-        images = [frag.translate(tuple(Fraction(2 * s) for s in shift)) for frag, shift in fragments]
-        pairs = (a.intersect(b) for a, b in itertools.combinations(images, 2))
-        overlap = normalize(self.dim, [c for c in pairs if c is not None])
-        deficit = difference(self.dim, unit_cube(self.dim).boxes, images)
+        images: list[Span] = []
+        for x, y in (grid_span(b, scales) for b in self.boxes):
+            # per axis, the cells [(2c - 1) L, (2c + 1) L) that [x, y) meets: c from
+            # floor((x + L) / 2L) up to ceil((y + L) / 2L), exclusive
+            cells = [range((a + s) // (2 * s), -((-b - s) // (2 * s))) for a, b, s in zip(x, y, scales)]
+            for cell in itertools.product(*cells):
+                lo = tuple(max(a, (2 * c - 1) * s) for a, c, s in zip(x, cell, scales))
+                hi = tuple(min(b, (2 * c + 1) * s) for b, c, s in zip(y, cell, scales))
+                box = Box(tuple(map(Fraction, lo, scales)), tuple(map(Fraction, hi, scales)))
+                fragments.append((box, tuple(-c for c in cell)))
+                shift = [2 * c * s for c, s in zip(cell, scales)]
+                images.append((tuple(map(int.__sub__, lo, shift)), tuple(map(int.__sub__, hi, shift))))
+        pairs = (
+            (tuple(map(max, s[0], t[0])), tuple(map(min, s[1], t[1])))
+            for s, t in itertools.combinations(images, 2)
+        )
+        overlap = grid_difference(scales, [c for c in pairs if all(map(int.__lt__, *c))], ())
+        cube = (tuple(-s for s in scales), tuple(scales))
+        deficit = grid_difference(scales, [cube], images)
         return fragments, overlap, deficit
 
     def _check(self, other: "BoxSet"):
@@ -405,11 +418,3 @@ class BoxSet:
 def interval_set(intervals: Iterable[tuple]) -> BoxSet:
     """1-D convenience: build a BoxSet from (lo, hi) pairs in pi units."""
     return BoxSet.of(1, [Box((_frac(a),), (_frac(b),)) for a, b in intervals])
-
-
-def unit_cube(dim: int) -> BoxSet:
-    """The cube [-pi, pi)^n."""
-    return BoxSet(
-        dim, (Box((Fraction(-1),) * dim, (Fraction(1),) * dim),)
-    )
-

@@ -14,7 +14,10 @@ float (an ``OverflowError`` anywhere in a check) is an input error too,
 and a NaN or infinity never reaches stdout: a report that still holds
 one is replaced by an error, with exit 2.  A reader that closes stdout
 early gets exit 2 and no more bytes.  Reports are deterministic
-byte-for-byte for identical inputs and seed.
+byte-for-byte for identical inputs and seed, and each is written with
+one write.  The module imports no numpy: a gram matrix arrives as its
+distinct values and rows of value indices, and is written from the text
+of each value (:class:`_Rows`).
 
 The argv grammar is ``waverep COMMAND [OPTION VALUE]...``, read from one
 table, ``_COMMANDS``, as argparse reads the same options:
@@ -39,13 +42,10 @@ import json
 import math
 import os
 import re
-import struct
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import jsonio
 from .boxes import BoxSet
@@ -53,7 +53,7 @@ from .density import EPS, CharacterTarget, approx_character, mean_coefficient
 from .errors import InputError, WaverepError
 from .gram import GramSpec, eval_msf_wavelet, gram_matrix
 from .operators import fiber_operator, interior_deviation
-from .spectral import isometry_defect, isometry_path, to_layers
+from .spectral import decompose, isometry_path
 from .tiling import VerifyParams, shannon_set, verify_wavelet_set
 
 BUILTIN_SETS = {"shannon": shannon_set}
@@ -70,6 +70,18 @@ def _load_set(arg: str, dim: int | None) -> BoxSet:
 
 
 _STRING = json.encoder.encode_basestring_ascii
+_FLOATS, _INTS = frozenset({float}), frozenset({int})  # the element types of a list written by one join
+
+
+class _Rows(NamedTuple):
+    """A matrix as the floats of its distinct values and one row of value indices per row.
+
+    Row i, entry j is ``values[rows[i][j]]``: a gram matrix holds few
+    distinct values, so the text of each is formed once.
+    """
+
+    values: list[float]
+    rows: list[list[int]]
 
 
 def _write(value, pad: str, out: list[str]) -> None:
@@ -79,14 +91,17 @@ def _write(value, pad: str, out: list[str]) -> None:
     with ``pad`` a newline and the indentation of ``value``'s own line.  The
     errors are json's too: the first NaN or infinity in key and row order
     raises its ``ValueError``, any other type its ``TypeError``.  A list of
-    floats is written by one join.  A numpy array is written as its
-    ``tolist()``; a finite 2-D float64 array, such as a gram matrix, is
-    written from the text of each distinct value, formed once (see
-    :func:`_matrix_rows`).  Keys are strings, as in every report.  The
-    pieces are joined once by the caller, so a large report is not copied
-    at every level of nesting.
+    floats alone, or of ints alone, is written by one join, and a
+    :class:`_Rows` matrix as its list of rows (see :func:`_write_rows`).
+    Keys are strings, as in every report.  The pieces are joined once by
+    the caller, so a large report is not copied at every level of nesting.
     """
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is int:  # the common kinds first: a bool is not an int here
+        out.append(int.__repr__(value))
+    elif kind is list or kind is tuple or kind is dict:
+        _write_container(value, pad, out)
+    elif isinstance(value, str):
         out.append(_STRING(value))
     elif value is None:
         out.append("null")
@@ -100,80 +115,105 @@ def _write(value, pad: str, out: list[str]) -> None:
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         out.append(float.__repr__(value))
+    elif isinstance(value, _Rows):
+        _write_rows(value, pad, out)
     elif isinstance(value, (list, tuple, dict)):
-        if not value:
-            out.append("{}" if isinstance(value, dict) else "[]")
-            return
-        inner = pad + "  "
-        sep = "," + inner
-        if isinstance(value, dict):
-            out.append("{" + inner)
-            for i, key in enumerate(sorted(value)):
-                out.append(f"{sep if i else ''}{_STRING(key)}: ")
-                _write(value[key], inner, out)
-            out.append(pad + "}")
-            return
-        try:
-            body = sep.join(map(float.__repr__, value))
-        except TypeError:  # not a list of floats
-            out.append("[" + inner)
-            for i, item in enumerate(value):
-                if i:
-                    out.append(sep)
-                _write(item, inner, out)
-            out.append(pad + "]")
-        else:
-            if not all(map(math.isfinite, value)):
-                _write(next(x for x in value if not math.isfinite(x)), pad, out)
-            out.append(f"[{inner}{body}{pad}]")
-    elif isinstance(value, np.ndarray):
-        if value.ndim == 2 and value.dtype == np.float64 and value.size and np.isfinite(value).all():
-            _matrix_rows(value, pad, out)
-        else:
-            _write(value.tolist(), pad, out)  # and so json's error at the first NaN or infinity
+        _write_container(value, pad, out)
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-class _FloatTexts(dict):
-    """The text of a float64, keyed by its bit pattern and formed on first use.
+def _write_container(value, pad: str, out: list[str]) -> None:
+    """The list, tuple or dict branch of :func:`_write`."""
+    if not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        out.append("{" + inner)
+        for i, key in enumerate(sorted(value)):
+            out.append(f"{sep if i else ''}{_STRING(key)}: ")
+            _write(value[key], inner, out)
+        out.append(pad + "}")
+        return
+    kinds = set(map(type, value))
+    if kinds == _FLOATS:
+        if not all(map(math.isfinite, value)):
+            _write(next(x for x in value if not math.isfinite(x)), pad, out)
+        out.append(f"[{inner}{sep.join(map(float.__repr__, value))}{pad}]")
+    elif kinds == _INTS:
+        out.append(f"[{inner}{sep.join(map(int.__repr__, value))}{pad}]")
+    else:
+        out.append("[" + inner)
+        for i, item in enumerate(value):
+            if i:
+                out.append(sep)
+            _write(item, inner, out)
+        out.append(pad + "]")
 
-    Keys are bit patterns, not floats, so 0.0 and -0.0, which compare
-    equal, keep their own texts.
+
+def _write_rows(matrix: _Rows, pad: str, out: list[str]) -> None:
+    """Append ``matrix`` as ``_write`` appends its list of rows of floats.
+
+    Each row is joined from the texts of the distinct values, each formed
+    once; a NaN or infinity that some row holds raises json's error at its
+    first place in row order.
     """
-
-    def __missing__(self, bits: int) -> str:
-        text = self[bits] = float.__repr__(struct.unpack("=d", struct.pack("=Q", bits))[0])
-        return text
-
-
-def _matrix_rows(matrix: np.ndarray, pad: str, out: list[str]) -> None:
-    """Append a finite, nonempty 2-D float64 array as ``_write`` appends its ``tolist()``.
-
-    A gram matrix holds few distinct values, so each row is joined from the
-    text of each distinct value, formed once, and read one row at a time.
-    """
-    texts = _FloatTexts()
+    values, rows = matrix
+    if not all(map(math.isfinite, values)):
+        bad = {u for u, x in enumerate(values) if not math.isfinite(x)}
+        for u in (u for row in rows for u in row if u in bad):
+            _write(values[u], pad, out)  # raises
+    if not rows:
+        out.append("[]")
+        return
+    texts = list(map(float.__repr__, values))
     inner = pad + "  "
     item = "," + inner + "  "
     out.append("[" + inner)
-    for i, row in enumerate(matrix.view(np.uint64)):
-        body = item.join(map(texts.__getitem__, row.tolist()))
-        out.append(f"{',' + inner if i else ''}[{inner}  {body}{inner}]")
+    for i, row in enumerate(rows):
+        body = f"[{inner}  {item.join(map(texts.__getitem__, row))}{inner}]" if row else "[]"
+        out.append(f"{',' + inner if i else ''}{body}")
     out.append(pad + "]")
 
 
+def _round15(x: float) -> float:
+    """``np.round(x, 15)``, bit for bit: rint(y) / 1e15 for y = x * 1e15, the sign of a zero kept.
+
+    A non-finite y is divided back as it is.
+    """
+    y = x * 1e15
+    return math.copysign(round(y), y) / 1e15 if math.isfinite(y) else y / 1e15
+
+
 def _emit(report: dict, output: str | None) -> None:
-    """Write the report's text and a newline, piece by piece: no copy of the whole text is made."""
+    """Write the report's text and a newline in one write, the pieces joined once.
+
+    On stdout the bytes go to the binary layer, which an unbuffered stdout
+    (``python -u``) leaves a raw file: its write may take part of the text,
+    so the rest follows until all is written or the reader is gone.
+    """
     pieces: list[str] = []
     _write(report, "\n", pieces)  # raises before anything is written
     pieces.append("\n")
+    text = "".join(pieces)
     if output:
         with open(output, "w") as fh:
-            fh.writelines(pieces)
+            fh.write(text)
+        return
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None:  # a text stream alone, such as io.StringIO
+        sys.stdout.write(text)
     else:
-        sys.stdout.writelines(pieces)
-        sys.stdout.flush()  # a closed reader shows here, not at exit
+        sys.stdout.flush()
+        data = memoryview(text.encode())  # ASCII: json escapes every other character
+        while data:
+            written = binary.write(data)
+            if written is None:  # a non-blocking stdout that takes nothing now
+                raise BlockingIOError("stdout would block")
+            data = data[written:]
+    sys.stdout.flush()  # a closed reader shows here, not at exit
 
 
 # --- option types: a ValueError or TypeError reads "invalid <name> value", a _Rejected
@@ -220,8 +260,18 @@ def _points(text: str) -> list[list[float]]:
 
 
 def _grid(text: str) -> list[list[float]]:
+    """``np.linspace(lo, hi, count)``, bit for bit: i * step + lo with the last point hi exactly."""
     lo, hi, count = text.split(":")
-    return [[t] for t in np.linspace(float(lo), float(hi), int(count))]
+    lo, hi, n = float(lo), float(hi), int(count)
+    if not 0 <= n <= sys.maxsize // 8:  # numpy's own limit on an array of float64
+        raise ValueError(f"cannot make {n} samples")
+    div, delta = n - 1, hi - lo
+    if div <= 0:
+        return [[i * delta + lo] for i in range(n)]
+    step = delta / div
+    ts = [(i / div) * delta + lo for i in range(n)] if step == 0 else [i * step + lo for i in range(n)]
+    ts[-1] = hi
+    return [[t] for t in ts]
 
 
 def _cmd_verify_set(args) -> tuple[int, dict]:
@@ -245,15 +295,15 @@ def _cmd_gram(args) -> tuple[int, dict]:
         "command": "gram",
         "mode": res.mode,
         "labels": labels,
-        "matrix_real": np.round(res.matrix.real, 15),
-        "matrix_imag": np.round(res.matrix.imag, 15),
+        "matrix_real": _Rows([_round15(z.real) for z in res.values], res.rows),
+        "matrix_imag": _Rows([_round15(z.imag) for z in res.values], res.rows),
         "max_deviation": res.max_deviation,
         "tolerance": args.tol,
     }
     if res.witness is None:
         return 0, out
     i, j = res.witness
-    entry = jsonio.complex_json(res.matrix[i, j])
+    entry = jsonio.complex_json(res.values[res.rows[i][j]])
     out["warning"] = res.warning
     out["witness"] = {"row": labels[i], "col": labels[j], "entry": entry}
     return 1, out
@@ -265,13 +315,12 @@ def _cmd_decompose(args) -> tuple[int, dict]:
     f = jsonio.parse_mbs(jsonio.load_json(args.function), A)
     if None not in (args.k_min, args.k_max) and args.k_min > args.k_max:
         raise InputError(f"--k-min {args.k_min} > --k-max {args.k_max}")
-    F = to_layers(f, E, A, args.k_min, args.k_max)
-    defect = isometry_defect(f, E, A, F.k_min, F.k_max)
+    F, norm_sq, defect = decompose(f, E, A, args.k_min, args.k_max)
     out = {
         "command": "decompose",
         "window": [F.k_min, F.k_max],
         "layers": {str(k): jsonio.mbs_json(layer) for k, layer in sorted(F.layers.items())},
-        "norm_sq": F.norm_sq(),
+        "norm_sq": norm_sq,
         "truncation_mass": F.truncation_mass,
         "isometry_defect": defect,
         "path": isometry_path(f),

@@ -9,7 +9,9 @@ exponential integrals whose endpoint phases are rational multiples of
 pi, reduced exactly.  A pairing is formed as its :class:`TermPair` list
 (the integer ends of the boxes that meet, with their coefficients and
 phase offsets) and evaluated by :func:`pairing`, at the pairs' own phases
-or shifted by an extra exact modulation.
+or shifted by an extra exact modulation.  The boxes meet on one integer
+grid per axis, so forming the list compares integers alone, and
+:func:`grid_pairs` gives the lists of both orders from one pass.
 
 The one-dimensional integral has one implementation, :func:`axis_integral`,
 on integer numerators and denominators, reduced or not, with no
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .boxes import Box, BoxSet
+from .boxes import Box, BoxSet, grid_scales, grid_span
 from .errors import DimensionMismatch
 from .groups import AdicVector, DilationMatrix, RealPoint, _phase, character_value, phase_exp
 
@@ -38,6 +40,7 @@ __all__ = [
     "LayerFunction",
     "axis_integral",
     "pairing",
+    "grid_pairs",
     # the Fraction form of ``_phase``, still looked up on this module by the benchmark's tracer checks
     "phase_exp",
 ]
@@ -118,6 +121,55 @@ def pairing(pairs: Iterable[TermPair], shift: Sequence[tuple[int, int]] | None =
                 break
         total += pair.coef * prod
     return total
+
+
+# a term on an integer grid: its box's span, its modulation as (u, d) and its coefficient
+GridTerm = tuple[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], int], complex]
+
+
+def _grid_terms(f: "ModulatedBoxSum", scales: Sequence[int]) -> list[GridTerm]:
+    return [(grid_span(t.box, scales), t.beta.ratio(), t.coef) for t in f.terms]
+
+
+def _meeting(
+    mine: Sequence[GridTerm], theirs: Sequence[GridTerm], scales: Sequence[int]
+) -> list[tuple[tuple[int, int], TermPair]]:
+    """((i, j), pair) for each term i of ``mine`` and j of ``theirs`` whose boxes meet, i slowest.
+
+    The boxes are spans on the integer grid of ``scales``, so two boxes meet
+    by integer comparisons and the common box's ends are written as (x, L_k)
+    directly; :func:`axis_integral` gives the bits of the reduced ends.
+    """
+    out = []
+    for i, ((slo, shi), (su, sd), sc) in enumerate(mine):
+        for j, ((tlo, thi), (tu, td), tc) in enumerate(theirs):
+            lo, hi = tuple(map(max, slo, tlo)), tuple(map(min, shi, thi))
+            if all(map(int.__lt__, lo, hi)):
+                ends = tuple(
+                    (a, s, b, s, x * td - y * sd, sd * td) for a, b, s, x, y in zip(lo, hi, scales, su, tu)
+                )
+                out.append(((i, j), TermPair(sc * tc.conjugate(), ends)))
+    return out
+
+
+def grid_pairs(
+    mine: Sequence[GridTerm], theirs: Sequence[GridTerm], scales: Sequence[int]
+) -> tuple[tuple[TermPair, ...], tuple[TermPair, ...]]:
+    """The term pairs of <f, g> and of <g, f>, from one pass over the boxes that meet.
+
+    f and g are given as their terms on the integer grid of ``scales``:
+    (span, (u, d), coef), the box's integer ends, the modulation u / d and
+    the coefficient.  The pairs of <g, f> are those of <f, g> in transposed
+    order, each with its coefficient conjugated and its phase numerators
+    negated: what ``g.term_pairs(f)`` forms, and :func:`pairing` gives them
+    the same bits.
+    """
+    met = _meeting(mine, theirs, scales)
+    mirror = (
+        TermPair(p.coef.conjugate(), tuple((a, ad, b, bd, -tn, td) for a, ad, b, bd, tn, td in p.ends))
+        for _, p in sorted(met, key=lambda e: e[0][::-1])
+    )
+    return tuple(p for _, p in met), tuple(mirror)
 
 
 @dataclass(frozen=True)
@@ -223,20 +275,10 @@ class ModulatedBoxSum:
         """
         if self.A != other.A:
             raise DimensionMismatch("ambient matrices differ")
-        theirs = [(t, t.beta.ratio()) for t in other.terms]
-        pairs = []
-        for s in self.terms:
-            su, sd = s.beta.ratio()
-            for t, (tu, td) in theirs:
-                common = s.box.intersect(t.box)
-                if common is None:
-                    continue
-                ends = tuple(
-                    (a.numerator, a.denominator, b.numerator, b.denominator, x * td - y * sd, sd * td)
-                    for a, b, x, y in zip(common.lo, common.hi, su, tu)
-                )
-                pairs.append(TermPair(s.coef * t.coef.conjugate(), ends))
-        return tuple(pairs)
+        scales = grid_scales(self.dim, [t.box for t in self.terms + other.terms])
+        mine = _grid_terms(self, scales)
+        theirs = mine if other is self else _grid_terms(other, scales)
+        return tuple(pair for _, pair in _meeting(mine, theirs, scales))
 
     def norm_sq(self) -> float:
         return max(self.inner(self).real, 0.0)

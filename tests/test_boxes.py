@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import diagonal_matrices, product_set, ref_box_dilate, ref_normalize, ref_subtract, ref_translation_reduce
+from util import (
+    diagonal_matrices,
+    product_set,
+    ref_box_dilate,
+    ref_normalize,
+    ref_subtract,
+    ref_translation_reduce,
+    unit_cube,
+)
 from waverep.boxes import (
     Box,
     BoxSet,
@@ -16,7 +24,6 @@ from waverep.boxes import (
     grid_span,
     interval_set,
     normalize,
-    unit_cube,
 )
 from waverep.errors import DimensionMismatch, NonDiagonalDilation
 from waverep.groups import RealPoint, validate_dilation

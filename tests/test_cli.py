@@ -208,14 +208,39 @@ _REPORTS = [
     ),
     gram_report([], []),
     gram_report([[], []], [[], []]),
-    # arrays, as the gram command passes them: 0.0 and -0.0 are equal floats with different texts
-    gram_report(np.array(_EDGE), np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0], [0.0, 0.0, -0.0]])),
+    # distinct values and index rows, as the gram command passes them: 0.0 and -0.0 are equal
+    # floats with different texts
+    gram_report(
+        cli._Rows([1.0, -0.0, 5e-324, 1e16, 1e-07, -2.5e-05, -1e16, 0.1, 1.7976931348623157e308],
+                  [[0, 1, 2], [3, 4, 5], [6, 7, 8]]),
+        cli._Rows([0.0, -0.0], [[0, 1, 0], [1, 1, 0], [0, 0, 1]]),
+    ),
 ]
 
 
+def as_rows(arr: np.ndarray) -> "cli._Rows":
+    """A 2-D float array as its distinct values, by bit pattern, and one row of value indices per row."""
+    index: dict[bytes, int] = {}
+    values = []
+    rows = []
+    for row in arr.tolist():
+        out = []
+        for x in row:
+            key = np.float64(x).tobytes()
+            if key not in index:
+                index[key] = len(values)
+                values.append(x)
+            out.append(index[key])
+        rows.append(out)
+    return cli._Rows(values, rows)
+
+
 def listed(report: dict) -> dict:
-    """The report with each array replaced by its ``tolist()``, which json can encode."""
-    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in report.items()}
+    """The report with each matrix of distinct values replaced by its list of rows, which json can encode."""
+    return {
+        key: [[v.values[u] for u in row] for row in v.rows] if isinstance(v, cli._Rows) else v
+        for key, v in report.items()
+    }
 
 
 def _outcome(encode, value) -> tuple:
@@ -259,6 +284,43 @@ def _json(value, pad: str = "\n") -> str:
     return "".join(out)
 
 
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+_HALVES = st.integers(-(2**53), 2**53).map(lambda n: (n + 0.5) / 1e15)  # next to the ties of rint at 15 digits
+
+
+class TestNumpyFreeForms:
+    """The Python forms that replace numpy in the CLI against numpy itself: the same bits."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(x=st.floats() | _HALVES | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]))
+    def test_round15_is_np_round(self, x):
+        with np.errstate(all="ignore"):
+            assert _bits(cli._round15(x)) == _bits(np.round(np.float64(x), 15))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        lo=st.floats(allow_nan=False, width=64) | st.integers(-50, 50).map(float),
+        hi=st.floats(allow_nan=False, width=64) | st.integers(-50, 50).map(float),
+        n=st.integers(0, 50),
+    )
+    def test_grid_is_np_linspace(self, lo, hi, n):
+        with np.errstate(all="ignore"):
+            want = np.linspace(lo, hi, n).tolist()
+        got = [t for (t,) in cli._grid(f"{lo!r}:{hi!r}:{n}")]
+        assert list(map(_bits, got)) == list(map(_bits, want))
+
+    @pytest.mark.parametrize("count", ["-1", "-5", str(2**60), str(2**63)])
+    def test_grid_refuses_counts_numpy_cannot_hold(self, count, capsys):
+        # np.linspace raised IndexError at 2**63, which escaped as a traceback
+        with pytest.raises(ValueError):
+            cli._grid(f"0:1:{count}")
+        code, out = run_capture(["wavelet-eval", "--set", "shannon", "--grid", f"0:1:{count}"], capsys)
+        assert code == 2 and json.loads(out) == {"error": f"argument --grid: invalid _grid value: '0:1:{count}'"}
+
+
 class TestReportEncoder:
     """The report writer against json's own encoder: the same bytes, and the same errors."""
 
@@ -271,8 +333,10 @@ class TestReportEncoder:
     @settings(max_examples=300, deadline=None)
     @given(arr=_ARRAYS)
     def test_array_writer_matches_json_of_its_list(self, arr):
-        nested = ({"b": arr, "a": [arr]}, {"b": arr.tolist(), "a": [arr.tolist()]})
-        for value, plain in ((arr, arr.tolist()), (arr.T, arr.T.tolist()), nested):
+        # a matrix held as distinct values and index rows is written as its list of rows
+        rows = as_rows(arr)
+        nested = ({"b": rows, "a": [rows]}, {"b": arr.tolist(), "a": [arr.tolist()]})
+        for value, plain in ((rows, arr.tolist()), (as_rows(arr.T), arr.T.tolist()), nested):
             want = _outcome(lambda v: json.dumps(v, indent=2, sort_keys=True, allow_nan=False), plain)
             assert _outcome(_json, value) == want
 
@@ -791,8 +855,8 @@ class TestDecompose:
         "term, path",
         [({}, "exact"), ({"beta": {"v": [1], "j": 1}}, "closed-form")],
     )
-    def test_two_piece_scans_per_call(self, term, path, tmp_path, monkeypatch, capsys):
-        # one scan fills the window and maps f, one more gives the defect
+    def test_one_piece_scan_per_call(self, term, path, tmp_path, monkeypatch, capsys):
+        # one scan fills the window, maps f and gives the defect
         scans = []
         pieces = spectral._pieces
 
@@ -807,7 +871,7 @@ class TestDecompose:
         argv = ["decompose", "--set", "shannon", "--dilation", "[[2]]", "--function", str(fn)]
         code, out = run_capture(argv, capsys)
         assert code == 0 and json.loads(out)["path"] == path
-        assert scans == [(-48, 48), (1, 1)]
+        assert scans == [(-48, 48)]
 
 
 class TestRep:

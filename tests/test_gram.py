@@ -266,27 +266,23 @@ class TestTermPairsPerScalePair:
 
     @pytest.mark.parametrize("E, A", _OVERLAPPING)
     def test_box_intersections_do_not_grow_with_v_max(self, E, A, monkeypatch):
-        calls = []
-        intersect = Box.intersect
-
-        def counting(self, other):
-            calls.append(1)
-            return intersect(self, other)
-
-        monkeypatch.setattr(Box, "intersect", counting)
+        # the boxes meet on integer grids: no Box.intersect at all, and one pass per unordered block
+        passes, intersect = [], []
+        grid_pairs = gram.grid_pairs
+        monkeypatch.setattr(gram, "grid_pairs", lambda *args: passes.append(1) or grid_pairs(*args))
+        monkeypatch.setattr(Box, "intersect", lambda self, other: intersect.append(1))
         counts = []
         for v_max in (2, 8):
-            calls.clear()
+            passes.clear()
             gram_matrix(GramSpec(E, validate_dilation(A), m_max=1, v_max=v_max))
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
-
+            counts.append(len(passes))
+        assert counts[0] == counts[1] == 6 and not intersect
 
     def test_keys_beyond_int64_stay_exact(self):
         # every gap |d| <= 42 meets, and the key 3^42 v - v' of gap 42 passes 2^63
         A = validate_dilation([[3]])
         spec = GramSpec(interval_set([(Fraction(1, 3**21), 3**21)]), A, m_max=21, v_max=2)
-        _, values = gram._key_ids(A, 42, range(-2, 3))
+        _, values = gram._key_table(A, 42, range(-2, 3))
         assert max(map(abs, values[0])) == 2 * 3**42 + 2 > 2**63
         assert all(type(x) is int for x in values[0])
         assert gram_matrix(spec).matrix.tobytes() == ref_gram_keyed(spec).tobytes()
@@ -343,27 +339,42 @@ class TestOnePairingPerKey:
     @pytest.mark.parametrize("E, A", _OVERLAPPING)
     def test_no_term_pairs_for_blocks_below_the_diagonal(self, E, A, monkeypatch):
         calls = []
-        term_pairs = ModulatedBoxSum.term_pairs
+        grid_pairs = gram.grid_pairs
 
-        def counting(self, other):
-            calls.append((self, other))
-            return term_pairs(self, other)
+        def counting(mine, theirs, scales):
+            calls.append((mine[0][2], theirs[0][2]))  # the coefficients |det|^(-m/2) name the scales
+            return grid_pairs(mine, theirs, scales)
 
-        monkeypatch.setattr(ModulatedBoxSum, "term_pairs", counting)
-        spec = GramSpec(E, validate_dilation(A), m_max=1, v_max=0)
+        monkeypatch.setattr(gram, "grid_pairs", counting)
+        spec = GramSpec(E, validate_dilation(A), m_max=1, v_max=1)
         gram_matrix(spec)
-        # v_max 0: one label per scale, so only the blocks m < m' hold entries above the diagonal;
-        # each forms its term pairs once, met or not, and each scale once with itself for its norm
+        # each unordered block {m, m'} forms its term pairs in one pass, met or not: each scale
+        # once with itself for its norm, and each m < m' once for the blocks (m, m') and (m', m)
         scales = range(-1, 2)
         base = ModulatedBoxSum.indicator(spec.A, spec.E)
-        dilates = [base.dilated(m) for m in scales]
-        formed = sorted((dilates.index(f), dilates.index(g)) for f, g in calls)
+        index = {base.dilated(m).terms[0].coef: s for s, m in enumerate(scales)}
+        assert len(index) == len(scales)
+        formed = sorted((index[a], index[b]) for a, b in calls)
         assert formed == [(s, t) for s in range(len(scales)) for t in range(len(scales)) if s <= t]
+
+    def test_one_pass_per_unordered_block_of_the_default_gram(self, monkeypatch):
+        # the default Shannon gram (m 2, v 8): 5 scales, 15 unordered blocks, and the boxes of its
+        # dilates meet without a Box.intersect
+        passes, intersect = [], []
+        grid_pairs = gram.grid_pairs
+        monkeypatch.setattr(gram, "grid_pairs", lambda *args: passes.append(1) or grid_pairs(*args))
+        monkeypatch.setattr(Box, "intersect", lambda self, other: intersect.append(1))
+        assert gram_matrix(GramSpec(E, A2)).max_deviation == 0.0
+        assert len(passes) == 15 and not intersect
 
 
 def witness_reference(matrix: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """The deviation and the first largest |G - I| in row-major order, from the complex difference."""
-    dev = np.abs(matrix - np.eye(len(matrix)))
+    """The deviation and the first largest |G - I| in row-major order, from the complex difference.
+
+    |z| is Python's ``abs`` (hypot), as ``gram_matrix`` takes it: numpy's own ``np.abs`` may differ
+    from it by up to 2 ulp.
+    """
+    dev = np.array([[abs(z) for z in row] for row in (matrix - np.eye(len(matrix))).tolist()])
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     return float(np.max(dev)), (int(i), int(j))
 
@@ -419,7 +430,8 @@ class TestWitness:
 
     def test_nan_fails(self, monkeypatch):
         def nan(spec, labels):
-            return np.full((len(labels), len(labels)), complex("nan"))
+            k = len(labels)
+            return [complex("nan")], [[0] * k for _ in range(k)]
 
         monkeypatch.setattr(gram, "_gram_closed_form", nan)
         res = gram_matrix(GramSpec(E, A2, m_max=0, v_max=1))

@@ -74,8 +74,9 @@ def _imports_numpy(node: ast.AST) -> bool:
 
 
 def test_numpy_only_in_the_float_modules():
-    # the float code: the sampled tiling pass, the Gram matrices and the CLI's matrix output;
-    # the box mask imports numpy when it runs, so the exact layers load without numpy
+    # the float code: the sampled tiling pass at module level; the box mask, the Gram quadrature
+    # and the Gram result's ndarray import numpy when they run, so the exact layers, the
+    # closed-form Gram and the CLI load without numpy of their own
     numpy_modules, numpy_functions = set(), set()
     for path in MODULES:
         tree = _tree(path)
@@ -84,13 +85,13 @@ def test_numpy_only_in_the_float_modules():
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_imports_numpy, ast.walk(fn))):
                 numpy_functions.add(f"{path.stem}.{fn.name}")
-    assert numpy_modules == {"cli", "gram", "tiling"}
-    assert numpy_functions == {"boxes.contains_rows"}
+    assert numpy_modules == {"tiling"}
+    assert numpy_functions == {"boxes.contains_rows", "gram._gram_quadrature", "gram.matrix"}
 
 
 def test_exact_library_work_loads_no_numpy():
-    # in a fresh interpreter: exact fiber_operator, to_layers, isometry_defect, approx_character
-    # and mean_coefficient on Shannon, then numpy absent from sys.modules
+    # in a fresh interpreter: exact fiber_operator, to_layers, isometry_defect, approx_character,
+    # mean_coefficient and closed-form gram_matrix calls, then numpy absent from sys.modules
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     argv = [sys.executable, str(TESTS / "check_exact_layers.py")]
     run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)

@@ -351,23 +351,24 @@ class TestPieceScan:
         assert to_layers(f, BoxSet.empty(1), A2, -3, 3, tol=math.inf).layers == {}
 
     def test_dilates_do_not_grow_with_the_window(self, monkeypatch):
-        # each box of f is dilated only within its own bracket, however wide the window
+        # each box of f is dilated only within its own bracket, however wide the window; the scan
+        # dilates integer spans (spectral.grid_dilate)
         f = random_subordinate(random.Random(31), E, A2)  # 4 terms in layers -3..3
         dilates = []
-        dilate = Box.dilate
+        grid_dilate = spectral.grid_dilate
 
-        def counting(self, A, j):
+        def counting(A, span, j):
             dilates.append(j)
-            return dilate(self, A, j)
+            return grid_dilate(A, span, j)
 
-        monkeypatch.setattr(Box, "dilate", counting)
+        monkeypatch.setattr(spectral, "grid_dilate", counting)
         counts, layers = [], []
         for w in (4, 40):
             dilates.clear()
             F = to_layers(f, E, A2, -w, w)
             counts.append(len(dilates))
             layers.append(terms_bits({k: layer.terms for k, layer in F.layers.items()}))
-        assert counts[0] == counts[1] <= 2 * len(f.terms)
+        assert 0 < counts[0] == counts[1] <= 2 * len(f.terms)
         assert layers[0] == layers[1]
 
     @pytest.mark.parametrize(
@@ -502,6 +503,83 @@ class TestWindowRule:
             assert to_layers(f, S, A, k_min, k_max).k_min == window[0]
         got = _defect(isometry_defect, f, S, A, k_min, k_max)
         assert got == _defect(ref_isometry_defect, f, S, A, *window)
+
+
+def _three_calls(f, S, A, k_min, k_max):
+    """``to_layers``, the layers' norm and ``isometry_defect`` on its window, or the first error's type and text."""
+    try:
+        F = to_layers(f, S, A, k_min, k_max)
+        norm_sq = F.norm_sq()
+        defect = isometry_defect(f, S, A, F.k_min, F.k_max)
+    except (WindowTooSmall, ZeroFunction) as exc:
+        return type(exc), str(exc)
+    return F, float_bits(norm_sq), float_bits(defect)
+
+
+def _one_scan(f, S, A, k_min, k_max):
+    try:
+        F, norm_sq, defect = spectral.decompose(f, S, A, k_min, k_max)
+    except (WindowTooSmall, ZeroFunction) as exc:
+        return type(exc), str(exc)
+    return F, float_bits(norm_sq), float_bits(defect)
+
+
+class TestDecompose:
+    """``decompose`` against the three calls it replaces: the same values and errors, from one scan."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        kind=st.sampled_from(["zero", "step", "constant", "modulated"]),
+        seed=st.integers(0, 2**32 - 1),
+        k_min=_END,
+        k_max=_END,
+        data=st.data(),
+    )
+    def test_same_as_the_three_calls(self, dim, kind, seed, k_min, k_max, data):
+        A = data.draw(diagonal_matrices(dim))
+        S = data.draw(box_sets(dim))
+        rng = random.Random(seed)
+        c = data.draw(st.integers(-56, 56))
+        if kind == "zero":
+            f = ModulatedBoxSum.zero(A)
+        elif kind == "step":
+            f = random_disjoint_subordinate(rng, S, A, c - 2, c + 2)
+        else:
+            f = random_subordinate(rng, S, A, c - 2, c + 2, modulated=kind == "modulated")
+        got, want = _one_scan(f, S, A, k_min, k_max), _three_calls(f, S, A, k_min, k_max)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert got[1:] == want[1:] and got[0] == want[0]
+
+    @pytest.mark.parametrize("kind", ["step", "modulated"])
+    @pytest.mark.parametrize("window", _WINDOWS)
+    def test_one_scan(self, kind, window, monkeypatch):
+        rng = random.Random(7)
+        f = random_disjoint_subordinate(rng, E, A2) if kind == "step" else random_subordinate(rng, E, A2)
+        scans = _scans(monkeypatch)
+        try:
+            spectral.decompose(f, E, A2, *window)
+        except WindowTooSmall:  # a window that leaves out a layer of f: the one scan found it
+            pass
+        assert len(scans) == 1
+
+
+def test_pieces_and_folds_meet_boxes_on_integers(monkeypatch):
+    # the piece scan, the point bracket and the translation fold compare integer ends only
+    def refuse(self, other):
+        raise AssertionError("Box.intersect called")
+
+    monkeypatch.setattr(Box, "intersect", refuse)
+    S = interval_set([(Fraction(-8, 3), Fraction(-4, 3)), (Fraction(4, 3), Fraction(8, 3))])
+    f = random_subordinate(random.Random(3), S, A2, -2, 2)
+    assert spectral.meeting_gaps(S, A2, -4, 4) == [0]
+    assert spectral._pieces(f, S, A2, -3, 3)
+    assert project_point(RealPoint.from_pi([Fraction(10, 3)]), S, A2)[1] == -1
+    # S is E stretched by 4/3: both halves fold onto [-2/3, 2/3), and the rest of the cube is missed
+    _, overlap, deficit = S.translation_reduce()
+    assert overlap.measure() == Fraction(4, 3) and deficit.measure() == Fraction(2, 3)
 
 
 def _projection(fn, *args):

@@ -21,9 +21,10 @@ from util import (
     ref_sampled_cover,
     ref_sampled_disjoint,
     sign_flipped,
+    unit_cube,
 )
-from waverep import tiling
-from waverep.boxes import Box, BoxSet, interval_set, unit_cube
+from waverep import spectral, tiling
+from waverep.boxes import Box, BoxSet, interval_set
 from waverep.errors import BadAnnulus, DimensionMismatch
 from waverep.tiling import (
     _BLOCK,
@@ -101,21 +102,23 @@ class TestDisjointByGap:
 
 class TestDisjointDilateCount:
     def test_dilates_do_not_grow_with_j_max(self, monkeypatch):
-        # each box of E is dilated only within its own bracket, not at every gap up to 2 j_max
+        # each box of E is dilated only within its own bracket, not at every gap up to 2 j_max;
+        # the scan dilates integer spans (spectral.grid_dilate), never a Box
         dilates = []
-        dilate = Box.dilate
+        grid_dilate = spectral.grid_dilate
 
-        def counting(self, A, j):
+        def counting(A, span, j):
             dilates.append(j)
-            return dilate(self, A, j)
+            return grid_dilate(A, span, j)
 
-        monkeypatch.setattr(Box, "dilate", counting)
+        monkeypatch.setattr(spectral, "grid_dilate", counting)
+        monkeypatch.setattr(Box, "dilate", lambda self, A, j: dilates.append(None))
         counts = []
         for j_max in (4, 24):
             dilates.clear()
             assert check_dilation_disjoint(shannon_set(), A2, j_max=j_max).passed
             counts.append(len(dilates))
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] > 0 and None not in dilates
 
 
 class TestCover:
@@ -216,6 +219,45 @@ class TestCoverOnIntegerGrid:
         event("uncovered" if want else "covered")
         assert res.passed == (want is None)
         assert json.dumps(res.witness) == json.dumps(want)
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]), j_max=st.integers(0, 10), r_in=_RADII)
+    def test_no_dilate_inside_the_inner_box_is_cut(self, data, dim, j_max, r_in):
+        # every cut after the inner box reaches outside it on some axis; the witness is the reference's
+        E, A = data.draw(box_sets(dim)), data.draw(diagonal_matrices(dim))
+        seen = []
+        grid_difference = tiling.grid_difference
+
+        def recording(scales, spans, cuts):
+            cuts = list(cuts)
+            seen.append(cuts)
+            return grid_difference(scales, spans, cuts)
+
+        annulus = (r_in, 4 * r_in)
+        tiling.grid_difference = recording
+        try:
+            res = check_dilation_cover(E, A, annulus=annulus, j_max=j_max)
+        finally:
+            tiling.grid_difference = grid_difference
+        (cuts,) = seen
+        (lo, hi), dilates = cuts[0], cuts[1:]
+        assert all(any(a < b for a, b in zip(d[0], lo)) or any(a > b for a, b in zip(d[1], hi)) for d in dilates)
+        assert json.dumps(res.witness) == json.dumps(ref_dilation_cover(E, A, annulus, j_max))
+
+    def test_inner_dilates_of_shannon_are_left_out(self, monkeypatch):
+        # Shannon under 2 on the default annulus [1/64, 64]: B^j E lies inside the inner box
+        # [-1/64, 1/64) for j <= -7, so of the 34 boxes of the 17 dilates 4 are left out
+        seen = []
+        grid_difference = tiling.grid_difference
+
+        def recording(scales, spans, cuts):
+            seen.append(list(cuts))
+            return grid_difference(scales, spans, seen[-1])
+
+        monkeypatch.setattr(tiling, "grid_difference", recording)
+        assert check_dilation_cover(shannon_set(), A2, j_max=8).passed
+        assert len(seen[0]) == 1 + 30
 
 
 class TestCongruent:

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from waverep import cli
-from waverep.boxes import Box, BoxSet, interval_set, unit_cube
+from waverep.boxes import Box, BoxSet, interval_set
 from waverep.errors import (
     AmbiguousScale,
     InputError,
@@ -51,6 +51,11 @@ def product_set(a: BoxSet, b: BoxSet) -> BoxSet:
         Box(x.lo + y.lo, x.hi + y.hi) for x in a.boxes for y in b.boxes
     ]
     return BoxSet.of(a.dim + b.dim, boxes)
+
+
+def unit_cube(dim: int) -> BoxSet:
+    """The cube [-pi, pi)^n."""
+    return BoxSet(dim, (Box((Fraction(-1),) * dim, (Fraction(1),) * dim),))
 
 
 def sign_flipped(E: BoxSet, signs) -> BoxSet:
