@@ -227,8 +227,8 @@ def _read(path: str) -> str:
     drops redundant separators and "." parts; any name that ``open`` fails
     on goes to ``Path``, whose error texts (with the normalized name) and
     readings (as of a name with a trailing "/") are kept.  Skipping
-    ``pathlib`` on the common path saves a forked call about a tenth of a
-    millisecond of first-touch cost.
+    ``pathlib`` on the common path spares a forked call the first touch of
+    its code.
     """
     try:
         with open(path) as fh:
